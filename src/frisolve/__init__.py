@@ -4,10 +4,14 @@ over the unit cube.
 
 The feasible region of such a system is a finite union of boxes whose
 bottom corners are computable exactly; a monotone objective therefore
-attains its global minimum at one of finitely many candidate points, and
-the solver finds it by exhaustive enumeration with dominance pruning. All
-lattice arithmetic is exact rational arithmetic; floats appear only in
-objective values and serialized output.
+attains its global minimum at one of finitely many candidate points. The
+solver reaches every minimal solution by a covered-row search, a
+depth-first walk over the rows that skips rows the partial point already
+satisfies, and prunes the leaves by dominance; enumerate_candidates still
+streams the paper's full selector product. A column j reaches row i's
+threshold at x_j = t_ij = 1 + (b_i - epsilon) - a_ij. All lattice
+arithmetic is exact rational arithmetic; floats appear only in objective
+values and serialized output.
 """
 
 from .core import (
@@ -39,6 +43,7 @@ from .structure import (
     enumerate_candidates,
     prune_to_minimal,
     row_minimal,
+    search_candidates,
     selector_count,
 )
 from .objective import (
@@ -92,6 +97,7 @@ __all__ = [
     "enumerate_candidates",
     "prune_to_minimal",
     "row_minimal",
+    "search_candidates",
     "selector_count",
     "OBJECTIVES",
     "Objective",

@@ -4,11 +4,14 @@ Subcommands: check (feasibility and admissible sets), solve (full
 resolution), enumerate (list every candidate), verify (cross-check solver
 against the brute-force oracle), generate (seeded random instances).
 
-Exit codes: 0 success, 1 input error, 2 infeasible, 3 enumeration cap or
-oracle grid limit exceeded, 4 solver/oracle disagreement. Reports go to
+Exit codes: 0 success, 1 input error, 2 infeasible, 3 work cap or oracle
+grid limit exceeded, 4 solver/oracle disagreement. The work cap (--cap or
+FRI_CAP, default 10^6) bounds search nodes for solve and verify, and the
+selector count |E| for enumerate and solve --no-prune. Reports go to
 stdout, diagnostics to stderr. All row/column indices in output are
 1-based; text mode rounds values to 4 decimals, structured mode emits full
-precision.
+precision. Both formats are byte-identical from run to run unless
+--timings adds wall-clock stage times.
 """
 
 from __future__ import annotations
@@ -103,7 +106,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 2
 
 
-def _print_text_report(report: SolveReport, name: Optional[str], inst: Instance, objective) -> None:
+def _print_text_report(
+    report: SolveReport, name: Optional[str], inst: Instance, timings: bool
+) -> None:
     _print_header(name, inst)
     if not report.verdict.feasible:
         rows = ", ".join(str(i + 1) for i in report.verdict.empty_rows)
@@ -113,8 +118,7 @@ def _print_text_report(report: SolveReport, name: Optional[str], inst: Instance,
     print(f"|E| = {report.selector_count}")
     if report.minimal_solutions:
         print(f"minimal solutions: {len(report.minimal_solutions)}")
-        for cand in report.minimal_solutions:
-            value = objective(cand.point)
+        for cand, value in zip(report.minimal_solutions, report.minimal_values):
             print(
                 f"  e = {_fmt_selector(cand.selector)}  "
                 f"x(e) = {_fmt_point(cand.point)}  f = {_fmt_value(value)}"
@@ -126,22 +130,22 @@ def _print_text_report(report: SolveReport, name: Optional[str], inst: Instance,
     print(f"f* = {_fmt_value(report.optimal_value)}")
     if report.cells:
         print(f"cells: {len(report.cells)}")
-    stages = ", ".join(f"{k} {v:.3f}s" for k, v in report.timing.items())
-    print(f"timings: {stages}")
+    if timings:
+        stages = ", ".join(f"{k} {v:.3f}s" for k, v in report.timing.items())
+        print(f"timings: {stages}")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     inst, name = load_instance(args.path)
     objective = OBJECTIVES[args.objective]
     cap = args.cap if args.cap is not None else _default_cap()
-    options = SolverOptions(cap=cap, workers=args.workers)
     runner = solve_unpruned if args.no_prune else solve
-    report = runner(inst, objective, options)
+    report = runner(inst, objective, SolverOptions(cap=cap))
     if args.format == "structured":
-        data = build_report_data(report, objective, name, include_timings=args.timings)
+        data = build_report_data(report, name, include_timings=args.timings)
         sys.stdout.write(render_report_json(data))
     else:
-        _print_text_report(report, name, inst, objective)
+        _print_text_report(report, name, inst, args.timings)
     return 0 if report.verdict.feasible else 2
 
 
@@ -236,18 +240,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-prune", action="store_true",
         help="skip pruning; same optimum, no minimal-solution set in the report",
     )
-    p_solve.add_argument("--cap", type=int, default=None, help="candidate cap (default 10^6 or FRI_CAP)")
-    p_solve.add_argument("--workers", type=int, default=1, help="concurrent candidate builders")
+    p_solve.add_argument(
+        "--cap", type=int, default=None,
+        help="search-node cap; with --no-prune, selector cap (default 10^6 or FRI_CAP)",
+    )
     p_solve.add_argument("--format", choices=["text", "structured"], default="text")
     p_solve.add_argument(
         "--timings", action="store_true",
-        help="include wall-clock timings in structured output (breaks byte identity across runs)",
+        help="include wall-clock timings in the report (breaks byte identity across runs)",
     )
     p_solve.set_defaults(func=cmd_solve)
 
     p_enum = sub.add_parser("enumerate", help="list every candidate x(e) with its selector")
     p_enum.add_argument("path", help="instance file")
-    p_enum.add_argument("--cap", type=int, default=None, help="candidate cap (default 10^6 or FRI_CAP)")
+    p_enum.add_argument("--cap", type=int, default=None, help="selector cap (default 10^6 or FRI_CAP)")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="cross-check the solver against brute-force search")

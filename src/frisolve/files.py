@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .core import Instance, Point
-from .objective import Objective
 from .solver import SolveReport
 from .structure import Selector
 
@@ -144,24 +143,24 @@ def _selector_list(sel: Selector) -> list[Optional[int]]:
     return [c + 1 if c is not None else None for c in sel.columns]
 
 
-def _candidate_entry(cand, objective: Objective) -> dict[str, Any]:
+def _candidate_entry(cand, value: float) -> dict[str, Any]:
     return {
         "selector": _selector_list(cand.selector),
         "point": _numbers(cand.point),
-        "objective_value": objective(cand.point),
+        "objective_value": value,
     }
 
 
 def build_report_data(
     report: SolveReport,
-    objective: Objective,
     name: Optional[str] = None,
     include_timings: bool = False,
 ) -> dict[str, Any]:
     """Flatten a solve report into the structured-output document.
 
-    Key order is fixed and timings are excluded unless asked for: wall
-    clock is the one field that would break run-to-run byte identity.
+    Objective values are the ones the solver computed. Key order is fixed
+    and timings are excluded unless asked for: wall clock is the one field
+    that would break run-to-run byte identity.
     """
     data: dict[str, Any] = {}
     if name is not None:
@@ -174,10 +173,10 @@ def build_report_data(
     data["E_size"] = report.selector_count
     data["candidates_enumerated"] = report.candidates_enumerated
     data["minimal_solutions"] = [
-        _candidate_entry(c, objective) for c in report.minimal_solutions
+        _candidate_entry(c, v) for c, v in zip(report.minimal_solutions, report.minimal_values)
     ]
     data["optimizer"] = (
-        _candidate_entry(report.optimizer, objective) if report.optimizer else None
+        _candidate_entry(report.optimizer, report.optimal_value) if report.optimizer else None
     )
     data["optimal_value"] = report.optimal_value
     data["cells"] = [

@@ -1,17 +1,19 @@
 """Brute-force cross-check for the solver, deliberately independent of the
 enumeration and pruning code it verifies.
 
-Any minimal solution's nonzero coordinates have the form 1 + b_i - a_ij
-with column j admissible for row i: below the smallest such value the row
-constraint that forced the coordinate fails, and a minimal point never
-carries slack. So the finite grid built from those values (plus 0 and 1
-per column) contains every minimal solution, and exhaustive search over it
-is exact, not approximate. A uniform discretization would miss the exact
-points and report false mismatches.
+Any minimal solution's nonzero coordinates have the form
+t_ij = 1 + (b_i - epsilon) - a_ij with column j admissible for row i:
+below that value the row constraint that forced the coordinate fails, and
+a minimal point never carries slack. So the finite grid built from those
+values (plus 0 and 1 per column) contains every minimal solution, and
+exhaustive search over it is exact, not approximate. A uniform
+discretization would miss the exact points and report false mismatches.
 
 Everything here rechecks membership through core.is_member and uses its
 own plain quadratic dominance scan; it shares no path with solver or
-structure, which is the point.
+structure, which is the point. The one formula it shares with them is the
+threshold t_ij itself (core.coordinate_threshold), which only places the
+grid; membership and minimality are decided by is_member alone.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ONE, ZERO, Instance, Point, is_member
+from .core import ONE, ZERO, Instance, Point, coordinate_threshold, is_member
 from .feasibility import InfeasibleSystemError
 from .objective import Objective, log_sum_exp
 
@@ -59,16 +61,15 @@ class LatticeGrid:
 
 
 def build_grid(inst: Instance) -> LatticeGrid:
-    """Collect {0, 1} plus every admissible 1 + b_i - a_ij per column."""
+    """Collect {0, 1} plus every admissible threshold t_ij per column."""
     eps = inst.epsilon
     columns: list[set[Fraction]] = [{ZERO, ONE} for _ in range(inst.n)]
-    for row, bi in zip(inst.A, inst.b):
+    for i, (row, bi) in enumerate(zip(inst.A, inst.b)):
         if bi - eps <= ZERO:
             continue
         for j, a in enumerate(row):
             if a >= bi - eps:
-                v = ONE + bi - a
-                columns[j].add(v if v <= ONE else ONE)
+                columns[j].add(coordinate_threshold(inst, i, j))
     return LatticeGrid(coords=tuple(tuple(sorted(c)) for c in columns))
 
 

@@ -1,4 +1,4 @@
-"""End-to-end resolution: feasibility gate, candidate enumeration, pruning,
+"""End-to-end resolution: feasibility gate, covered-row search, pruning,
 and objective comparison.
 
 Why a finite scan gives the global optimum over an uncountable region: the
@@ -8,13 +8,19 @@ bottom corner x(e), and the global minimum is the best bottom corner. The
 minimal solutions are a subset of the candidates containing all best
 corners, which is why solve_unpruned may skip the pruning pass entirely
 without changing the optimal value.
+
+solve finds the minimal solutions by the covered-row search
+(structure.search_candidates), whose work follows its search tree;
+solve_unpruned streams every candidate of the selector product E, as the
+paper's algorithm does. The cap bounds what each one walks: search nodes
+for solve, |E| for solve_unpruned.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .core import Instance, Point
 from .feasibility import (
@@ -27,12 +33,11 @@ from .objective import Objective, log_sum_exp
 from .structure import (
     DEFAULT_CAP,
     Candidate,
-    build_candidates,
     cell_decomposition,
-    check_enumerable,
     enumerate_candidates,
     prune_to_minimal,
-    selector_choices,
+    search_candidates,
+    selector_count,
 )
 
 
@@ -40,20 +45,16 @@ from .structure import (
 class SolverOptions:
     """Resolution knobs.
 
-    cap bounds the number of enumerated candidates (None disables the
-    bound); workers > 1 builds candidates concurrently over disjoint
-    selector ranges. Results are identical for any worker count: the
-    reduction is associative and ties are broken by a total order.
+    cap bounds the work of one resolution (None disables the bound): the
+    search nodes of solve, one per column assignment tried, and the
+    selector count |E| of solve_unpruned.
     """
 
     cap: int | None = DEFAULT_CAP
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.cap is not None and self.cap < 1:
             raise ValueError(f"cap must be >= 1 or None, got {self.cap}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,12 @@ class SolveReport:
 
     For an infeasible system only verdict and index_sets are populated;
     selector_count is None and optimizer/optimal_value stay None.
-    solve_unpruned leaves minimal_solutions and cells empty even when an
-    optimizer is found, since it never classifies candidates.
+    selector_count is |E| either way; candidates_enumerated counts the
+    search leaves for solve and the selectors for solve_unpruned.
+    minimal_values holds the objective value of each minimal solution, in
+    the same order. solve_unpruned leaves minimal_solutions,
+    minimal_values and cells empty even when an optimizer is found, since
+    it never classifies candidates.
     """
 
     verdict: FeasibilityVerdict
@@ -71,6 +76,7 @@ class SolveReport:
     selector_count: int | None
     candidates_enumerated: int
     minimal_solutions: tuple[Candidate, ...]
+    minimal_values: tuple[float, ...]
     optimizer: Candidate | None
     optimal_value: float | None
     cells: tuple[tuple[Point, Point], ...]
@@ -84,6 +90,7 @@ def _infeasible_report(verdict: FeasibilityVerdict, idx: IndexSets, t0: float) -
         selector_count=None,
         candidates_enumerated=0,
         minimal_solutions=(),
+        minimal_values=(),
         optimizer=None,
         optimal_value=None,
         cells=(),
@@ -91,37 +98,14 @@ def _infeasible_report(verdict: FeasibilityVerdict, idx: IndexSets, t0: float) -
     )
 
 
-def _choice_chunks(idx: IndexSets, workers: int) -> list[list[tuple[int, ...]]]:
-    """Split the selector space into at most ``workers`` contiguous runs."""
-    choices = list(selector_choices(idx))
-    size, extra = divmod(len(choices), workers)
-    chunks = []
-    start = 0
-    for k in range(workers):
-        stop = start + size + (1 if k < extra else 0)
-        if stop > start:
-            chunks.append(choices[start:stop])
-        start = stop
-    return chunks
-
-
-def _all_candidates(inst: Instance, idx: IndexSets, options: SolverOptions) -> list[Candidate]:
-    check_enumerable(idx, options.cap)
-    if options.workers == 1:
-        return build_candidates(inst, idx, selector_choices(idx))
-    chunks = _choice_chunks(idx, options.workers)
-    with ThreadPoolExecutor(max_workers=options.workers) as pool:
-        parts = list(pool.map(lambda ch: build_candidates(inst, idx, ch), chunks))
-    return [cand for part in parts for cand in part]
-
-
-def _best_candidate(objective: Objective, candidates) -> tuple[Candidate, float]:
-    """Streaming minimum under the total order (value, selector); the
-    selector tie-break makes the result independent of visit order."""
+def _best_candidate(valued: Iterable[tuple[Candidate, float]]) -> tuple[Candidate, float]:
+    """Streaming minimum of (candidate, value) pairs under the total order
+    (value, selector); the selector tie-break makes the result independent
+    of visit order."""
     best = None
     best_key = None
-    for cand in candidates:
-        key = (objective(cand.point), cand.selector.key)
+    for cand, value in valued:
+        key = (value, cand.selector.key)
         if best_key is None or key < best_key:
             best, best_key = cand, key
     if best is None:
@@ -134,14 +118,16 @@ def solve(
     objective: Objective = log_sum_exp,
     options: SolverOptions | None = None,
 ) -> SolveReport:
-    """Full resolution: decide feasibility, enumerate all candidates, prune
-    to the exact minimal-solution set, and minimize the objective over it.
+    """Full resolution: decide feasibility, search the candidates that can
+    be minimal, prune them to the exact minimal-solution set, and minimize
+    the objective over it.
 
     The returned optimizer is the global minimum of the objective over the
     entire feasible region, provided the objective is monotone
     nondecreasing under the componentwise order. Ties between minimal
     solutions break toward the smaller objective value, then the
-    lexicographically smallest selector.
+    lexicographically smallest selector. The objective is evaluated once
+    per minimal solution.
     """
     options = options or SolverOptions()
     t0 = time.perf_counter()
@@ -151,27 +137,29 @@ def solve(
     if not verdict.feasible:
         return _infeasible_report(verdict, idx, t0)
 
-    candidates = _all_candidates(inst, idx, options)
-    t_enum = time.perf_counter()
+    candidates, leaves = search_candidates(inst, idx, cap=options.cap)
+    t_search = time.perf_counter()
     minimal = tuple(prune_to_minimal(candidates))
     t_prune = time.perf_counter()
-    optimizer, value = _best_candidate(objective, minimal)
+    values = tuple(objective(c.point) for c in minimal)
+    optimizer, value = _best_candidate(zip(minimal, values))
     cells = tuple(cell_decomposition(list(minimal)))
     t_end = time.perf_counter()
 
     return SolveReport(
         verdict=verdict,
         index_sets=idx,
-        selector_count=len(candidates),
-        candidates_enumerated=len(candidates),
+        selector_count=selector_count(idx),
+        candidates_enumerated=leaves,
         minimal_solutions=minimal,
+        minimal_values=values,
         optimizer=optimizer,
         optimal_value=value,
         cells=cells,
         timing={
             "index_sets": t_idx - t0,
-            "candidates": t_enum - t_idx,
-            "prune": t_prune - t_enum,
+            "candidates": t_search - t_idx,
+            "prune": t_prune - t_search,
             "select": t_end - t_prune,
             "total": t_end - t0,
         },
@@ -183,13 +171,12 @@ def solve_unpruned(
     objective: Objective = log_sum_exp,
     options: SolverOptions | None = None,
 ) -> SolveReport:
-    """Resolution without the quadratic pruning pass: a single streaming
-    minimum over all candidates.
+    """Resolution without the pruning pass: a single streaming minimum
+    over every candidate of the selector product.
 
     Every candidate is feasible and every minimal solution is a candidate,
     so the optimal value is identical to solve's; the report just carries
-    no minimal-solution set or cells. Preferred when only the optimum is
-    wanted and the candidate count is large.
+    no minimal-solution set or cells.
     """
     options = options or SolverOptions()
     t0 = time.perf_counter()
@@ -199,20 +186,11 @@ def solve_unpruned(
     if not verdict.feasible:
         return _infeasible_report(verdict, idx, t0)
 
-    count = check_enumerable(idx, options.cap)
-    if options.workers == 1:
-        optimizer, value = _best_candidate(
-            objective, enumerate_candidates(inst, idx, cap=options.cap)
-        )
-    else:
-        chunks = _choice_chunks(idx, options.workers)
-
-        def chunk_best(choices: list[tuple[int, ...]]) -> tuple[Candidate, float]:
-            return _best_candidate(objective, build_candidates(inst, idx, choices))
-
-        with ThreadPoolExecutor(max_workers=options.workers) as pool:
-            bests = list(pool.map(chunk_best, chunks))
-        optimizer, value = min(bests, key=lambda bv: (bv[1], bv[0].selector.key))
+    count = selector_count(idx)
+    optimizer, value = _best_candidate(
+        (cand, objective(cand.point))
+        for cand in enumerate_candidates(inst, idx, cap=options.cap)
+    )
     t_end = time.perf_counter()
 
     return SolveReport(
@@ -221,6 +199,7 @@ def solve_unpruned(
         selector_count=count,
         candidates_enumerated=count,
         minimal_solutions=(),
+        minimal_values=(),
         optimizer=optimizer,
         optimal_value=value,
         cells=(),

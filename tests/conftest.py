@@ -111,7 +111,7 @@ CRITERIA_DESCRIPTIONS = {
     6: "solver equals brute-force oracle on 50 random instances",
     7: "optimal value lower-bounds 10^4 sampled feasible points per instance",
     8: "structural invariants (membership, closure, sandwich, path equality)",
-    9: "byte-identical structured reports, serial and concurrent",
+    9: "byte-identical structured reports; pruned and unpruned optimum agree",
 }
 
 _ACCEPTANCE_PATTERN = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")

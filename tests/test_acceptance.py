@@ -201,16 +201,14 @@ def test_criterion_9_deterministic_reports(tmp_path, capsys):
         for argv in (
             ["solve", path, "--format", "structured"],
             ["solve", path, "--format", "structured"],
-            ["solve", path, "--format", "structured", "--workers", "4"],
-            ["solve", path, "--format", "structured", "--workers", "2", "--no-prune"],
+            ["solve", path, "--format", "structured", "--no-prune"],
         ):
             assert main(argv) == 0
             runs.append(capsys.readouterr().out)
         assert runs[0] == runs[1], label
-        assert runs[0] == runs[2], label
         # the unpruned report drops the minimal set but must agree on the
         # optimum, bit for bit
         pruned = json.loads(runs[0])
-        unpruned = json.loads(runs[3])
+        unpruned = json.loads(runs[2])
         assert unpruned["optimal_value"] == pruned["optimal_value"], label
         assert unpruned["optimizer"]["point"] == pruned["optimizer"]["point"], label

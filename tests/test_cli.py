@@ -126,6 +126,18 @@ class TestSolve:
         data = json.loads(capsys.readouterr().out)
         assert "timings" in data and "total" in data["timings"]
 
+    def test_text_report_is_reproducible_and_timings_add_a_line(self, golden_file, capsys):
+        runs = []
+        for _ in range(2):
+            assert main(["solve", golden_file]) == 0
+            runs.append(capsys.readouterr().out)
+        assert runs[0] == runs[1]
+        assert "timings:" not in runs[0]
+        assert main(["solve", golden_file, "--timings"]) == 0
+        timed = capsys.readouterr().out.splitlines()
+        assert timed[-1].startswith("timings: ")
+        assert timed[:-1] == runs[0].splitlines()
+
 
 class TestEnumerate:
     def test_golden_listing(self, golden_file, capsys):
@@ -156,6 +168,17 @@ class TestVerify:
     def test_grid_limit_exits_3(self, golden_file, capsys):
         assert main(["verify", golden_file, "--limit", "5"]) == 3
         assert "exceeding the limit" in capsys.readouterr().err
+
+    def test_search_cap_applies(self, golden_file, capsys, monkeypatch):
+        monkeypatch.setenv("FRI_CAP", "2")
+        assert main(["verify", golden_file]) == 3
+        assert "exceeding the cap" in capsys.readouterr().err
+
+    def test_epsilon_agreement(self, tmp_path, capsys):
+        path = tmp_path / "eps.json"
+        path.write_text('{"A": [[0.9, 0.5]], "b": [0.6], "epsilon": 0.1}', encoding="utf-8")
+        assert main(["verify", str(path)]) == 0
+        assert "minimal set: agree" in capsys.readouterr().out
 
 
 class TestGenerate:

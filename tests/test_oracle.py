@@ -1,6 +1,7 @@
 """The brute-force referee: grid soundness and agreement with the solver."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -62,6 +63,13 @@ def test_zero_thresholds_optimize_to_the_bottom():
     assert point == zeros(2)
     assert value == pytest.approx(math.log(2), abs=1e-12)
     assert brute_force_minimal(inst) == [zeros(2)]
+
+
+def test_epsilon_grid_holds_the_true_minimum():
+    inst = Instance(A=(("0.9",),), b=("0.6",), epsilon="0.1")
+    assert Fraction("0.6") in build_grid(inst).coords[0]
+    assert brute_force_minimal(inst) == [(Fraction("0.6"),)]
+    assert [c.point for c in solve(inst).minimal_solutions] == brute_force_minimal(inst)
 
 
 def test_grid_limit_is_enforced(golden):

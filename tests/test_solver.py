@@ -1,16 +1,23 @@
-"""End-to-end resolution: golden report, path equivalence, ties, workers."""
+"""End-to-end resolution: golden report, search against the product
+enumeration, path equivalence, ties, the cap, and epsilon > 0."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frisolve import (
     CapExceededError,
     Instance,
     SolverOptions,
+    compute_index_sets,
+    enumerate_candidates,
     is_member,
     log_sum_exp,
     max_coordinate,
+    prune_to_minimal,
     solve,
     solve_unpruned,
     zeros,
@@ -24,13 +31,25 @@ from conftest import (
     GOLDEN_OTHER_VALUE,
     random_instances,
 )
+from test_core import small_instances
+
+
+def with_epsilon(epsilons):
+    """small_instances with an epsilon drawn from ``epsilons``; a drawn
+    epsilon at or above some b_i makes that row vacuous."""
+    return st.tuples(small_instances(max_m=5), epsilons).map(
+        lambda ie: Instance(A=ie[0].A, b=ie[0].b, epsilon=ie[1])
+    )
+
+
+positive_epsilons = st.integers(1, 3000).map(lambda k: Fraction(k, 10_000))
 
 
 def test_golden_full_report(golden):
     report = solve(golden)
     assert report.verdict.feasible
     assert report.selector_count == 4
-    assert report.candidates_enumerated == 4
+    assert report.candidates_enumerated == 2  # leaves of the covered-row search
     assert {c.point for c in report.minimal_solutions} == GOLDEN_MINIMAL
     assert report.optimizer.point == GOLDEN_OPTIMIZER_POINT
     assert report.optimizer.selector.columns == GOLDEN_OPTIMIZER_SELECTOR
@@ -91,34 +110,17 @@ def test_objective_ties_break_to_the_smallest_selector():
     assert report.optimizer.selector.columns == (0,)
 
 
-def test_workers_produce_identical_reports(golden):
-    serial = solve(golden)
-    for workers in (2, 3, 8):
-        par = solve(golden, options=SolverOptions(workers=workers))
-        assert par.minimal_solutions == serial.minimal_solutions
-        assert par.optimizer == serial.optimizer
-        assert par.optimal_value == serial.optimal_value
-    fast_serial = solve_unpruned(golden)
-    for workers in (2, 5):
-        par = solve_unpruned(golden, options=SolverOptions(workers=workers))
-        assert par.optimizer == fast_serial.optimizer
-        assert par.optimal_value == fast_serial.optimal_value
-
-
-def test_workers_agree_on_random_instances():
-    for inst, name in random_instances(10, base_seed=8800, density=2.0):
-        serial = solve(inst)
-        par = solve(inst, options=SolverOptions(workers=4))
-        assert par.minimal_solutions == serial.minimal_solutions, name
-        assert par.optimal_value == serial.optimal_value, name
-
-
 def test_cap_propagates_with_the_exact_count(golden):
+    # solve's search tries 4 column assignments on the golden system; the
+    # cap stops it at the first node beyond the cap
     with pytest.raises(CapExceededError) as err:
         solve(golden, options=SolverOptions(cap=2))
+    assert err.value.count == 3
+    assert solve(golden, options=SolverOptions(cap=4)).candidates_enumerated == 2
+    # solve_unpruned walks the product, |E| = 4
+    with pytest.raises(CapExceededError) as err:
+        solve_unpruned(golden, options=SolverOptions(cap=2))
     assert err.value.count == 4
-    with pytest.raises(CapExceededError):
-        solve_unpruned(golden, options=SolverOptions(cap=2, workers=3))
 
 
 def test_generic_objective_lower_bounds_sampled_points(golden):
@@ -133,11 +135,80 @@ def test_generic_objective_lower_bounds_sampled_points(golden):
 def test_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(cap=0)
-    with pytest.raises(ValueError):
-        SolverOptions(workers=0)
 
 
 def test_timing_stages_recorded(golden):
     report = solve(golden)
     assert {"index_sets", "candidates", "prune", "select", "total"} <= set(report.timing)
     assert all(v >= 0 for v in report.timing.values())
+
+
+@given(inst=with_epsilon(st.one_of(st.just(Fraction(0)), positive_epsilons)))
+@settings(max_examples=150, deadline=None)
+def test_search_matches_pruned_product_enumeration(inst):
+    report = solve(inst)
+    if not report.verdict.feasible:
+        assert not compute_index_sets(inst).feasible
+        return
+    reference = prune_to_minimal(enumerate_candidates(inst, cap=None))
+    assert report.minimal_solutions == tuple(reference)
+    want = min(reference, key=lambda c: (log_sum_exp(c.point), c.selector.key))
+    assert report.optimizer == want
+    assert report.optimal_value == log_sum_exp(want.point)
+
+
+@given(inst=with_epsilon(positive_epsilons))
+@settings(max_examples=150, deadline=None)
+def test_minimal_points_are_exactly_minimal_with_epsilon(inst):
+    # Written from the membership inequality a_ij + x_j - 1 >= b_i - eps
+    # alone: x is minimal iff it is a member and every nonzero x_j is the
+    # only column meeting some row, and meets it with equality, so that
+    # lowering x_j breaks that row.
+    report = solve(inst)
+    for cand in report.minimal_solutions:
+        x = cand.point
+        assert is_member(inst, x)
+        tight = set()
+        for row, bi in zip(inst.A, inst.b):
+            threshold = bi - inst.epsilon
+            if threshold <= 0:
+                continue
+            meeting = [j for j, (a, xj) in enumerate(zip(row, x)) if a + xj - 1 >= threshold]
+            if len(meeting) == 1 and row[meeting[0]] + x[meeting[0]] - 1 == threshold:
+                tight.add(meeting[0])
+        assert all(j in tight for j, xj in enumerate(x) if xj != 0), x
+
+
+def test_epsilon_lowers_the_minimal_point_by_epsilon():
+    # a + x - 1 >= 0.6 - 0.1 holds from x = 0.6 on, not from 1 + 0.6 - 0.9
+    inst = Instance(A=(("0.9",),), b=("0.6",), epsilon="0.1")
+    report = solve(inst)
+    assert [c.point for c in report.minimal_solutions] == [(Fraction("0.6"),)]
+    assert report.optimizer.point == (Fraction("0.6"),)
+    assert is_member(inst, (Fraction("0.6"),))
+    assert not is_member(inst, (Fraction("0.5999"),))
+
+
+def test_deep_chain_solves_without_recursion():
+    # Every row has one admissible column and a higher threshold than the
+    # row before, so no row is covered and the branch depth is m.
+    m = 1500
+    inst = Instance(
+        A=tuple((1 - Fraction(i, 4 * m), 0) for i in range(1, m + 1)),
+        b=(Fraction(3, 4),) * m,
+    )
+    report = solve(inst)
+    assert report.selector_count == 1
+    assert [c.point for c in report.minimal_solutions] == [(Fraction(1), Fraction(0))]
+
+
+def test_objective_evaluated_once_per_minimal_point(golden):
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return log_sum_exp(x)
+
+    report = solve(golden, objective=counting)
+    assert sorted(calls) == sorted(c.point for c in report.minimal_solutions)
+    assert report.minimal_values == tuple(log_sum_exp(c.point) for c in report.minimal_solutions)

@@ -19,6 +19,7 @@ from frisolve import (
     ones,
     prune_to_minimal,
     row_minimal,
+    search_candidates,
     selector_count,
 )
 
@@ -54,6 +55,11 @@ class TestRowMinimal:
     def test_inadmissible_column_rejected(self, golden):
         with pytest.raises(ValueError, match="not admissible"):
             row_minimal(golden, 0, 1)
+
+    def test_epsilon_enters_the_threshold(self):
+        # t = 1 + (0.6 - 0.1) - 0.9; the coordinate 0.7 would carry slack
+        inst = Instance(A=(("0.9",),), b=("0.6",), epsilon="0.1")
+        assert row_minimal(inst, 0, 0) == fpoint("0.6")
 
     def test_vacuous_row_rejected(self):
         inst = Instance(A=(("0.5",),), b=(0,))
@@ -132,6 +138,58 @@ class TestCandidates:
         if not idx.feasible:
             return
         for cand in enumerate_candidates(inst, idx, cap=2000):
+            assert is_member(inst, cand.point)
+
+
+class TestSearch:
+    def test_golden_leaves_and_nodes(self, golden):
+        # rows 1, 3 and 5 have one column each, row 5 and row 2 are then
+        # covered at x_3, and row 4 branches: 4 nodes, 2 leaves
+        cands, leaves = search_candidates(golden, cap=4)
+        assert leaves == 2
+        assert {c.point for c in cands} == GOLDEN_MINIMAL
+        for cand in cands:
+            assert GOLDEN_CANDIDATES[cand.selector.columns] == cand.point
+        with pytest.raises(CapExceededError) as err:
+            search_candidates(golden, cap=3)
+        assert err.value.count == 4
+        assert err.value.cap == 3
+        assert "exceeding the cap of 3" in str(err.value)
+
+    def test_all_vacuous_rows_give_the_zero_leaf(self):
+        inst = Instance(A=(("0.4", "0.9"),), b=(0,))
+        cands, leaves = search_candidates(inst)
+        assert leaves == 1
+        assert cands[0].point == fpoint("0", "0")
+        assert cands[0].selector.columns == (None,)
+
+    def test_infeasible_system_raises(self):
+        inst = Instance(A=(("0.3", "0.6"),), b=("0.7",))
+        with pytest.raises(InfeasibleSystemError):
+            search_candidates(inst)
+
+    def test_covered_row_is_not_branched(self):
+        # Rows 1 and 2 force [0.8, 0.7]; both columns of row 3 already meet
+        # it there, so the search has one leaf, where the product has two.
+        # Its canonical selector takes the smaller column for row 3.
+        inst = Instance(
+            A=(("0.8", "0.1"), ("0.2", "0.8"), ("0.8", "0.9")),
+            b=("0.6", "0.5", "0.4"),
+        )
+        cands, leaves = search_candidates(inst)
+        assert leaves == 1
+        assert [c.point for c in cands] == [fpoint("0.8", "0.7")]
+        assert cands[0].selector.columns == (0, 1, 0)
+
+    @given(inst=small_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_every_leaf_is_feasible(self, inst):
+        idx = compute_index_sets(inst)
+        if not idx.feasible:
+            return
+        cands, leaves = search_candidates(inst, idx)
+        assert len(cands) <= leaves
+        for cand in cands:
             assert is_member(inst, cand.point)
 
 
