@@ -7,11 +7,13 @@ bottom corners are computable exactly; a monotone objective therefore
 attains its global minimum at one of finitely many candidate points. The
 solver reaches every minimal solution by a covered-row search, a
 depth-first walk over the rows that skips rows the partial point already
-satisfies, and prunes the leaves by dominance; enumerate_candidates still
-streams the paper's full selector product. A column j reaches row i's
-threshold at x_j = t_ij = 1 + (b_i - epsilon) - a_ij. All lattice
-arithmetic is exact rational arithmetic; floats appear only in objective
-values and serialized output.
+satisfies, and prunes the leaves by dominance; solve_unpruned walks the
+same search with the objective as a lower bound and returns the optimizer
+alone; enumerate_candidates still streams the paper's full selector
+product. A column j reaches row i's threshold at
+x_j = t_ij = 1 + (b_i - epsilon) - a_ij. All lattice arithmetic is exact
+rational arithmetic; floats appear only in objective values and
+serialized output.
 """
 
 from .core import (
@@ -52,7 +54,6 @@ from .objective import (
     coordinate_sum,
     log_sum_exp,
     max_coordinate,
-    monotone_on_pairs,
 )
 from .solver import SolveReport, SolverOptions, solve, solve_unpruned
 from .oracle import (
@@ -104,7 +105,6 @@ __all__ = [
     "coordinate_sum",
     "log_sum_exp",
     "max_coordinate",
-    "monotone_on_pairs",
     "SolveReport",
     "SolverOptions",
     "solve",

@@ -6,8 +6,8 @@ against the brute-force oracle), generate (seeded random instances).
 
 Exit codes: 0 success, 1 input error, 2 infeasible, 3 work cap or oracle
 grid limit exceeded, 4 solver/oracle disagreement. The work cap (--cap or
-FRI_CAP, default 10^6) bounds search nodes for solve and verify, and the
-selector count |E| for enumerate and solve --no-prune. Reports go to
+FRI_CAP, default 10^6) bounds search nodes for solve, solve --no-prune and
+verify, and the selector count |E| for enumerate. Reports go to
 stdout, diagnostics to stderr. All row/column indices in output are
 1-based; text mode rounds values to 4 decimals, structured mode emits full
 precision. Both formats are byte-identical from run to run unless
@@ -38,6 +38,7 @@ from .oracle import (
     GridTooLargeError,
     brute_force_minimal,
     brute_force_optimum,
+    is_minimal_point,
 )
 from .solver import SolveReport, SolverOptions, solve, solve_unpruned
 from .structure import DEFAULT_CAP, CapExceededError, Selector, enumerate_candidates
@@ -181,7 +182,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         inst, OBJECTIVES[args.objective], limit=args.limit
     )
     solver_points = sorted(c.point for c in report.minimal_solutions)
-    minimal_agree = solver_points == oracle_minimal
+    not_minimal = [p for p in solver_points if not is_minimal_point(inst, p)]
+    minimal_agree = solver_points == oracle_minimal and not not_minimal
     value_agree = report.optimal_value == oracle_value
 
     print(
@@ -192,6 +194,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"oracle: {len(oracle_minimal)} minimal point(s), "
         f"optimal value {oracle_value!r}"
     )
+    for point in not_minimal:
+        print(f"not minimal by the row inequalities: x = {_fmt_point(point)}")
     print(f"minimal set: {'agree' if minimal_agree else 'DISAGREE'}")
     print(f"optimal value: {'agree' if value_agree else 'DISAGREE'}")
     if minimal_agree and value_agree:
@@ -238,11 +242,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument(
         "--no-prune", action="store_true",
-        help="skip pruning; same optimum, no minimal-solution set in the report",
+        help="bound-pruned search for the optimum alone; same optimizer, "
+        "no minimal-solution set in the report",
     )
     p_solve.add_argument(
         "--cap", type=int, default=None,
-        help="search-node cap; with --no-prune, selector cap (default 10^6 or FRI_CAP)",
+        help="search-node cap (default 10^6 or FRI_CAP)",
     )
     p_solve.add_argument("--format", choices=["text", "structured"], default="text")
     p_solve.add_argument(

@@ -5,7 +5,10 @@ m arrays of n numbers) and "b" (array of m numbers), optional "epsilon"
 (number, default 0) and "name" (string). Grades are parsed with an exact
 decimal hook, so a literal like 0.9463 becomes the rational 9463/10000
 rather than the nearest binary float; solver arithmetic then reproduces
-pencil-and-paper results exactly.
+pencil-and-paper results exactly. A numeric literal may carry at most
+50 mantissa digits and a decimal exponent within +-400, so that parsing
+stays cheap; every float repr fits. A longer literal is rejected with the
+member that holds it named.
 
 On output, grades are emitted as their float value, whose shortest repr
 round-trips to the same rational for any grade with at most 15 significant
@@ -26,6 +29,8 @@ from .solver import SolveReport
 from .structure import Selector
 
 _ALLOWED_KEYS = {"A", "b", "epsilon", "name"}
+MAX_DIGITS = 50
+MAX_EXPONENT = 400
 
 
 class InstanceFormatError(ValueError):
@@ -33,7 +38,41 @@ class InstanceFormatError(ValueError):
     offending member."""
 
 
+class _OutOfBounds:
+    """A numeric literal beyond the parse bounds, kept as its text until
+    the member that holds it is known."""
+
+    def __init__(self, literal: str):
+        self.literal = literal
+
+    def __repr__(self) -> str:
+        return self.literal if len(self.literal) <= 40 else self.literal[:37] + "..."
+
+
+def _within_bounds(literal: str) -> bool:
+    if len(literal) <= MAX_DIGITS and "e" not in literal and "E" not in literal:
+        return True
+    mantissa, _, exponent = literal.replace("E", "e").partition("e")
+    if len(mantissa) - mantissa.startswith("-") - ("." in mantissa) > MAX_DIGITS:
+        return False
+    exponent = exponent.lstrip("+-").lstrip("0")
+    return len(exponent) <= len(str(MAX_EXPONENT)) and int(exponent or 0) <= MAX_EXPONENT
+
+
+def _parse_float(literal: str) -> Fraction | _OutOfBounds:
+    return Fraction(literal) if _within_bounds(literal) else _OutOfBounds(literal)
+
+
+def _parse_int(literal: str) -> int | _OutOfBounds:
+    return int(literal) if _within_bounds(literal) else _OutOfBounds(literal)
+
+
 def _require_number(value: Any, label: str) -> Fraction | int:
+    if isinstance(value, _OutOfBounds):
+        raise InstanceFormatError(
+            f"{label} is out of the parse bounds (at most {MAX_DIGITS} digits and a "
+            f"decimal exponent within +-{MAX_EXPONENT}): {value!r}"
+        )
     # bool is an int subclass, but true/false in a grade slot is a mistake
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise InstanceFormatError(f"{label} is not a number: {value!r}")
@@ -44,7 +83,7 @@ def parse_instance_text(text: str) -> tuple[Instance, Optional[str]]:
     """Parse an instance document; returns the instance and its optional
     name. Raises InstanceFormatError with the offending field named."""
     try:
-        data = json.loads(text, parse_float=Fraction)
+        data = json.loads(text, parse_float=_parse_float, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

@@ -15,7 +15,7 @@ boundary is where exact lattice arithmetic ends.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .core import GradeLike, _to_fraction
 
@@ -59,16 +59,3 @@ OBJECTIVES: dict[str, Objective] = {
     "max": max_coordinate,
     "sum": coordinate_sum,
 }
-
-
-def monotone_on_pairs(
-    f: Objective,
-    pairs: Iterable[tuple[Sequence[GradeLike], Sequence[GradeLike]]],
-) -> bool:
-    """Spot-check the increasing-objective contract on given (x, y) pairs
-    with x <= y componentwise: every pair must satisfy f(x) <= f(y).
-
-    This is a sampling aid for tests, not a proof; the solver itself never
-    verifies the contract at runtime.
-    """
-    return all(f(x) <= f(y) for x, y in pairs)

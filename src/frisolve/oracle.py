@@ -13,7 +13,9 @@ Everything here rechecks membership through core.is_member and uses its
 own plain quadratic dominance scan; it shares no path with solver or
 structure, which is the point. The one formula it shares with them is the
 threshold t_ij itself (core.coordinate_threshold), which only places the
-grid; membership and minimality are decided by is_member alone.
+grid. A mistake there would move the grid and the solver's points alike,
+so is_minimal_point checks a reported point without it, from the
+membership inequality alone.
 """
 
 from __future__ import annotations
@@ -71,6 +73,30 @@ def build_grid(inst: Instance) -> LatticeGrid:
             if a >= bi - eps:
                 columns[j].add(coordinate_threshold(inst, i, j))
     return LatticeGrid(coords=tuple(tuple(sorted(c)) for c in columns))
+
+
+def is_minimal_point(inst: Instance, x: Point) -> bool:
+    """Whether x is a minimal solution, decided from the row inequality
+    ``a_ij + x_j - 1 >= b_i - epsilon`` alone.
+
+    Every constraining row must be met, and each nonzero x_j must be the
+    sole column meeting some constraining row, meeting it with equality:
+    then lowering x_j by any amount breaks that row, and by upward closure
+    no other member lies below x.
+    """
+    # A zero coordinate meets no constraining row: a_ij - 1 <= 0 < b_i - epsilon.
+    nonzero = [j for j, xj in enumerate(x) if xj != ZERO]
+    tight = set()
+    for row, bi in zip(inst.A, inst.b):
+        threshold = bi - inst.epsilon
+        if threshold <= ZERO:
+            continue
+        meeting = [j for j in nonzero if row[j] + x[j] - ONE >= threshold]
+        if not meeting:
+            return False
+        if len(meeting) == 1 and row[meeting[0]] + x[meeting[0]] - ONE == threshold:
+            tight.add(meeting[0])
+    return tight.issuperset(nonzero)
 
 
 def _feasible_grid_points(inst: Instance, limit: int) -> list[Point]:

@@ -4,16 +4,16 @@ and objective comparison.
 Why a finite scan gives the global optimum over an uncountable region: the
 feasible set is a finite union of boxes [x(e), ones], the objective is
 monotone nondecreasing, so on each box the objective's minimum sits at the
-bottom corner x(e), and the global minimum is the best bottom corner. The
-minimal solutions are a subset of the candidates containing all best
-corners, which is why solve_unpruned may skip the pruning pass entirely
-without changing the optimal value.
+bottom corner x(e), and the global minimum is the best bottom corner, a
+minimal solution.
 
 solve finds the minimal solutions by the covered-row search
-(structure.search_candidates), whose work follows its search tree;
-solve_unpruned streams every candidate of the selector product E, as the
-paper's algorithm does. The cap bounds what each one walks: search nodes
-for solve, |E| for solve_unpruned.
+(structure.search_candidates), prunes its leaves to the exact minimal
+set, and minimizes the objective over it. solve_unpruned walks the same
+search with the objective as a lower bound (structure.search_optimum):
+subtrees that cannot beat the best leaf so far are cut, no minimal set is
+built, and the optimizer it returns is solve's for every monotone
+objective. The cap bounds the search nodes of either.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from .structure import (
     DEFAULT_CAP,
     Candidate,
     cell_decomposition,
-    enumerate_candidates,
     prune_to_minimal,
     search_candidates,
+    search_optimum,
     selector_count,
 )
 
@@ -46,8 +46,8 @@ class SolverOptions:
     """Resolution knobs.
 
     cap bounds the work of one resolution (None disables the bound): the
-    search nodes of solve, one per column assignment tried, and the
-    selector count |E| of solve_unpruned.
+    search nodes of solve and solve_unpruned, one per column assignment
+    tried.
     """
 
     cap: int | None = DEFAULT_CAP
@@ -64,11 +64,11 @@ class SolveReport:
     For an infeasible system only verdict and index_sets are populated;
     selector_count is None and optimizer/optimal_value stay None.
     selector_count is |E| either way; candidates_enumerated counts the
-    search leaves for solve and the selectors for solve_unpruned.
-    minimal_values holds the objective value of each minimal solution, in
-    the same order. solve_unpruned leaves minimal_solutions,
-    minimal_values and cells empty even when an optimizer is found, since
-    it never classifies candidates.
+    search leaves reached, duplicates included (for solve_unpruned, those
+    the bound did not cut). minimal_values holds the objective value of
+    each minimal solution, in the same order. solve_unpruned leaves
+    minimal_solutions, minimal_values and cells empty even when an
+    optimizer is found, since it never builds the minimal set.
     """
 
     verdict: FeasibilityVerdict
@@ -171,11 +171,13 @@ def solve_unpruned(
     objective: Objective = log_sum_exp,
     options: SolverOptions | None = None,
 ) -> SolveReport:
-    """Resolution without the pruning pass: a single streaming minimum
-    over every candidate of the selector product.
+    """Resolution without the minimal-solution set: a bound-pruned
+    covered-row search for the optimizer alone.
 
-    Every candidate is feasible and every minimal solution is a candidate,
-    so the optimal value is identical to solve's; the report just carries
+    The objective is evaluated once per search node, on the partial
+    point; a subtree whose value is strictly greater than the best leaf
+    value so far is cut. The optimizer, its selector and optimal_value
+    equal solve's for every monotone objective; the report just carries
     no minimal-solution set or cells.
     """
     options = options or SolverOptions()
@@ -186,18 +188,14 @@ def solve_unpruned(
     if not verdict.feasible:
         return _infeasible_report(verdict, idx, t0)
 
-    count = selector_count(idx)
-    optimizer, value = _best_candidate(
-        (cand, objective(cand.point))
-        for cand in enumerate_candidates(inst, idx, cap=options.cap)
-    )
+    optimizer, value, leaves = search_optimum(inst, objective, idx, cap=options.cap)
     t_end = time.perf_counter()
 
     return SolveReport(
         verdict=verdict,
         index_sets=idx,
-        selector_count=count,
-        candidates_enumerated=count,
+        selector_count=selector_count(idx),
+        candidates_enumerated=leaves,
         minimal_solutions=(),
         minimal_values=(),
         optimizer=optimizer,

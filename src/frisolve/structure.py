@@ -15,7 +15,10 @@ exponentially with the number of rows. ``search_candidates`` reaches every
 minimal solution by a depth-first search over the rows instead: a row the
 partial point already satisfies is skipped rather than branched on, so the
 work is bounded by that search tree rather than by |E|. Dominance pruning
-of either set gives the exact minimal-solution set.
+of either set gives the exact minimal-solution set. ``search_optimum``
+walks the same tree with a lower bound: a monotone objective evaluated on
+a partial point bounds every leaf below it, so subtrees that cannot beat
+the best leaf so far are cut, and only the optimizer is returned.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import ZERO, Instance, Point, coordinate_threshold, ones
 from .feasibility import IndexSets, InfeasibleSystemError, compute_index_sets
@@ -164,6 +167,14 @@ def candidate_from_selector(inst: Instance, idx: IndexSets, e: Selector) -> Cand
     return Candidate(selector=e, point=_build_point(inst.n, rows, choice, table))
 
 
+def _checked_index_sets(inst: Instance, idx: IndexSets | None) -> IndexSets:
+    if idx is None:
+        idx = compute_index_sets(inst)
+    if not idx.feasible:
+        raise InfeasibleSystemError(list(idx.empty_rows))
+    return idx
+
+
 def enumerate_candidates(
     inst: Instance,
     idx: IndexSets | None = None,
@@ -175,10 +186,7 @@ def enumerate_candidates(
     an infeasible system or a product beyond ``cap`` raises immediately,
     before any candidate is built. Pass cap=None to disable the cap.
     """
-    if idx is None:
-        idx = compute_index_sets(inst)
-    if not idx.feasible:
-        raise InfeasibleSystemError(list(idx.empty_rows))
+    idx = _checked_index_sets(inst, idx)
     count = selector_count(idx)
     if cap is not None and count > cap:
         raise CapExceededError(count, cap)
@@ -194,6 +202,123 @@ def enumerate_candidates(
             )
 
     return stream()
+
+
+# Per constraining row, its admissible columns with the rank of t_ij.
+_Options = dict[int, tuple[tuple[int, int], ...]]
+
+
+def _ranked_options(inst: Instance, idx: IndexSets) -> tuple[list[Fraction], _Options]:
+    """The thresholds as integer ranks, for the covered-row walk.
+
+    A coordinate only ever holds 0 or one of its column's thresholds, so
+    the walk compares integer ranks of the thresholds: the same order,
+    exactly, without rational arithmetic. Returns the sorted values (rank
+    r stands for values[r], and rank 0 for 0) and the ranked options of
+    the constraining rows, in row order.
+    """
+    table = _coordinate_table(inst, idx)
+    values = sorted(set(table.values()) | {ZERO})
+    rank = {v: r for r, v in enumerate(values)}
+    options = {
+        i: tuple((j, rank[table[i, j]]) for j in idx.sets[i])
+        for i in idx.constraining_rows
+    }
+    return values, options
+
+
+def _walk(
+    n: int,
+    options: _Options,
+    cap: int | None,
+    bound: Callable[[list[int]], float] | None = None,
+) -> Iterator[tuple[tuple[int, ...], float | None]]:
+    """The covered-row walk over ranked options; yields (leaf, value).
+
+    Rows are taken fewest admissible columns first, from the zero point. A
+    row some column already meets is skipped; otherwise the walk branches
+    on each admissible column, raising it to its threshold. ``cap`` bounds
+    the nodes, one per column assignment tried. The branching depth can
+    reach the row count, so the walk keeps an explicit stack rather than
+    recursing.
+
+    With ``bound``, each node (the root included) is valued once by
+    ``bound(x)`` on its partial point, and its subtree is cut iff that
+    value is strictly greater than the incumbent, the least value of a
+    leaf reached so far. A leaf's value is its node's value. Without a
+    bound, every value is None.
+    """
+    order = sorted(options.values(), key=len)
+    depth = len(order)
+    x = [0] * n
+    incumbent = math.inf
+    nodes = 0
+    # Entries (k, j, v): set x[j] = v, then walk on from row position k.
+    # k = -1 only restores x[j] after a branch's subtree; j = -1 is the root.
+    stack = [(0, -1, 0)]
+    while stack:
+        k, j, v = stack.pop()
+        if j >= 0:
+            x[j] = v
+            if k < 0:
+                continue
+            nodes += 1
+            if cap is not None and nodes > cap:
+                raise CapExceededError(nodes, cap, f"search reached {nodes} nodes")
+        value = None
+        if bound is not None:
+            value = bound(x)
+            if value > incumbent:
+                continue
+        # Skip the rows some column already meets (a for/else loop here is
+        # measurably faster than any() over a generator).
+        while k < depth:
+            for c, t in order[k]:
+                if x[c] >= t:
+                    break
+            else:
+                break
+            k += 1
+        if k == depth:
+            if value is not None and value < incumbent:
+                incumbent = value
+            yield tuple(x), value
+            continue
+        for c, t in reversed(order[k]):
+            stack.append((-1, c, x[c]))
+            stack.append((k + 1, c, t))
+
+
+def _canonical_key(leaf: tuple[int, ...], options: _Options) -> tuple[int, ...]:
+    """Per constraining row, the smallest admissible j with t_ij <= x_j."""
+    return tuple(next(c for c, t in row if t <= leaf[c]) for row in options.values())
+
+
+def _leaf_candidate(
+    inst: Instance,
+    values: list[Fraction],
+    options: _Options,
+    leaf: tuple[int, ...],
+) -> Candidate:
+    columns: list[Optional[int]] = [None] * inst.m
+    for i, c in zip(options, _canonical_key(leaf, options)):
+        columns[i] = c
+    return Candidate(
+        selector=Selector(columns=tuple(columns)),
+        point=tuple(values[r] for r in leaf),
+    )
+
+
+def _is_minimal_leaf(leaf: tuple[int, ...], options: _Options) -> bool:
+    """Whether a feasible ranked point is minimal: each nonzero x_j is the
+    sole column meeting some row, and meets it at the threshold, so that
+    lowering x_j breaks that row."""
+    tight = set()
+    for row in options.values():
+        met = [(c, t) for c, t in row if leaf[c] >= t]
+        if len(met) == 1 and leaf[met[0][0]] == met[0][1]:
+            tight.add(met[0][0])
+    return all(c in tight for c, r in enumerate(leaf) if r)
 
 
 def search_candidates(
@@ -222,64 +347,64 @@ def search_candidates(
     columns give a feasible point below x*.
 
     ``cap`` bounds the search nodes, one per column assignment tried; the
-    search raises CapExceededError when it would try one more. The
-    branching depth can reach the row count, so the walk keeps an explicit
-    stack rather than recursing. Pass cap=None to disable the cap.
+    search raises CapExceededError when it would try one more. Pass
+    cap=None to disable the cap.
     """
-    if idx is None:
-        idx = compute_index_sets(inst)
-    if not idx.feasible:
-        raise InfeasibleSystemError(list(idx.empty_rows))
-    table = _coordinate_table(inst, idx)
-    # A coordinate only ever holds 0 or one of its column's thresholds, so
-    # the walk compares integer ranks of the thresholds: the same order,
-    # exactly, without rational arithmetic.
-    values = sorted(set(table.values()) | {ZERO})
-    rank = {v: r for r, v in enumerate(values)}
-    options = {
-        i: tuple((j, rank[table[i, j]]) for j in idx.sets[i])
-        for i in idx.constraining_rows
-    }
-    order = sorted(options.values(), key=len)
-    depth = len(order)
-
-    x = [0] * inst.n
+    idx = _checked_index_sets(inst, idx)
+    values, options = _ranked_options(inst, idx)
     distinct: dict[tuple[int, ...], None] = {}
-    leaves = nodes = 0
-    # Entries (k, j, v): set x[j] = v, then walk on from row position k.
-    # k = -1 only restores x[j] after a branch's subtree; j = -1 is the root.
-    stack = [(0, -1, 0)]
-    while stack:
-        k, j, v = stack.pop()
-        if j >= 0:
-            x[j] = v
-            if k < 0:
-                continue
-            nodes += 1
-            if cap is not None and nodes > cap:
-                raise CapExceededError(nodes, cap, f"search reached {nodes} nodes")
-        while k < depth and any(x[c] >= t for c, t in order[k]):
-            k += 1
-        if k == depth:
-            distinct[tuple(x)] = None
-            leaves += 1
-            continue
-        for c, t in reversed(order[k]):
-            stack.append((-1, c, x[c]))
-            stack.append((k + 1, c, t))
-
-    candidates = []
-    for leaf in distinct:
-        columns: list[Optional[int]] = [None] * inst.m
-        for i, row in options.items():
-            columns[i] = next(c for c, t in row if t <= leaf[c])
-        candidates.append(
-            Candidate(
-                selector=Selector(columns=tuple(columns)),
-                point=tuple(values[r] for r in leaf),
-            )
-        )
+    leaves = 0
+    for leaf, _ in _walk(inst.n, options, cap):
+        distinct[leaf] = None
+        leaves += 1
+    candidates = [_leaf_candidate(inst, values, options, leaf) for leaf in distinct]
     return candidates, leaves
+
+
+def search_optimum(
+    inst: Instance,
+    objective: Callable[[Point], float],
+    idx: IndexSets | None = None,
+    cap: int | None = DEFAULT_CAP,
+) -> tuple[Candidate, float, int]:
+    """Bound-pruned covered-row search for the minimum of a monotone
+    objective, without building or pruning the minimal-solution set.
+
+    The walk is search_candidates', with ``objective`` evaluated once per
+    node on the partial point. For a nondecreasing objective that value
+    is a lower bound on every leaf below the node, so a subtree whose
+    bound is strictly greater than the least leaf value so far cannot
+    hold a better point and is cut. The cut is strict, so every minimal
+    solution of optimal value is still reached.
+
+    Every leaf is feasible and can lower the incumbent value, but only a
+    minimal leaf can be returned: among those, the least (value, canonical
+    selector key), which is the optimizer solve reports after pruning.
+
+    Returns the optimizer with its canonical selector, its value, and the
+    number of leaves reached. ``cap`` bounds the search nodes as in
+    search_candidates.
+    """
+    idx = _checked_index_sets(inst, idx)
+    values, options = _ranked_options(inst, idx)
+
+    def bound(x: list[int]) -> float:
+        return objective(tuple(values[r] for r in x))
+
+    best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None
+    leaves = 0
+    for leaf, value in _walk(inst.n, options, cap, bound):
+        leaves += 1
+        if best is not None and value > best[0]:
+            continue
+        if not _is_minimal_leaf(leaf, options):
+            continue
+        key = _canonical_key(leaf, options)
+        if best is None or (value, key) < best[:2]:
+            best = (value, key, leaf)
+    value, _, leaf = best
+    optimizer = replace(_leaf_candidate(inst, values, options, leaf), is_minimal=True)
+    return optimizer, value, leaves
 
 
 def prune_to_minimal(candidates: Iterable[Candidate]) -> list[Candidate]:

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, round-trips, determinism."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,22 @@ class TestSolve:
         data = json.loads(capsys.readouterr().out)
         assert data["minimal_solutions"] == []
         assert data["optimal_value"] == pytest.approx(2.4434, abs=5e-4)
+
+    def test_no_prune_max_tie_reports_the_minimal_point(self, tmp_path, capsys):
+        path = tmp_path / "tie.json"
+        path.write_text('{"A": [[0.2, 0.5], [0.5, 0.5]], "b": [0.5, 0.5]}', encoding="utf-8")
+        argv = ["solve", str(path), "--objective", "max", "--format", "structured"]
+        assert main(argv + ["--no-prune"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["optimizer"]["point"] == [0.0, 1.0]
+        assert data["optimizer"]["selector"] == [2, 2]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["optimizer"] == data["optimizer"]
+
+    def test_no_prune_cap_counts_search_nodes(self, golden_file, capsys):
+        assert main(["solve", golden_file, "--no-prune", "--cap", "2"]) == 3
+        assert "search reached 3 nodes, exceeding the cap of 2" in capsys.readouterr().err
+        assert main(["solve", golden_file, "--no-prune", "--cap", "4"]) == 0
 
     def test_max_objective_value_pinned_by_the_oracle(self, golden_file, capsys):
         assert main(["solve", golden_file, "--objective", "max", "--format", "structured"]) == 0
@@ -231,10 +248,38 @@ class TestRoundTrip:
             parse_instance_text('{"A": [[true]], "b": [0.2]}')
 
     def test_decimal_literals_parse_exactly(self):
-        from fractions import Fraction
-
         inst, _ = parse_instance_text('{"A": [[0.9463]], "b": [0.9463]}')
         assert inst.A[0][0] == Fraction(9463, 10000)
+
+
+class TestParseBounds:
+    @pytest.mark.parametrize(
+        "literal",
+        ["1e-401", "1e-20000", "0." + "1" * 60, "1" * 60, "1e" + "9" * 5000],
+        ids=["1e-401", "1e-20000", "60-digit-decimal", "60-digit-integer", "5000-digit-exponent"],
+    )
+    def test_literal_beyond_the_bounds_names_the_member(self, tmp_path, capsys, literal):
+        path = tmp_path / "big.json"
+        path.write_text('{"A": [[0.5, %s]], "b": [0.2]}' % literal, encoding="utf-8")
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "A[1][2] is out of the parse bounds" in err
+        assert len(err) < 300
+
+    def test_bound_applies_to_every_numeric_member(self):
+        with pytest.raises(InstanceFormatError, match="b\\[1\\] is out of the parse bounds"):
+            parse_instance_text('{"A": [[0.5]], "b": [%s]}' % ("9" * 5001))
+        with pytest.raises(InstanceFormatError, match="epsilon is out of the parse bounds"):
+            parse_instance_text('{"A": [[0.5]], "b": [0.2], "epsilon": 1e-500}')
+        with pytest.raises(InstanceFormatError, match="name must be a string"):
+            parse_instance_text('{"A": [[0.5]], "b": [0.2], "name": %s}' % ("1" * 60))
+
+    @pytest.mark.parametrize(
+        "literal", ["5e-324", "1e-400", "2.2250738585072014e-308", "0.1", "1E+0", "0.0001234567890123456"]
+    )
+    def test_float_reprs_stay_accepted(self, literal):
+        inst, _ = parse_instance_text('{"A": [[%s]], "b": [0]}' % literal)
+        assert inst.A[0][0] == Fraction(literal)
 
 
 class TestUsage:

@@ -13,12 +13,16 @@ from frisolve import (
     brute_force_optimum,
     build_grid,
     enumerate_candidates,
+    is_member,
     max_coordinate,
     solve,
     zeros,
 )
 
-from conftest import GOLDEN_MINIMAL, HAND_2X2, HAND_2X2_MINIMAL, random_instances
+from frisolve.cli import main
+from frisolve.oracle import is_minimal_point
+
+from conftest import GOLDEN_CANDIDATES, GOLDEN_MINIMAL, HAND_2X2, HAND_2X2_MINIMAL, random_instances
 
 
 def test_every_candidate_lies_on_the_grid(golden):
@@ -87,3 +91,43 @@ def test_agreement_with_solver_on_random_instances():
         assert sorted(c.point for c in report.minimal_solutions) == oracle_minimal, name
         _, oracle_value = brute_force_optimum(inst)
         assert oracle_value == report.optimal_value, name
+
+
+def test_minimality_predicate_on_the_golden_candidates(golden):
+    for point in GOLDEN_CANDIDATES.values():
+        assert is_minimal_point(golden, point) == (point in GOLDEN_MINIMAL)
+
+
+def test_minimality_predicate_rejects_slack_and_non_members():
+    inst = Instance(A=(("0.9",),), b=("0.6",), epsilon="0.1")
+    assert is_minimal_point(inst, (Fraction("0.6"),))
+    assert not is_minimal_point(inst, (Fraction("0.7"),))  # slack above the threshold
+    assert not is_minimal_point(inst, (Fraction("0.5"),))  # not a member
+    assert not is_member(inst, (Fraction("0.5"),))
+
+
+def test_minimality_predicate_agrees_with_the_oracle_on_random_instances():
+    for inst, name in random_instances(12, base_seed=4040):
+        minimal = set(brute_force_minimal(inst))
+        for cand in enumerate_candidates(inst):
+            assert is_minimal_point(inst, cand.point) == (cand.point in minimal), name
+
+
+def test_verify_catches_a_threshold_mistake_shared_with_the_grid(tmp_path, capsys, monkeypatch):
+    # The threshold without epsilon moves the solver's point and the grid
+    # alike, to 0.7, so the two sets still agree; the row inequality does
+    # not hold with equality there.
+    def old_threshold(inst, i, j):
+        return 1 + inst.b[i] - inst.A[i][j]
+
+    monkeypatch.setattr("frisolve.structure.coordinate_threshold", old_threshold)
+    monkeypatch.setattr("frisolve.oracle.coordinate_threshold", old_threshold)
+    path = tmp_path / "eps.json"
+    path.write_text('{"A": [[0.9]], "b": [0.6], "epsilon": 0.1}', encoding="utf-8")
+    assert main(["verify", str(path)]) == 4
+    out = capsys.readouterr().out
+    assert "not minimal by the row inequalities: x = [0.7000]" in out
+    assert "minimal set: DISAGREE" in out
+    assert brute_force_minimal(Instance(A=(("0.9",),), b=("0.6",), epsilon="0.1")) == [
+        (Fraction("0.7"),)
+    ]

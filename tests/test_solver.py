@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frisolve import (
+    OBJECTIVES,
     CapExceededError,
     Instance,
     SolverOptions,
     compute_index_sets,
     enumerate_candidates,
+    generate_instance,
     is_member,
     log_sum_exp,
     max_coordinate,
@@ -99,6 +101,61 @@ def test_unpruned_matches_solve_on_random_instances():
         assert fast.optimizer.point == full.optimizer.point, name
 
 
+@given(
+    inst=with_epsilon(st.one_of(st.just(Fraction(0)), positive_epsilons)),
+    name=st.sampled_from(sorted(OBJECTIVES)),
+)
+@settings(max_examples=200, deadline=None)
+def test_unpruned_search_matches_solve_for_every_objective(inst, name):
+    objective = OBJECTIVES[name]
+    full = solve(inst, objective)
+    fast = solve_unpruned(inst, objective)
+    assert fast.verdict == full.verdict
+    assert fast.selector_count == full.selector_count
+    if not full.verdict.feasible:
+        assert fast.optimizer is None and fast.optimal_value is None
+        return
+    assert fast.optimizer == full.optimizer
+    assert fast.optimal_value == full.optimal_value
+    assert 1 <= fast.candidates_enumerated <= full.candidates_enumerated
+
+
+def test_unpruned_max_tie_reports_the_minimal_point():
+    # x = (1, 1) from e = [2, 1] and x = (0, 1) from e = [2, 2] tie under
+    # max; only the second is minimal, and solve reports it
+    inst = Instance(A=(("0.2", "0.5"), ("0.5", "0.5")), b=("0.5", "0.5"))
+    for runner in (solve, solve_unpruned):
+        report = runner(inst, max_coordinate)
+        assert report.optimizer.point == (0, 1)
+        assert report.optimizer.selector.columns == (1, 1)
+        assert report.optimal_value == 1.0
+
+
+def test_unpruned_search_solves_a_large_product_under_a_small_cap():
+    inst, _ = generate_instance(8, 8, seed=1, density=2.0)
+    fast = solve_unpruned(inst, options=SolverOptions(cap=1000))
+    assert fast.selector_count == 1_806_336
+    full = solve(inst)
+    assert fast.optimizer == full.optimizer
+    assert fast.optimal_value == full.optimal_value
+    assert fast.candidates_enumerated < full.candidates_enumerated  # the bound cut
+
+
+def test_unpruned_bound_cuts_and_reuses_leaf_values(golden):
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return log_sum_exp(x)
+
+    report = solve_unpruned(golden, objective=counting)
+    # one evaluation per node: the root and the 4 column assignments; the
+    # 2 leaves reuse their node's value
+    assert len(calls) == 5
+    assert report.candidates_enumerated == 2
+    assert calls[-1] == report.optimizer.point
+
+
 def test_objective_ties_break_to_the_smallest_selector():
     # Two identical columns: the two minimal points are permutations of
     # each other, so their objective values tie bitwise.
@@ -117,10 +174,11 @@ def test_cap_propagates_with_the_exact_count(golden):
         solve(golden, options=SolverOptions(cap=2))
     assert err.value.count == 3
     assert solve(golden, options=SolverOptions(cap=4)).candidates_enumerated == 2
-    # solve_unpruned walks the product, |E| = 4
+    # solve_unpruned walks the same search, with the same node count
     with pytest.raises(CapExceededError) as err:
         solve_unpruned(golden, options=SolverOptions(cap=2))
-    assert err.value.count == 4
+    assert err.value.count == 3
+    assert "search reached 3 nodes" in str(err.value)
 
 
 def test_generic_objective_lower_bounds_sampled_points(golden):
