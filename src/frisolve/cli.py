@@ -17,6 +17,7 @@ precision. Both formats are byte-identical from run to run unless
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional
@@ -218,7 +219,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it.
+
+    It holds no per-call state: parse_args returns a fresh namespace, the
+    cap default (FRI_CAP) is read in the cmd_* functions, and usage errors
+    print to the sys.stderr of the moment.
+    """
     parser = _Parser(
         prog="frisolve",
         description=(

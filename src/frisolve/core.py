@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -37,6 +38,13 @@ def _to_fraction(value: GradeLike, label: str) -> Fraction:
         raise ValueError(f"{label} is not a number: {value!r}") from exc
 
 
+def _short_decimal(value: Fraction) -> str:
+    """value in decimal to 15 significant digits, in at most 40 characters:
+    the exact rational of a literal such as 1e400 has hundreds of digits."""
+    d = Context(prec=15).divide(Decimal(value.numerator), value.denominator).normalize()
+    return f"{d:f}" if -20 < d.adjusted() < 20 else str(d)
+
+
 def as_grade(value: GradeLike, label: str = "value") -> Fraction:
     """Convert one membership grade to an exact rational in [0, 1].
 
@@ -45,7 +53,7 @@ def as_grade(value: GradeLike, label: str = "value") -> Fraction:
     """
     grade = _to_fraction(value, label)
     if grade < ZERO or grade > ONE:
-        raise ValueError(f"{label} out of [0,1]: {value!r}")
+        raise ValueError(f"{label} out of [0,1]: {_short_decimal(grade)}")
     return grade
 
 

@@ -83,12 +83,12 @@ class FeasibilityVerdict:
 def compute_index_sets(inst: Instance) -> IndexSets:
     """Build J(i) = {j : a_ij >= b_i - epsilon} for every row, plus the
     vacuous mask (b_i <= epsilon)."""
-    eps = inst.epsilon
+    needs = [bi - inst.epsilon for bi in inst.b]
     sets = tuple(
-        tuple(j for j, a in enumerate(row) if a >= bi - eps)
-        for row, bi in zip(inst.A, inst.b)
+        tuple(j for j, a in enumerate(row) if a >= need)
+        for row, need in zip(inst.A, needs)
     )
-    vacuous = tuple(bi - eps <= ZERO for bi in inst.b)
+    vacuous = tuple(need <= ZERO for need in needs)
     return IndexSets(sets=sets, vacuous=vacuous)
 
 

@@ -159,7 +159,8 @@ def _compact_json(value: Any, indent: int = 0) -> str:
         if not value:
             return "[]"
         if all(not isinstance(v, (dict, list)) for v in value):
-            return "[" + ", ".join(json.dumps(v) for v in value) + "]"
+            # The default encoder already writes one line with ", ".
+            return json.dumps(value)
         items = [f"{pad}  {_compact_json(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     return json.dumps(value)

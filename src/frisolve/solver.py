@@ -8,12 +8,13 @@ bottom corner x(e), and the global minimum is the best bottom corner, a
 minimal solution.
 
 solve finds the minimal solutions by the covered-row search
-(structure.search_candidates), prunes its leaves to the exact minimal
-set, and minimizes the objective over it. solve_unpruned walks the same
-search with the objective as a lower bound (structure.search_optimum):
-subtrees that cannot beat the best leaf so far are cut, no minimal set is
-built, and the optimizer it returns is solve's for every monotone
-objective. The cap bounds the search nodes of either.
+(structure.search_leaves), prunes its leaves to the exact minimal set on
+their integer ranks (structure.prune_leaves), and minimizes the objective
+over it. solve_unpruned walks the same search with the objective as a
+lower bound (structure.search_optimum): subtrees that cannot beat the
+best leaf so far are cut, no minimal set is built, and the optimizer it
+returns is solve's for every monotone objective. The cap bounds the
+search nodes of either.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .structure import (
     DEFAULT_CAP,
     Candidate,
     cell_decomposition,
-    prune_to_minimal,
-    search_candidates,
+    prune_leaves,
+    search_leaves,
     search_optimum,
     selector_count,
 )
@@ -137,9 +138,9 @@ def solve(
     if not verdict.feasible:
         return _infeasible_report(verdict, idx, t0)
 
-    candidates, leaves = search_candidates(inst, idx, cap=options.cap)
+    found = search_leaves(inst, idx, cap=options.cap)
     t_search = time.perf_counter()
-    minimal = tuple(prune_to_minimal(candidates))
+    minimal = tuple(prune_leaves(found))
     t_prune = time.perf_counter()
     values = tuple(objective(c.point) for c in minimal)
     optimizer, value = _best_candidate(zip(minimal, values))
@@ -150,7 +151,7 @@ def solve(
         verdict=verdict,
         index_sets=idx,
         selector_count=selector_count(idx),
-        candidates_enumerated=leaves,
+        candidates_enumerated=found.reached,
         minimal_solutions=minimal,
         minimal_values=values,
         optimizer=optimizer,

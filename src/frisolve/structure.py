@@ -11,14 +11,17 @@ the feasible region is the union of boxes [x(e), ones].
 
 ``enumerate_candidates`` streams x(e) for every selector e of the product
 E of the admissible sets, as the paper's algorithm does; |E| grows
-exponentially with the number of rows. ``search_candidates`` reaches every
+exponentially with the number of rows. ``search_leaves`` reaches every
 minimal solution by a depth-first search over the rows instead: a row the
 partial point already satisfies is skipped rather than branched on, so the
 work is bounded by that search tree rather than by |E|. Dominance pruning
-of either set gives the exact minimal-solution set. ``search_optimum``
-walks the same tree with a lower bound: a monotone objective evaluated on
-a partial point bounds every leaf below it, so subtrees that cannot beat
-the best leaf so far are cut, and only the optimizer is returned.
+of either set gives the exact minimal-solution set: ``prune_leaves`` prunes
+the search's leaves on the integer ranks it walks with, and
+``prune_to_minimal`` ranks any candidates and runs the same pass.
+``search_optimum`` walks the same tree with a lower bound: a monotone
+objective evaluated on a partial point bounds every leaf below it, so
+subtrees that cannot beat the best leaf so far are cut, and only the
+optimizer is returned.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import le
 from typing import Callable, Iterable, Iterator, Optional
 
 from .core import ZERO, Instance, Point, coordinate_threshold, ones
@@ -295,17 +299,19 @@ def _canonical_key(leaf: tuple[int, ...], options: _Options) -> tuple[int, ...]:
 
 
 def _leaf_candidate(
-    inst: Instance,
+    m: int,
     values: list[Fraction],
     options: _Options,
     leaf: tuple[int, ...],
+    is_minimal: Optional[bool] = None,
 ) -> Candidate:
-    columns: list[Optional[int]] = [None] * inst.m
+    columns: list[Optional[int]] = [None] * m
     for i, c in zip(options, _canonical_key(leaf, options)):
         columns[i] = c
     return Candidate(
         selector=Selector(columns=tuple(columns)),
         point=tuple(values[r] for r in leaf),
+        is_minimal=is_minimal,
     )
 
 
@@ -321,13 +327,45 @@ def _is_minimal_leaf(leaf: tuple[int, ...], options: _Options) -> bool:
     return all(c in tight for c, r in enumerate(leaf) if r)
 
 
-def search_candidates(
+def _undominated(points: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The points of a set of distinct rank tuples that no other point lies
+    below componentwise.
+
+    A point below another and distinct from it comes first in lexicographic
+    order, so after sorting only earlier survivors can dominate: one pass
+    suffices.
+    """
+    kept: list[tuple[int, ...]] = []
+    for p in sorted(points):
+        if not any(all(map(le, k, p)) for k in kept):
+            kept.append(p)
+    return kept
+
+
+@dataclass(frozen=True)
+class SearchLeaves:
+    """The leaves of a covered-row search, as integer ranks.
+
+    A coordinate of rank r stands for values[r] (rank 0 for 0); options
+    holds, per constraining row in row order, its admissible columns with
+    the ranks of their thresholds. points are the distinct leaves in the
+    order first reached; reached counts the leaves, duplicates included.
+    """
+
+    m: int
+    values: list[Fraction]
+    options: _Options
+    points: list[tuple[int, ...]]
+    reached: int
+
+
+def search_leaves(
     inst: Instance,
     idx: IndexSets | None = None,
     cap: int | None = DEFAULT_CAP,
-) -> tuple[list[Candidate], int]:
-    """Covered-row search: a set of feasible candidates that contains
-    every minimal solution, found without walking the selector product.
+) -> SearchLeaves:
+    """Covered-row search: a set of feasible points that contains every
+    minimal solution, found without walking the selector product.
 
     The constraining rows are walked depth-first, fewest admissible
     columns first, from the zero point. A row whose threshold t_ij is
@@ -338,14 +376,6 @@ def search_candidates(
     row, a column with t_ij <= x*_j keeps the partial point below x*, and a
     feasible point below x* equals x*.
 
-    Returns the distinct leaves, in the order first reached, each with its
-    canonical selector (per constraining row, the smallest admissible j
-    with t_ij <= x_j), and the number of leaves reached, duplicates
-    included. For a minimal point the canonical selector builds it and is
-    the lexicographically smallest selector that does: any selector e with
-    x(e) = x* picks, per row, a column with t_ij <= x*_j, and the canonical
-    columns give a feasible point below x*.
-
     ``cap`` bounds the search nodes, one per column assignment tried; the
     search raises CapExceededError when it would try one more. Pass
     cap=None to disable the cap.
@@ -353,12 +383,49 @@ def search_candidates(
     idx = _checked_index_sets(inst, idx)
     values, options = _ranked_options(inst, idx)
     distinct: dict[tuple[int, ...], None] = {}
-    leaves = 0
+    reached = 0
     for leaf, _ in _walk(inst.n, options, cap):
         distinct[leaf] = None
-        leaves += 1
-    candidates = [_leaf_candidate(inst, values, options, leaf) for leaf in distinct]
-    return candidates, leaves
+        reached += 1
+    return SearchLeaves(inst.m, values, options, list(distinct), reached)
+
+
+def search_candidates(
+    inst: Instance,
+    idx: IndexSets | None = None,
+    cap: int | None = DEFAULT_CAP,
+) -> tuple[list[Candidate], int]:
+    """The leaves of search_leaves as candidates.
+
+    Returns the distinct leaves, in the order first reached, each with its
+    canonical selector (per constraining row, the smallest admissible j
+    with t_ij <= x_j), and the number of leaves reached, duplicates
+    included. For a minimal point the canonical selector builds it and is
+    the lexicographically smallest selector that does: any selector e with
+    x(e) = x* picks, per row, a column with t_ij <= x*_j, and the canonical
+    columns give a feasible point below x*.
+    """
+    found = search_leaves(inst, idx, cap)
+    candidates = [
+        _leaf_candidate(found.m, found.values, found.options, leaf) for leaf in found.points
+    ]
+    return candidates, found.reached
+
+
+def prune_leaves(found: SearchLeaves) -> list[Candidate]:
+    """The minimal solutions among a search's leaves, which are exactly the
+    minimal solutions of the system.
+
+    Dominance is decided on the integer ranks; only the survivors become
+    candidates, with their canonical selectors (see search_candidates).
+    They come back in selector order with is_minimal set.
+    """
+    minimal = [
+        _leaf_candidate(found.m, found.values, found.options, leaf, is_minimal=True)
+        for leaf in _undominated(found.points)
+    ]
+    minimal.sort(key=lambda c: c.selector.key)
+    return minimal
 
 
 def search_optimum(
@@ -370,7 +437,7 @@ def search_optimum(
     """Bound-pruned covered-row search for the minimum of a monotone
     objective, without building or pruning the minimal-solution set.
 
-    The walk is search_candidates', with ``objective`` evaluated once per
+    The walk is search_leaves', with ``objective`` evaluated once per
     node on the partial point. For a nondecreasing objective that value
     is a lower bound on every leaf below the node, so a subtree whose
     bound is strictly greater than the least leaf value so far cannot
@@ -383,7 +450,7 @@ def search_optimum(
 
     Returns the optimizer with its canonical selector, its value, and the
     number of leaves reached. ``cap`` bounds the search nodes as in
-    search_candidates.
+    search_leaves.
     """
     idx = _checked_index_sets(inst, idx)
     values, options = _ranked_options(inst, idx)
@@ -403,7 +470,7 @@ def search_optimum(
         if best is None or (value, key) < best[:2]:
             best = (value, key, leaf)
     value, _, leaf = best
-    optimizer = replace(_leaf_candidate(inst, values, options, leaf), is_minimal=True)
+    optimizer = _leaf_candidate(inst.m, values, options, leaf, is_minimal=True)
     return optimizer, value, leaves
 
 
@@ -413,7 +480,9 @@ def prune_to_minimal(candidates: Iterable[Candidate]) -> list[Candidate]:
     A candidate is dropped iff some other candidate's point is <= it
     componentwise and differs somewhere; exact duplicates collapse to the
     one with the lexicographically smallest selector. Comparisons are
-    exact: coordinates are exact rationals, so ties are genuine ties.
+    exact: each coordinate is replaced by its rank among all coordinate
+    values, which keeps every comparison's outcome, and the ranks go
+    through the same dominance pass as prune_leaves.
 
     Survivors come back in selector order with is_minimal set. When the
     input holds only feasible points and every minimal solution among
@@ -425,22 +494,9 @@ def prune_to_minimal(candidates: Iterable[Candidate]) -> list[Candidate]:
         kept = by_point.get(cand.point)
         if kept is None or cand.selector.key < kept.selector.key:
             by_point[cand.point] = cand
-
-    # Replacing every coordinate by its rank among all coordinate values
-    # keeps each comparison's outcome and compares small ints instead of
-    # rationals. A dominator has a strictly smaller rank sum, so after
-    # sorting by it only earlier survivors can dominate: one pass suffices.
     rank = {v: r for r, v in enumerate(sorted({v for p in by_point for v in p}))}
-    ordered = sorted(
-        ((tuple(rank[v] for v in p), cand) for p, cand in by_point.items()),
-        key=lambda rc: (sum(rc[0]), rc[0]),
-    )
-    kept_ranks: list[tuple[int, ...]] = []
-    survivors: list[Candidate] = []
-    for ranks, cand in ordered:
-        if not any(all(s <= c for s, c in zip(kept, ranks)) for kept in kept_ranks):
-            kept_ranks.append(ranks)
-            survivors.append(cand)
+    by_ranks = {tuple(rank[v] for v in p): cand for p, cand in by_point.items()}
+    survivors = [by_ranks[ranks] for ranks in _undominated(by_ranks)]
     survivors.sort(key=lambda c: c.selector.key)
     return [replace(c, is_minimal=True) for c in survivors]
 

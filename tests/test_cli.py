@@ -1,6 +1,9 @@
 """Command-line behavior: outputs, exit codes, round-trips, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +14,19 @@ from frisolve.cli import main
 from frisolve.files import InstanceFormatError
 
 from conftest import GOLDEN_JSON
+
+EXPECTED = Path(__file__).resolve().parent / "expected"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_alone(argv: list[str]) -> tuple[int, str, str]:
+    """One CLI call in a fresh interpreter: (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "frisolve.cli", *argv],
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 @pytest.fixture()
@@ -46,6 +62,14 @@ class TestCheck:
         path.write_text('{"A": [[0.5]], "b": [1.2]}', encoding="utf-8")
         assert main(["check", str(path)]) == 1
         assert "b[1] out of [0,1]" in capsys.readouterr().err
+
+    def test_far_out_of_range_entry_gets_a_short_message(self, tmp_path, capsys):
+        path = tmp_path / "far.json"
+        path.write_text('{"A": [[0.5, 1e400]], "b": [0.2]}', encoding="utf-8")
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "A[1][2] out of [0,1]: 1E+400" in err
+        assert len(err.split("out of [0,1]: ", 1)[1].rstrip("\n")) <= 40
 
     def test_missing_file_is_an_input_error(self, capsys):
         assert main(["check", "/nonexistent/nope.json"]) == 1
@@ -280,6 +304,89 @@ class TestParseBounds:
     def test_float_reprs_stay_accepted(self, literal):
         inst, _ = parse_instance_text('{"A": [[%s]], "b": [0]}' % literal)
         assert inst.A[0][0] == Fraction(literal)
+
+
+NAMED_JSON = (
+    '{"name": "caf\\u00e9 \\"quoted\\" \u221e", '
+    '"A": [[0.9, 0.5], [0.4, 0.8]], "b": [0.6, 0.7], "epsilon": 0.01}'
+)
+
+
+class TestPinnedOutput:
+    """Exact output bytes. A difference here is a change of the output
+    format, which every consumer of the reports sees."""
+
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [
+            ([], "solve_golden.json"),
+            (["--no-prune"], "solve_golden_no_prune.json"),
+            (["--objective", "max"], "solve_golden_max.json"),
+        ],
+        ids=["plain", "no-prune", "max"],
+    )
+    def test_golden_structured_report(self, golden_file, capsys, extra, expected):
+        assert main(["solve", golden_file, "--format", "structured", *extra]) == 0
+        assert capsys.readouterr().out == (EXPECTED / expected).read_text(encoding="utf-8")
+
+    def test_infeasible_structured_report(self, infeasible_file, capsys):
+        assert main(["solve", infeasible_file, "--format", "structured"]) == 2
+        want = (EXPECTED / "solve_infeasible.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == want
+
+    def test_name_with_a_quote_and_non_ascii(self, tmp_path, capsys):
+        path = tmp_path / "named.json"
+        path.write_text(NAMED_JSON, encoding="utf-8")
+        assert main(["solve", str(path), "--format", "structured"]) == 0
+        want = (EXPECTED / "solve_named.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == want
+
+    def test_generated_instance(self, capsys):
+        assert main(["generate", "3", "4", "--seed", "5"]) == 0
+        want = (EXPECTED / "generate_3_4_seed5.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == want
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may leave state
+    behind for the next."""
+
+    def test_parser_is_built_on_the_first_call_only(self):
+        code = (
+            "import frisolve.cli as cli\n"
+            "info = cli._build_parser.cache_info\n"
+            "print(info().misses)\n"
+            "cli.main(['generate', '2', '2', '--seed', '1'])\n"
+            "cli.main(['generate', '2', '2', '--seed', '2'])\n"
+            "print(info().misses, info().hits)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        lines = done.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("0", "1 1")
+
+    def test_calls_print_what_they_print_alone(self, golden_file, capsys):
+        first = ["solve", golden_file, "--no-prune", "--cap", "2", "--timings"]
+        second = ["solve", golden_file]
+        for argv in (first, second):
+            rc = main(argv)
+            captured = capsys.readouterr()
+            assert (rc, captured.out, captured.err) == run_alone(argv)
+
+    def test_usage_error_then_a_valid_call(self, golden_file, capsys):
+        assert main(["solve", golden_file, "--objective", "nope"]) == 1
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(["solve", golden_file, "--format", "structured"]) == 0
+        want = (EXPECTED / "solve_golden.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == want
+
+    def test_env_cap_set_after_the_first_call_applies(self, golden_file, capsys, monkeypatch):
+        assert main(["solve", golden_file]) == 0
+        monkeypatch.setenv("FRI_CAP", "2")
+        assert main(["solve", golden_file]) == 3
+        assert "exceeding the cap of 2" in capsys.readouterr().err
 
 
 class TestUsage:

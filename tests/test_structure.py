@@ -22,6 +22,7 @@ from frisolve import (
     search_candidates,
     selector_count,
 )
+from frisolve.structure import prune_leaves, search_leaves
 
 from conftest import (
     GOLDEN_CANDIDATES,
@@ -236,6 +237,26 @@ class TestPruning:
             assert any(
                 all(sj <= cj for sj, cj in zip(s, cand.point)) for s in spoints
             )
+
+    @given(inst=small_instances())
+    @settings(max_examples=50, deadline=None)
+    def test_search_prune_keeps_exactly_the_undominated_leaves(self, inst):
+        idx = compute_index_sets(inst)
+        if not idx.feasible:
+            return
+        leaves = [c.point for c in search_candidates(inst, idx)[0]]
+        minimal = prune_leaves(search_leaves(inst, idx))
+
+        def below(p, q):
+            return p != q and all(pj <= qj for pj, qj in zip(p, q))
+
+        assert [c.point for c in minimal] == [
+            c.point for c in sorted(minimal, key=lambda c: c.selector.key)
+        ]
+        assert {c.point for c in minimal} == {
+            q for q in leaves if not any(below(p, q) for p in leaves)
+        }
+        assert all(c.is_minimal for c in minimal)
 
     def test_pruning_output_order_is_deterministic(self, golden):
         cands = list(enumerate_candidates(golden))
