@@ -49,10 +49,12 @@ def as_grade(value: GradeLike, label: str = "value") -> Fraction:
     """Convert one membership grade to an exact rational in [0, 1].
 
     Out-of-range and non-finite input is rejected rather than clamped;
-    clamping would silently mask bad data files.
+    clamping would silently mask bad data files. The range test compares
+    integers: a Fraction's denominator is positive, so ``0 <= p/q <= 1``
+    holds exactly when ``0 <= p <= q``.
     """
     grade = _to_fraction(value, label)
-    if grade < ZERO or grade > ONE:
+    if not 0 <= grade.numerator <= grade.denominator:
         raise ValueError(f"{label} out of [0,1]: {_short_decimal(grade)}")
     return grade
 
@@ -114,7 +116,7 @@ class Instance:
         if len(thresholds) != len(matrix):
             raise ValueError(f"b has {len(thresholds)} entries, expected {len(matrix)}")
         eps = _to_fraction(self.epsilon, "epsilon")
-        if eps < ZERO:
+        if eps.numerator < 0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon!r}")
         object.__setattr__(self, "A", tuple(matrix))
         object.__setattr__(self, "b", thresholds)
@@ -174,9 +176,14 @@ def coordinate_threshold(inst: Instance, i: int, j: int) -> Fraction:
     ``a_ij + x_j - 1 >= b_i - epsilon``.
 
     It lies in (0, 1] exactly when row i constrains (``b_i > epsilon``) and
-    column j is admissible for it (``a_ij >= b_i - epsilon``).
+    column j is admissible for it (``a_ij >= b_i - epsilon``). The sum is
+    taken over the product of the three denominators and reduced once, by
+    the one Fraction it builds.
     """
-    return ONE + (inst.b[i] - inst.epsilon) - inst.A[i][j]
+    b, eps, a = inst.b[i], inst.epsilon, inst.A[i][j]
+    bd, ed, ad = b.denominator, eps.denominator, a.denominator
+    d = bd * ed * ad
+    return Fraction(d + b.numerator * ed * ad - eps.numerator * bd * ad - a.numerator * bd * ed, d)
 
 
 def is_member(inst: Instance, x: Iterable[GradeLike]) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ZERO, Instance, Point, ones
+from .core import Instance, Point, ones
 
 
 class InfeasibleSystemError(ValueError):
@@ -82,14 +82,20 @@ class FeasibilityVerdict:
 
 def compute_index_sets(inst: Instance) -> IndexSets:
     """Build J(i) = {j : a_ij >= b_i - epsilon} for every row, plus the
-    vacuous mask (b_i <= epsilon)."""
-    needs = [bi - inst.epsilon for bi in inst.b]
-    sets = tuple(
-        tuple(j for j, a in enumerate(row) if a >= need)
-        for row, need in zip(inst.A, needs)
-    )
-    vacuous = tuple(need <= ZERO for need in needs)
-    return IndexSets(sets=sets, vacuous=vacuous)
+    vacuous mask (b_i <= epsilon).
+
+    The tests run on integers: with b_i - epsilon = p/q and a_ij = r/s
+    (q, s > 0), a_ij >= b_i - epsilon holds exactly when r * q >= p * s.
+    """
+    en, ed = inst.epsilon.numerator, inst.epsilon.denominator
+    sets = []
+    vacuous = []
+    for row, bi in zip(inst.A, inst.b):
+        p = bi.numerator * ed - en * bi.denominator
+        q = bi.denominator * ed
+        sets.append(tuple(j for j, a in enumerate(row) if a.numerator * q >= p * a.denominator))
+        vacuous.append(p <= 0)
+    return IndexSets(sets=tuple(sets), vacuous=tuple(vacuous))
 
 
 def check_feasibility(inst: Instance, idx: IndexSets | None = None) -> FeasibilityVerdict:

@@ -5,14 +5,18 @@ m arrays of n numbers) and "b" (array of m numbers), optional "epsilon"
 (number, default 0) and "name" (string). Grades are parsed with an exact
 decimal hook, so a literal like 0.9463 becomes the rational 9463/10000
 rather than the nearest binary float; solver arithmetic then reproduces
-pencil-and-paper results exactly. A numeric literal may carry at most
+pencil-and-paper results exactly. A literal without an exponent is built
+from integers, the digits over a power of ten, which is the same rational
+Fraction(literal) finds by its regex. A numeric literal may carry at most
 50 mantissa digits and a decimal exponent within +-400, so that parsing
 stays cheap; every float repr fits. A longer literal is rejected with the
 member that holds it named.
 
 On output, grades are emitted as their float value, whose shortest repr
 round-trips to the same rational for any grade with at most 15 significant
-decimal digits (every file-parsed or generated grade qualifies). Structured
+decimal digits (every file-parsed or generated grade qualifies). The
+conversion is the true division of numerator by denominator, the same
+correctly rounded float that float() of the Fraction gives. Structured
 reports are JSON with a fixed key order and no volatile fields by default,
 so identical inputs produce byte-identical reports.
 """
@@ -21,6 +25,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _encode_key
 from pathlib import Path
 from typing import Any, Optional
 
@@ -29,6 +35,8 @@ from .solver import SolveReport
 from .structure import Selector
 
 _ALLOWED_KEYS = {"A", "b", "epsilon", "name"}
+# What json.dumps(value) calls with its default arguments.
+_encode = json.JSONEncoder().encode
 MAX_DIGITS = 50
 MAX_EXPONENT = 400
 
@@ -60,6 +68,11 @@ def _within_bounds(literal: str) -> bool:
 
 
 def _parse_float(literal: str) -> Fraction | _OutOfBounds:
+    if len(literal) <= MAX_DIGITS and "e" not in literal and "E" not in literal:
+        # A JSON float literal without an exponent is [-]digits.digits:
+        # exactly the integer of its digits over 10 to the fraction length.
+        whole, _, fraction = literal.partition(".")
+        return Fraction(int(whole + fraction), 10 ** len(fraction))
     return Fraction(literal) if _within_bounds(literal) else _OutOfBounds(literal)
 
 
@@ -135,35 +148,46 @@ def load_instance(path: str | Path) -> tuple[Instance, Optional[str]]:
 
 def grade_number(value: Fraction) -> float:
     """Boundary conversion for output; see the module docstring for when
-    this round-trips exactly."""
-    return float(value)
+    this round-trips exactly. The true division of numerator by
+    denominator is what float(value) computes, without its pure-Python
+    call."""
+    return value.numerator / value.denominator
 
 
-def _numbers(point: Point) -> list[float]:
-    return [grade_number(v) for v in point]
-
-
-def _compact_json(value: Any, indent: int = 0) -> str:
+def _compact_json(value: Any) -> str:
     """json.dumps with leaf arrays kept on one line, so points and matrix
-    rows read as vectors. Output is a pure function of the data."""
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f'{pad}  {json.dumps(k)}: {_compact_json(v, indent + 1)}'
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        if all(not isinstance(v, (dict, list)) for v in value):
-            # The default encoder already writes one line with ", ".
-            return json.dumps(value)
-        items = [f"{pad}  {_compact_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    return json.dumps(value)
+    rows read as vectors. Output is a pure function of the data.
+
+    Keys go through encode_basestring_ascii, the encoder json.dumps uses
+    for a str, so they come out as it writes them. A leaf array that the
+    document holds more than once (one list object in several places) is
+    rendered once.
+    """
+    leaves: dict[int, str] = {}
+
+    def render(value: Any, pad: str) -> str:
+        if isinstance(value, list):
+            text = leaves.get(id(value))
+            if text is not None:
+                return text
+            if not value:
+                return "[]"
+            if not any(map(isinstance, value, repeat((dict, list)))):
+                # The default encoder already writes one line with ", ".
+                text = leaves[id(value)] = _encode(value)
+                return text
+            inner = pad + "  "
+            items = [inner + render(v, inner) for v in value]
+            return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            inner = pad + "  "
+            items = [f"{inner}{_encode_key(k)}: {render(v, inner)}" for k, v in value.items()]
+            return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+        return _encode(value)
+
+    return render(value, "")
 
 
 def serialize_instance(inst: Instance, name: Optional[str] = None) -> str:
@@ -183,10 +207,10 @@ def _selector_list(sel: Selector) -> list[Optional[int]]:
     return [c + 1 if c is not None else None for c in sel.columns]
 
 
-def _candidate_entry(cand, value: float) -> dict[str, Any]:
+def _candidate_entry(cand, value: float, point: list[float]) -> dict[str, Any]:
     return {
         "selector": _selector_list(cand.selector),
-        "point": _numbers(cand.point),
+        "point": point,
         "objective_value": value,
     }
 
@@ -200,8 +224,18 @@ def build_report_data(
 
     Objective values are the ones the solver computed. Key order is fixed
     and timings are excluded unless asked for: wall clock is the one field
-    that would break run-to-run byte identity.
+    that would break run-to-run byte identity. Each point is converted
+    once: a minimal point's list is shared by its entry, the optimizer's
+    and its cell's lower corner, and one list serves every upper corner.
     """
+    converted: dict[int, list[float]] = {}  # id of a point in report -> its list
+
+    def numbers(point: Point) -> list[float]:
+        listed = converted.get(id(point))
+        if listed is None:
+            listed = converted[id(point)] = [grade_number(v) for v in point]
+        return listed
+
     data: dict[str, Any] = {}
     if name is not None:
         data["name"] = name
@@ -213,15 +247,17 @@ def build_report_data(
     data["E_size"] = report.selector_count
     data["candidates_enumerated"] = report.candidates_enumerated
     data["minimal_solutions"] = [
-        _candidate_entry(c, v) for c, v in zip(report.minimal_solutions, report.minimal_values)
+        _candidate_entry(c, v, numbers(c.point))
+        for c, v in zip(report.minimal_solutions, report.minimal_values)
     ]
+    optimizer = report.optimizer
     data["optimizer"] = (
-        _candidate_entry(report.optimizer, report.optimal_value) if report.optimizer else None
+        _candidate_entry(optimizer, report.optimal_value, numbers(optimizer.point))
+        if optimizer
+        else None
     )
     data["optimal_value"] = report.optimal_value
-    data["cells"] = [
-        {"lower": _numbers(lo), "upper": _numbers(hi)} for lo, hi in report.cells
-    ]
+    data["cells"] = [{"lower": numbers(lo), "upper": numbers(hi)} for lo, hi in report.cells]
     data["display_precision"] = 4
     if include_timings:
         data["timings"] = dict(report.timing)

@@ -15,11 +15,24 @@ boundary is where exact lattice arithmetic ends.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from .core import GradeLike, _to_fraction
 
 Objective = Callable[[Sequence[GradeLike]], float]
+
+
+def _floats(x: Sequence[GradeLike]) -> list[float]:
+    """Each coordinate as the float of its exact value. A Fraction or int
+    converts by the true division of numerator by denominator, which is
+    what float() of its Fraction computes; anything else goes through
+    _to_fraction, which names a rejected coordinate."""
+    return [
+        v.numerator / v.denominator if type(v) is Fraction or type(v) is int
+        else float(_to_fraction(v, f"x[{k + 1}]"))
+        for k, v in enumerate(x)
+    ]
 
 
 def log_sum_exp(x: Sequence[GradeLike]) -> float:
@@ -31,7 +44,7 @@ def log_sum_exp(x: Sequence[GradeLike]) -> float:
     The exponential terms are accumulated with math.fsum, so the result is
     identical under any permutation of coordinates.
     """
-    values = [float(_to_fraction(v, f"x[{k + 1}]")) for k, v in enumerate(x)]
+    values = _floats(x)
     if not values:
         raise ValueError("log_sum_exp of an empty vector")
     shift = max(values)
@@ -40,7 +53,7 @@ def log_sum_exp(x: Sequence[GradeLike]) -> float:
 
 def max_coordinate(x: Sequence[GradeLike]) -> float:
     """The largest coordinate; the function log-sum-exp smooths."""
-    values = [float(_to_fraction(v, f"x[{k + 1}]")) for k, v in enumerate(x)]
+    values = _floats(x)
     if not values:
         raise ValueError("max_coordinate of an empty vector")
     return max(values)
@@ -48,7 +61,7 @@ def max_coordinate(x: Sequence[GradeLike]) -> float:
 
 def coordinate_sum(x: Sequence[GradeLike]) -> float:
     """The plain coordinate sum, the other easy monotone objective."""
-    values = [float(_to_fraction(v, f"x[{k + 1}]")) for k, v in enumerate(x)]
+    values = _floats(x)
     if not values:
         raise ValueError("coordinate_sum of an empty vector")
     return math.fsum(values)

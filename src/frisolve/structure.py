@@ -22,6 +22,12 @@ the search's leaves on the integer ranks it walks with, and
 objective evaluated on a partial point bounds every leaf below it, so
 subtrees that cannot beat the best leaf so far are cut, and only the
 optimizer is returned.
+
+The searches and the prune run on integers that stand in for the
+thresholds: each t_ij is ranked by its numerator over the lcm of all the
+denominators, which orders the thresholds exactly as the rationals do,
+so every comparison has the rational outcome. Only the points handed
+back are rebuilt from the thresholds' Fractions.
 """
 
 from __future__ import annotations
@@ -220,12 +226,24 @@ def _ranked_options(inst: Instance, idx: IndexSets) -> tuple[list[Fraction], _Op
     exactly, without rational arithmetic. Returns the sorted values (rank
     r stands for values[r], and rank 0 for 0) and the ranked options of
     the constraining rows, in row order.
+
+    The ranks come from integers too: over the lcm L of the thresholds'
+    denominators, t = p/q is the integer p * (L // q), and distinct
+    thresholds give distinct integers in the same order. Sorting and the
+    rank lookup run on those; values keeps one threshold per integer.
     """
     table = _coordinate_table(inst, idx)
-    values = sorted(set(table.values()) | {ZERO})
-    rank = {v: r for r, v in enumerate(values)}
+    lcm = math.lcm(*(t.denominator for t in table.values()))
+    scaled: dict[tuple[int, int], int] = {}
+    by_scaled = {0: ZERO}
+    for pair, t in table.items():
+        s = scaled[pair] = t.numerator * (lcm // t.denominator)
+        by_scaled.setdefault(s, t)
+    order = sorted(by_scaled)
+    values = [by_scaled[s] for s in order]
+    rank = {s: r for r, s in enumerate(order)}
     options = {
-        i: tuple((j, rank[table[i, j]]) for j in idx.sets[i])
+        i: tuple((j, rank[scaled[i, j]]) for j in idx.sets[i])
         for i in idx.constraining_rows
     }
     return values, options

@@ -16,6 +16,7 @@ from frisolve.files import InstanceFormatError
 from conftest import GOLDEN_JSON
 
 EXPECTED = Path(__file__).resolve().parent / "expected"
+INSTANCES = Path(__file__).resolve().parent / "instances"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -340,6 +341,21 @@ class TestPinnedOutput:
         assert main(["solve", str(path), "--format", "structured"]) == 0
         want = (EXPECTED / "solve_named.json").read_text(encoding="utf-8")
         assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize(
+        "instance, expected",
+        [
+            # Mixed denominators, a vacuous row, a column admissible with
+            # threshold exactly 1, and 20 minimal points.
+            ("epsilon.json", "solve_epsilon.json"),
+            # 15 minimal points on a 7x7 generated instance.
+            ("random_7x7_seed4.json", "solve_7x7_seed4.json"),
+        ],
+        ids=["epsilon", "7x7"],
+    )
+    def test_many_minimal_points(self, capsys, instance, expected):
+        assert main(["solve", str(INSTANCES / instance), "--format", "structured"]) == 0
+        assert capsys.readouterr().out == (EXPECTED / expected).read_text(encoding="utf-8")
 
     def test_generated_instance(self, capsys):
         assert main(["generate", "3", "4", "--seed", "5"]) == 0
