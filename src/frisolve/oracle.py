@@ -9,23 +9,40 @@ values (plus 0 and 1 per column) contains every minimal solution, and
 exhaustive search over it is exact, not approximate. A uniform
 discretization would miss the exact points and report false mismatches.
 
-Everything here rechecks membership through core.is_member and uses its
-own plain quadratic dominance scan; it shares no path with solver or
-structure, which is the point. The one formula it shares with them is the
-threshold t_ij itself (core.coordinate_threshold), which only places the
-grid. A mistake there would move the grid and the solver's points alike,
-so is_minimal_point checks a reported point without it, from the
-membership inequality alone.
+Membership is tested on integers from the row inequality itself,
+``a_ij + x_j - 1 >= b_i - epsilon``: every grid value, a_ij, b_i and
+epsilon is scaled by the oracle's own common denominator D (the lcm of
+all their denominators, the grid's included), and the test reads
+``a_ij + x_j - D >= b_i - epsilon`` on exact integers.
+
+Minimality uses the grid's order. Index tuples over the sorted grid
+columns are enumerated in lexicographic order, which is coordinate order,
+and the feasible ones kept in a set. A feasible point p is minimal on the
+grid (no other feasible grid point lies weakly below it) exactly when
+lowering any one coordinate to the previous value of its column makes it
+infeasible. If a feasible q != p lies below p, pick j with q_j < p_j:
+lowering p_j by one grid step leaves a point still above q, feasible by
+upward closure. Conversely, a feasible lowered point is itself a feasible
+grid point below p. That is n set lookups per feasible point, so both
+searches cost time linear in the number of grid points.
+
+None of this shares a path with solver or structure, which is the point.
+The one formula it shares with them is the threshold t_ij itself
+(core.coordinate_threshold), which only places the grid. A mistake there
+would move the grid and the solver's points alike, so is_minimal_point
+checks a reported point without it, from the membership inequality alone.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ONE, ZERO, Instance, Point, coordinate_threshold, is_member
+from .core import ONE, ZERO, Instance, Point, coordinate_threshold
 from .feasibility import InfeasibleSystemError
 from .objective import Objective, log_sum_exp
 
@@ -57,9 +74,6 @@ class LatticeGrid:
     @property
     def total_points(self) -> int:
         return math.prod(len(c) for c in self.coords)
-
-    def points(self):
-        return itertools.product(*self.coords)
 
 
 def build_grid(inst: Instance) -> LatticeGrid:
@@ -99,35 +113,86 @@ def is_minimal_point(inst: Instance, x: Point) -> bool:
     return tight.issuperset(nonzero)
 
 
-def _feasible_grid_points(inst: Instance, limit: int) -> list[Point]:
+def _row_masks(inst: Instance, grid: LatticeGrid) -> tuple[list[list[int]], int]:
+    """For each column j and each grid value x in it, the bit set of the
+    constraining rows i that ``a_ij + x - 1 >= b_i - epsilon`` meets; and the
+    bit set of all constraining rows.
+
+    The test runs on integers: every grid value, a_ij, b_i and epsilon is
+    scaled by D, the lcm of all their denominators, so each becomes an
+    integer and the inequality reads ``a_ij + x - D >= b_i - epsilon``.
+    """
+    values = itertools.chain((inst.epsilon,), inst.b, *inst.A, *grid.coords)
+    scale = math.lcm(*(v.denominator for v in values))
+
+    def scaled(v: Fraction) -> int:
+        return v.numerator * (scale // v.denominator)
+
+    eps = scaled(inst.epsilon)
+    rows = [
+        ([scaled(a) - scale for a in row], scaled(bi) - eps)
+        for row, bi in zip(inst.A, inst.b)
+    ]
+    rows = [(row, need) for row, need in rows if need > 0]
+    masks = [
+        [
+            sum(1 << i for i, (row, need) in enumerate(rows) if row[j] + x >= need)
+            for x in map(scaled, column)
+        ]
+        for j, column in enumerate(grid.coords)
+    ]
+    return masks, (1 << len(rows)) - 1
+
+
+def _feasible_indices(inst: Instance, grid: LatticeGrid) -> list[tuple[int, ...]]:
+    """Index tuples of the feasible grid points, in lexicographic order,
+    which is coordinate order: every column of the grid is sorted.
+
+    A point is feasible when the rows its coordinates meet cover every
+    constraining row.
+    """
+    masks, full = _row_masks(inst, grid)
+    return [
+        idx
+        for idx in itertools.product(*(range(len(c)) for c in grid.coords))
+        if functools.reduce(operator.or_, map(list.__getitem__, masks, idx), 0) == full
+    ]
+
+
+def _feasible_grid(inst: Instance, limit: int) -> tuple[LatticeGrid, list[tuple[int, ...]]]:
     grid = build_grid(inst)
     total = grid.total_points
     if total > limit:
         raise GridTooLargeError(total, limit)
-    return [p for p in grid.points() if is_member(inst, p)]
+    return grid, _feasible_indices(inst, grid)
+
+
+def _at(grid: LatticeGrid, idx: tuple[int, ...]) -> Point:
+    return tuple(map(tuple.__getitem__, grid.coords, idx))
+
+
+def _lowered(idx: tuple[int, ...]):
+    """Each index tuple one grid step below idx in one coordinate."""
+    for j, k in enumerate(idx):
+        if k:
+            yield idx[:j] + (k - 1,) + idx[j + 1:]
 
 
 def brute_force_minimal(inst: Instance, limit: int = DEFAULT_LIMIT) -> list[Point]:
     """The exact minimal-solution set, by exhaustion: every feasible grid
     point that no other feasible grid point sits weakly below.
 
-    Returns an empty list for an infeasible system. Sorted by coordinates
-    for stable comparison against solver output.
+    A feasible point is such a point exactly when lowering any one
+    coordinate to the previous value of its grid column makes it
+    infeasible (see the module docstring), so each point costs n set
+    lookups. Returns an empty list for an infeasible system. Sorted by
+    coordinates for stable comparison against solver output.
     """
-    members = _feasible_grid_points(inst, limit)
-    minimal = []
-    for p in members:
-        dominated = False
-        for q in members:
-            if q is p:
-                continue
-            if q != p and all(qj <= pj for qj, pj in zip(q, p)):
-                dominated = True
-                break
-        if not dominated:
-            minimal.append(p)
-    minimal.sort()
-    return minimal
+    grid, members = _feasible_grid(inst, limit)
+    feasible = set(members)
+    return [
+        _at(grid, idx) for idx in members if not any(q in feasible for q in _lowered(idx))
+    ]
 
 
 def brute_force_optimum(
@@ -141,10 +206,11 @@ def brute_force_optimum(
     feasible region, found without any structural shortcut. Ties break
     toward the coordinatewise smallest point.
     """
-    members = _feasible_grid_points(inst, limit)
+    grid, members = _feasible_grid(inst, limit)
     if not members:
         rows = [i for i, (row, bi) in enumerate(zip(inst.A, inst.b))
                 if all(a < bi - inst.epsilon for a in row)]
         raise InfeasibleSystemError(rows)
-    best = min(members, key=lambda p: (objective(p), p))
-    return best, objective(best)
+    points = (_at(grid, idx) for idx in members)
+    value, best = min((objective(p), p) for p in points)
+    return best, value

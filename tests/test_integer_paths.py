@@ -117,13 +117,16 @@ mixed_grades = st.sampled_from([10, 16, 100, 250, 10_000]).flatmap(
 )
 
 
+MIXED_EPSILONS = (Fraction(0), Fraction(1, 100), Fraction(1, 8), Fraction(1, 3))
+
+
 @st.composite
-def mixed_instances(draw) -> Instance:
+def mixed_instances(draw, epsilons=MIXED_EPSILONS) -> Instance:
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 4))
     A = tuple(tuple(draw(mixed_grades) for _ in range(n)) for _ in range(m))
     b = tuple(draw(mixed_grades) for _ in range(m))
-    epsilon = draw(st.sampled_from([Fraction(0), Fraction(1, 100), Fraction(1, 8), Fraction(1, 3)]))
+    epsilon = draw(st.sampled_from(epsilons))
     return Instance(A=A, b=b, epsilon=epsilon)
 
 

@@ -1,9 +1,12 @@
 """The brute-force referee: grid soundness and agreement with the solver."""
 
+import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from frisolve import (
     GridTooLargeError,
@@ -14,15 +17,29 @@ from frisolve import (
     build_grid,
     enumerate_candidates,
     is_member,
+    load_instance,
     max_coordinate,
     solve,
     zeros,
 )
 
 from frisolve.cli import main
-from frisolve.oracle import is_minimal_point
+from frisolve.oracle import _feasible_indices, is_minimal_point
 
 from conftest import GOLDEN_CANDIDATES, GOLDEN_MINIMAL, HAND_2X2, HAND_2X2_MINIMAL, random_instances
+from test_integer_paths import mixed_instances
+
+INSTANCES = Path(__file__).resolve().parent / "instances"
+
+
+def pairwise_minimal(inst):
+    """The reference: every feasible grid point, by core.is_member, that no
+    other feasible grid point sits weakly below."""
+    members = [p for p in itertools.product(*build_grid(inst).coords) if is_member(inst, p)]
+    return sorted(
+        p for p in members
+        if not any(q != p and all(qj <= pj for qj, pj in zip(q, p)) for q in members)
+    )
 
 
 def test_every_candidate_lies_on_the_grid(golden):
@@ -131,3 +148,32 @@ def test_verify_catches_a_threshold_mistake_shared_with_the_grid(tmp_path, capsy
     assert brute_force_minimal(Instance(A=(("0.9",),), b=("0.6",), epsilon="0.1")) == [
         (Fraction("0.7"),)
     ]
+
+
+@given(inst=mixed_instances(epsilons=(Fraction(0), Fraction(1, 100), Fraction(1, 7))))
+@settings(max_examples=150, deadline=None)
+def test_minimal_set_matches_the_pairwise_scan(inst):
+    assert brute_force_minimal(inst) == pairwise_minimal(inst)
+
+
+@pytest.mark.parametrize("sevenths", [False, True])
+def test_integer_membership_matches_is_member(golden, sevenths):
+    inst = golden
+    if sevenths:
+        base, _ = load_instance(str(INSTANCES / "epsilon.json"))
+        inst = Instance(A=base.A, b=base.b, epsilon=Fraction(1, 7))
+    grid = build_grid(inst)
+    expected = [
+        idx
+        for idx in itertools.product(*(range(len(c)) for c in grid.coords))
+        if is_member(inst, tuple(c[k] for c, k in zip(grid.coords, idx)))
+    ]
+    assert expected  # both instances have feasible grid points
+    assert _feasible_indices(inst, grid) == expected
+
+
+def test_verify_on_a_grid_of_400_thousand_points(capsys):
+    assert main(["verify", str(INSTANCES / "random_7x7_seed4.json")]) == 0
+    out = capsys.readouterr().out
+    assert "oracle: 15 minimal point(s)" in out
+    assert "verdict: agree" in out
