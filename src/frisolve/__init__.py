@@ -7,7 +7,9 @@ bottom corners are computable exactly; a monotone objective therefore
 attains its global minimum at one of finitely many candidate points. The
 solver reaches every minimal solution by a covered-row search, a
 depth-first walk over the rows that skips rows the partial point already
-satisfies, and prunes the leaves by dominance; solve_unpruned walks the
+satisfies, and keeps the leaves that pass a per-point row test (each
+nonzero coordinate is the only one meeting some row, at its threshold),
+which on the search's leaves is exactly minimality; solve_unpruned walks the
 same search with the objective as a lower bound and returns the optimizer
 alone; enumerate_candidates still streams the paper's full selector
 product. A column j reaches row i's threshold at
@@ -43,9 +45,7 @@ from .structure import (
     candidate_from_selector,
     cell_decomposition,
     enumerate_candidates,
-    prune_to_minimal,
     row_minimal,
-    search_candidates,
     selector_count,
 )
 from .objective import (
@@ -96,9 +96,7 @@ __all__ = [
     "candidate_from_selector",
     "cell_decomposition",
     "enumerate_candidates",
-    "prune_to_minimal",
     "row_minimal",
-    "search_candidates",
     "selector_count",
     "OBJECTIVES",
     "Objective",

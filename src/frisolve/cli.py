@@ -58,17 +58,25 @@ def _fail(message: str) -> None:
     print(f"frisolve: error: {message}", file=sys.stderr)
 
 
+def _positive_int(raw: str) -> int:
+    """argparse type of --cap and --limit: an integer of at least 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _default_cap() -> int:
     raw = os.environ.get("FRI_CAP")
     if raw is None:
         return DEFAULT_CAP
     try:
-        cap = int(raw)
-    except ValueError:
-        raise InstanceFormatError(f"FRI_CAP must be an integer, got {raw!r}")
-    if cap < 1:
-        raise InstanceFormatError(f"FRI_CAP must be >= 1, got {cap}")
-    return cap
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise InstanceFormatError(f"FRI_CAP {exc}")
 
 
 def _fmt_value(v: float) -> str:
@@ -254,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "no minimal-solution set in the report",
     )
     p_solve.add_argument(
-        "--cap", type=int, default=None,
+        "--cap", type=_positive_int, default=None,
         help="search-node cap (default 10^6 or FRI_CAP)",
     )
     p_solve.add_argument("--format", choices=["text", "structured"], default="text")
@@ -266,12 +274,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="list every candidate x(e) with its selector")
     p_enum.add_argument("path", help="instance file")
-    p_enum.add_argument("--cap", type=int, default=None, help="selector cap (default 10^6 or FRI_CAP)")
+    p_enum.add_argument(
+        "--cap", type=_positive_int, default=None,
+        help="selector cap (default 10^6 or FRI_CAP)",
+    )
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="cross-check the solver against brute-force search")
     p_verify.add_argument("path", help="instance file")
-    p_verify.add_argument("--limit", type=int, default=DEFAULT_LIMIT, help="grid-point limit")
+    p_verify.add_argument(
+        "--limit", type=_positive_int, default=DEFAULT_LIMIT, help="grid-point limit"
+    )
     p_verify.add_argument("--objective", choices=sorted(OBJECTIVES), default="lse")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -11,6 +11,7 @@ serialization.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -34,8 +35,8 @@ def generate_instance(
     """
     if m < 1 or n < 1:
         raise ValueError(f"dimensions must be >= 1, got m={m}, n={n}")
-    if density <= 0:
-        raise ValueError(f"density must be > 0, got {density}")
+    if not (math.isfinite(density) and density > 0):
+        raise ValueError(f"density must be a finite number > 0, got {density}")
     rng = random.Random(seed)
     A = [[Fraction(rng.randrange(GRID + 1), GRID) for _ in range(n)] for _ in range(m)]
 

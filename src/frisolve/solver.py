@@ -8,13 +8,16 @@ bottom corner x(e), and the global minimum is the best bottom corner, a
 minimal solution.
 
 solve finds the minimal solutions by the covered-row search
-(structure.search_leaves), prunes its leaves to the exact minimal set on
-their integer ranks (structure.prune_leaves), and minimizes the objective
-over it. solve_unpruned walks the same search with the objective as a
-lower bound (structure.search_optimum): subtrees that cannot beat the
-best leaf so far are cut, no minimal set is built, and the optimizer it
-returns is solve's for every monotone objective. The cap bounds the
-search nodes of either.
+(structure.search_leaves), keeps the leaves that pass the row test on
+their integer ranks (structure.prune_leaves): each nonzero x_j is the only
+column meeting some row, at its threshold. Every leaf is feasible and
+every minimal solution is a leaf, so these are exactly the minimal
+solutions; solve minimizes the objective over them. solve_unpruned walks
+the same search with the objective as a lower bound
+(structure.search_optimum) and applies the same row test to its leaves:
+subtrees that cannot beat the best leaf so far are cut, no minimal set is
+built, and the optimizer it returns is solve's for every monotone
+objective. The cap bounds the search nodes of either.
 """
 
 from __future__ import annotations
@@ -120,8 +123,8 @@ def solve(
     options: SolverOptions | None = None,
 ) -> SolveReport:
     """Full resolution: decide feasibility, search the candidates that can
-    be minimal, prune them to the exact minimal-solution set, and minimize
-    the objective over it.
+    be minimal, keep those that pass the row test (the exact
+    minimal-solution set), and minimize the objective over it.
 
     The returned optimizer is the global minimum of the objective over the
     entire feasible region, provided the objective is monotone

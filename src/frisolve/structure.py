@@ -14,16 +14,17 @@ E of the admissible sets, as the paper's algorithm does; |E| grows
 exponentially with the number of rows. ``search_leaves`` reaches every
 minimal solution by a depth-first search over the rows instead: a row the
 partial point already satisfies is skipped rather than branched on, so the
-work is bounded by that search tree rather than by |E|. Dominance pruning
-of either set gives the exact minimal-solution set: ``prune_leaves`` prunes
-the search's leaves on the integer ranks it walks with, and
-``prune_to_minimal`` ranks any candidates and runs the same pass.
+work is bounded by that search tree rather than by |E|. Every leaf is
+feasible and every minimal solution is a leaf, so ``prune_leaves`` keeps
+exactly the leaves that pass the row test: each nonzero x_j is the only
+column meeting some row, and meets it at the threshold, so that lowering
+x_j breaks that row. The test looks at one leaf at a time, never at pairs.
 ``search_optimum`` walks the same tree with a lower bound: a monotone
 objective evaluated on a partial point bounds every leaf below it, so
 subtrees that cannot beat the best leaf so far are cut, and only the
-optimizer is returned.
+optimizer is returned; it applies the same row test to its leaves.
 
-The searches and the prune run on integers that stand in for the
+The searches and the row test run on integers that stand in for the
 thresholds: each t_ij is ranked by its numerator over the lcm of all the
 denominators, which orders the thresholds exactly as the rationals do,
 so every comparison has the rational outcome. Only the points handed
@@ -34,10 +35,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from operator import le
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .core import ZERO, Instance, Point, coordinate_threshold, ones
 from .feasibility import IndexSets, InfeasibleSystemError, compute_index_sets
@@ -80,17 +80,11 @@ class Selector:
 
 @dataclass(frozen=True)
 class Candidate:
-    """A candidate minimal solution x(e) with its originating selector.
-
-    The selector builds the point for every enumerated candidate and every
-    minimal one. A search leaf that pruning drops carries its canonical
-    selector, which may build a point below it. is_minimal is None until
-    pruning classifies the candidate.
-    """
+    """A candidate minimal solution x(e) with its originating selector,
+    which builds the point."""
 
     selector: Selector
     point: Point
-    is_minimal: Optional[bool] = None
 
 
 def row_minimal(inst: Instance, i: int, j0: int) -> Point:
@@ -321,7 +315,6 @@ def _leaf_candidate(
     values: list[Fraction],
     options: _Options,
     leaf: tuple[int, ...],
-    is_minimal: Optional[bool] = None,
 ) -> Candidate:
     columns: list[Optional[int]] = [None] * m
     for i, c in zip(options, _canonical_key(leaf, options)):
@@ -329,35 +322,21 @@ def _leaf_candidate(
     return Candidate(
         selector=Selector(columns=tuple(columns)),
         point=tuple(values[r] for r in leaf),
-        is_minimal=is_minimal,
     )
 
 
 def _is_minimal_leaf(leaf: tuple[int, ...], options: _Options) -> bool:
     """Whether a feasible ranked point is minimal: each nonzero x_j is the
     sole column meeting some row, and meets it at the threshold, so that
-    lowering x_j breaks that row."""
+    lowering x_j breaks that row. Lowering one coordinate at a time is
+    enough: the feasible set is upward closed, so a feasible point below x
+    would leave x feasible with one coordinate lowered to it."""
     tight = set()
     for row in options.values():
         met = [(c, t) for c, t in row if leaf[c] >= t]
         if len(met) == 1 and leaf[met[0][0]] == met[0][1]:
             tight.add(met[0][0])
     return all(c in tight for c, r in enumerate(leaf) if r)
-
-
-def _undominated(points: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The points of a set of distinct rank tuples that no other point lies
-    below componentwise.
-
-    A point below another and distinct from it comes first in lexicographic
-    order, so after sorting only earlier survivors can dominate: one pass
-    suffices.
-    """
-    kept: list[tuple[int, ...]] = []
-    for p in sorted(points):
-        if not any(all(map(le, k, p)) for k in kept):
-            kept.append(p)
-    return kept
 
 
 @dataclass(frozen=True)
@@ -408,39 +387,26 @@ def search_leaves(
     return SearchLeaves(inst.m, values, options, list(distinct), reached)
 
 
-def search_candidates(
-    inst: Instance,
-    idx: IndexSets | None = None,
-    cap: int | None = DEFAULT_CAP,
-) -> tuple[list[Candidate], int]:
-    """The leaves of search_leaves as candidates.
-
-    Returns the distinct leaves, in the order first reached, each with its
-    canonical selector (per constraining row, the smallest admissible j
-    with t_ij <= x_j), and the number of leaves reached, duplicates
-    included. For a minimal point the canonical selector builds it and is
-    the lexicographically smallest selector that does: any selector e with
-    x(e) = x* picks, per row, a column with t_ij <= x*_j, and the canonical
-    columns give a feasible point below x*.
-    """
-    found = search_leaves(inst, idx, cap)
-    candidates = [
-        _leaf_candidate(found.m, found.values, found.options, leaf) for leaf in found.points
-    ]
-    return candidates, found.reached
-
-
 def prune_leaves(found: SearchLeaves) -> list[Candidate]:
     """The minimal solutions among a search's leaves, which are exactly the
     minimal solutions of the system.
 
-    Dominance is decided on the integer ranks; only the survivors become
-    candidates, with their canonical selectors (see search_candidates).
-    They come back in selector order with is_minimal set.
+    Every leaf is feasible, and the feasible set is upward closed, so a
+    leaf is minimal iff it passes the row test (``_is_minimal_leaf``);
+    every minimal solution is a leaf, and the leaves are distinct, so each
+    comes out once. Only those leaves become candidates, in selector order.
+
+    Each carries its canonical selector: per constraining row, the
+    smallest admissible j with t_ij <= x_j. For a minimal point that
+    selector builds it and is the lexicographically smallest selector that
+    does: any selector e with x(e) = x* picks, per row, a column with
+    t_ij <= x*_j, and the canonical columns give a feasible point below
+    x*, hence x* itself.
     """
     minimal = [
-        _leaf_candidate(found.m, found.values, found.options, leaf, is_minimal=True)
-        for leaf in _undominated(found.points)
+        _leaf_candidate(found.m, found.values, found.options, leaf)
+        for leaf in found.points
+        if _is_minimal_leaf(leaf, found.options)
     ]
     minimal.sort(key=lambda c: c.selector.key)
     return minimal
@@ -488,35 +454,8 @@ def search_optimum(
         if best is None or (value, key) < best[:2]:
             best = (value, key, leaf)
     value, _, leaf = best
-    optimizer = _leaf_candidate(inst.m, values, options, leaf, is_minimal=True)
+    optimizer = _leaf_candidate(inst.m, values, options, leaf)
     return optimizer, value, leaves
-
-
-def prune_to_minimal(candidates: Iterable[Candidate]) -> list[Candidate]:
-    """Filter candidates down to the dominance-minimal points.
-
-    A candidate is dropped iff some other candidate's point is <= it
-    componentwise and differs somewhere; exact duplicates collapse to the
-    one with the lexicographically smallest selector. Comparisons are
-    exact: each coordinate is replaced by its rank among all coordinate
-    values, which keeps every comparison's outcome, and the ranks go
-    through the same dominance pass as prune_leaves.
-
-    Survivors come back in selector order with is_minimal set. When the
-    input holds only feasible points and every minimal solution among
-    them, as the full candidate set and the covered-row search's leaves
-    do, the survivors are exactly the minimal solutions of the system.
-    """
-    by_point: dict[Point, Candidate] = {}
-    for cand in candidates:
-        kept = by_point.get(cand.point)
-        if kept is None or cand.selector.key < kept.selector.key:
-            by_point[cand.point] = cand
-    rank = {v: r for r, v in enumerate(sorted({v for p in by_point for v in p}))}
-    by_ranks = {tuple(rank[v] for v in p): cand for p, cand in by_point.items()}
-    survivors = [by_ranks[ranks] for ranks in _undominated(by_ranks)]
-    survivors.sort(key=lambda c: c.selector.key)
-    return [replace(c, is_minimal=True) for c in survivors]
 
 
 def cell_decomposition(minimal: list[Candidate]) -> list[tuple[Point, Point]]:

@@ -1,14 +1,17 @@
 """Shared fixtures: the golden 5x7 instance with its hand-checked values,
-random-instance streams, and the acceptance-criteria summary hook."""
+random-instance streams, the product-then-dominance reference, and the
+acceptance-criteria summary hook."""
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import le
+from typing import Iterable
 
 import pytest
 
-from frisolve import Instance, generate_instance
+from frisolve import Candidate, Instance, Point, generate_instance
 
 # The worked 5x7 system. Every expected value below was recomputed by hand
 # or by an independent brute-force script before the solver existed.
@@ -97,6 +100,48 @@ def random_instances(count: int, base_seed: int, density: float = 1.0, feasible:
         )
         out.append((inst, name))
     return out
+
+
+def _undominated(points: Iterable[tuple]) -> list[tuple]:
+    """The points of a set of distinct tuples that no other point lies
+    below componentwise.
+
+    A point below another and distinct from it comes first in lexicographic
+    order, so after sorting only earlier survivors can dominate: one pass
+    suffices.
+    """
+    kept: list[tuple] = []
+    for p in sorted(points):
+        if not any(all(map(le, k, p)) for k in kept):
+            kept.append(p)
+    return kept
+
+
+def prune_to_minimal(candidates: Iterable[Candidate]) -> list[Candidate]:
+    """The paper's reference pruning: filter candidates down to the
+    dominance-minimal points, by pairwise comparison.
+
+    A candidate is dropped iff some other candidate's point is <= it
+    componentwise and differs somewhere; exact duplicates collapse to the
+    one with the lexicographically smallest selector. Comparisons are
+    exact: each coordinate is replaced by its rank among all coordinate
+    values, which keeps every comparison's outcome.
+
+    Survivors come back in selector order. When the input holds only
+    feasible points and every minimal solution among them, as the full
+    candidate set and the covered-row search's leaves do, the survivors
+    are exactly the minimal solutions of the system.
+    """
+    by_point: dict[Point, Candidate] = {}
+    for cand in candidates:
+        kept = by_point.get(cand.point)
+        if kept is None or cand.selector.key < kept.selector.key:
+            by_point[cand.point] = cand
+    rank = {v: r for r, v in enumerate(sorted({v for p in by_point for v in p}))}
+    by_ranks = {tuple(rank[v] for v in p): cand for p, cand in by_point.items()}
+    survivors = [by_ranks[ranks] for ranks in _undominated(by_ranks)]
+    survivors.sort(key=lambda c: c.selector.key)
+    return survivors
 
 
 # --- acceptance summary -----------------------------------------------------

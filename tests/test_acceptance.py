@@ -22,7 +22,6 @@ from frisolve import (
     is_member,
     log_sum_exp,
     ones,
-    prune_to_minimal,
     selector_count,
     solve,
     solve_unpruned,
@@ -37,6 +36,7 @@ from conftest import (
     GOLDEN_OPT_VALUE,
     GOLDEN_OPTIMIZER_POINT,
     GOLDEN_OTHER_VALUE,
+    prune_to_minimal,
     random_instances,
 )
 
@@ -72,6 +72,7 @@ def test_criterion_3_candidates(golden):
 def test_criterion_4_minimal_set(golden):
     minimal = prune_to_minimal(enumerate_candidates(golden))
     assert {c.point for c in minimal} == GOLDEN_MINIMAL
+    assert {c.point for c in solve(golden).minimal_solutions} == GOLDEN_MINIMAL
 
 
 def test_criterion_5_optimum(golden):

@@ -243,6 +243,11 @@ class TestGenerate:
     def test_bad_dimensions_are_an_input_error(self, capsys):
         assert main(["generate", "0", "3", "--seed", "1"]) == 1
 
+    @pytest.mark.parametrize("density", ["nan", "inf", "-inf", "0"])
+    def test_density_must_be_finite_and_positive(self, capsys, density):
+        assert main(["generate", "3", "3", "--seed", "1", f"--density={density}"]) == 1
+        assert "density must be a finite number > 0" in capsys.readouterr().err
+
     def test_stdout_when_no_output_path(self, capsys):
         assert main(["generate", "2", "2", "--seed", "9"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -412,6 +417,23 @@ class TestUsage:
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--cap", "0"],
+            ["solve", "--no-prune", "--cap", "-3"],
+            ["enumerate", "--cap", "0"],
+            ["enumerate", "--cap", "-3"],
+            ["verify", "--limit", "0"],
+            ["verify", "--limit", "many"],
+        ],
+    )
+    def test_cap_and_limit_below_one_are_usage_errors(self, golden_file, capsys, argv):
+        assert main([argv[0], golden_file, *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"argument {argv[-2]}: must be" in err
 
     def test_docs_sample_matches_the_golden_instance(self, golden, capsys):
         sample = Path(__file__).resolve().parents[1] / "docs" / "sample_instance.json"

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from frisolve import (
     OBJECTIVES,
+    Candidate,
     CapExceededError,
     Instance,
+    Selector,
     SolverOptions,
     compute_index_sets,
     enumerate_candidates,
@@ -19,11 +21,13 @@ from frisolve import (
     is_member,
     log_sum_exp,
     max_coordinate,
-    prune_to_minimal,
     solve,
     solve_unpruned,
     zeros,
 )
+from frisolve.core import coordinate_threshold
+from frisolve.oracle import is_minimal_point
+from frisolve.structure import search_leaves
 
 from conftest import (
     GOLDEN_MINIMAL,
@@ -31,6 +35,7 @@ from conftest import (
     GOLDEN_OPTIMIZER_POINT,
     GOLDEN_OPTIMIZER_SELECTOR,
     GOLDEN_OTHER_VALUE,
+    prune_to_minimal,
     random_instances,
 )
 from test_core import small_instances
@@ -213,6 +218,27 @@ def test_search_matches_pruned_product_enumeration(inst):
     want = min(reference, key=lambda c: (log_sum_exp(c.point), c.selector.key))
     assert report.optimizer == want
     assert report.optimal_value == log_sum_exp(want.point)
+
+
+def test_large_answer_matches_the_pairwise_reference():
+    # 350 minimal points among 2,117 distinct leaves (2,228 reached): the
+    # row test must keep exactly the leaves no other leaf lies below.
+    inst, _ = generate_instance(14, 10, seed=7, density=6)
+    idx = compute_index_sets(inst)
+    report = solve(inst)
+    found = search_leaves(inst, idx)
+    leaves = []
+    for leaf in found.points:
+        point = tuple(found.values[r] for r in leaf)
+        columns = tuple(
+            None if idx.vacuous[i]
+            else next(j for j in idx.sets[i] if coordinate_threshold(inst, i, j) <= point[j])
+            for i in range(inst.m)
+        )
+        leaves.append(Candidate(selector=Selector(columns=columns), point=point))
+    assert len(report.minimal_solutions) == 350
+    assert report.minimal_solutions == tuple(prune_to_minimal(leaves))
+    assert all(is_minimal_point(inst, c.point) for c in report.minimal_solutions)
 
 
 @given(inst=with_epsilon(positive_epsilons))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frisolve import (
     CapExceededError,
@@ -17,9 +18,7 @@ from frisolve import (
     enumerate_candidates,
     is_member,
     ones,
-    prune_to_minimal,
     row_minimal,
-    search_candidates,
     selector_count,
 )
 from frisolve.structure import prune_leaves, search_leaves
@@ -32,9 +31,11 @@ from conftest import (
     HAND_2X2_MINIMAL,
     F,
     fpoint,
+    prune_to_minimal,
     random_instances,
 )
 from test_core import small_instances
+from test_solver import positive_epsilons, with_epsilon
 
 
 class TestRowMinimal:
@@ -146,28 +147,32 @@ class TestSearch:
     def test_golden_leaves_and_nodes(self, golden):
         # rows 1, 3 and 5 have one column each, row 5 and row 2 are then
         # covered at x_3, and row 4 branches: 4 nodes, 2 leaves
-        cands, leaves = search_candidates(golden, cap=4)
-        assert leaves == 2
-        assert {c.point for c in cands} == GOLDEN_MINIMAL
-        for cand in cands:
+        found = search_leaves(golden, cap=4)
+        assert found.reached == len(found.points) == 2
+        minimal = prune_leaves(found)
+        assert len(minimal) == 2
+        assert {c.point for c in minimal} == GOLDEN_MINIMAL
+        for cand in minimal:
             assert GOLDEN_CANDIDATES[cand.selector.columns] == cand.point
         with pytest.raises(CapExceededError) as err:
-            search_candidates(golden, cap=3)
+            search_leaves(golden, cap=3)
         assert err.value.count == 4
         assert err.value.cap == 3
         assert "exceeding the cap of 3" in str(err.value)
 
     def test_all_vacuous_rows_give_the_zero_leaf(self):
         inst = Instance(A=(("0.4", "0.9"),), b=(0,))
-        cands, leaves = search_candidates(inst)
-        assert leaves == 1
-        assert cands[0].point == fpoint("0", "0")
-        assert cands[0].selector.columns == (None,)
+        found = search_leaves(inst)
+        assert found.reached == 1
+        assert found.points == [(0, 0)]
+        [cand] = prune_leaves(found)
+        assert cand.point == fpoint("0", "0")
+        assert cand.selector.columns == (None,)
 
     def test_infeasible_system_raises(self):
         inst = Instance(A=(("0.3", "0.6"),), b=("0.7",))
         with pytest.raises(InfeasibleSystemError):
-            search_candidates(inst)
+            search_leaves(inst)
 
     def test_covered_row_is_not_branched(self):
         # Rows 1 and 2 force [0.8, 0.7]; both columns of row 3 already meet
@@ -177,10 +182,11 @@ class TestSearch:
             A=(("0.8", "0.1"), ("0.2", "0.8"), ("0.8", "0.9")),
             b=("0.6", "0.5", "0.4"),
         )
-        cands, leaves = search_candidates(inst)
-        assert leaves == 1
-        assert [c.point for c in cands] == [fpoint("0.8", "0.7")]
-        assert cands[0].selector.columns == (0, 1, 0)
+        found = search_leaves(inst)
+        assert found.reached == 1
+        minimal = prune_leaves(found)
+        assert [c.point for c in minimal] == [fpoint("0.8", "0.7")]
+        assert minimal[0].selector.columns == (0, 1, 0)
 
     @given(inst=small_instances())
     @settings(max_examples=60, deadline=None)
@@ -188,19 +194,20 @@ class TestSearch:
         idx = compute_index_sets(inst)
         if not idx.feasible:
             return
-        cands, leaves = search_candidates(inst, idx)
-        assert len(cands) <= leaves
-        for cand in cands:
-            assert is_member(inst, cand.point)
+        found = search_leaves(inst, idx)
+        assert len(found.points) <= found.reached
+        for leaf in found.points:
+            assert is_member(inst, tuple(found.values[r] for r in leaf))
 
 
 class TestPruning:
     def test_golden_minimal_set(self, golden):
+        assert {c.point for c in prune_leaves(search_leaves(golden))} == GOLDEN_MINIMAL
         minimal = prune_to_minimal(enumerate_candidates(golden))
         assert {c.point for c in minimal} == GOLDEN_MINIMAL
-        assert all(c.is_minimal for c in minimal)
 
     def test_hand_2x2_minimal_set(self):
+        assert {c.point for c in prune_leaves(search_leaves(HAND_2X2))} == HAND_2X2_MINIMAL
         minimal = prune_to_minimal(enumerate_candidates(HAND_2X2))
         assert {c.point for c in minimal} == HAND_2X2_MINIMAL
 
@@ -238,14 +245,15 @@ class TestPruning:
                 all(sj <= cj for sj, cj in zip(s, cand.point)) for s in spoints
             )
 
-    @given(inst=small_instances())
-    @settings(max_examples=50, deadline=None)
+    @given(inst=with_epsilon(st.one_of(st.just(Fraction(0)), positive_epsilons)))
+    @settings(max_examples=100, deadline=None)
     def test_search_prune_keeps_exactly_the_undominated_leaves(self, inst):
         idx = compute_index_sets(inst)
         if not idx.feasible:
             return
-        leaves = [c.point for c in search_candidates(inst, idx)[0]]
-        minimal = prune_leaves(search_leaves(inst, idx))
+        found = search_leaves(inst, idx)
+        leaves = [tuple(found.values[r] for r in leaf) for leaf in found.points]
+        minimal = prune_leaves(found)
 
         def below(p, q):
             return p != q and all(pj <= qj for pj, qj in zip(p, q))
@@ -253,10 +261,10 @@ class TestPruning:
         assert [c.point for c in minimal] == [
             c.point for c in sorted(minimal, key=lambda c: c.selector.key)
         ]
+        assert len({c.point for c in minimal}) == len(minimal)
         assert {c.point for c in minimal} == {
             q for q in leaves if not any(below(p, q) for p in leaves)
         }
-        assert all(c.is_minimal for c in minimal)
 
     def test_pruning_output_order_is_deterministic(self, golden):
         cands = list(enumerate_candidates(golden))
@@ -267,7 +275,7 @@ class TestPruning:
 
 class TestCellDecomposition:
     def test_golden_cells(self, golden):
-        minimal = prune_to_minimal(enumerate_candidates(golden))
+        minimal = prune_leaves(search_leaves(golden))
         cells = cell_decomposition(minimal)
         assert len(cells) == 2
         assert all(hi == ones(7) for _, hi in cells)
@@ -282,7 +290,7 @@ class TestCellDecomposition:
         # bottom must not be.
         rng = random.Random(99)
         for inst, _ in random_instances(6, base_seed=4200):
-            minimal = prune_to_minimal(enumerate_candidates(inst))
+            minimal = prune_leaves(search_leaves(inst))
             cells = cell_decomposition(minimal)
             lows = [lo for lo, _ in cells]
             for _ in range(40):
