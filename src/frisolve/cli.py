@@ -37,8 +37,7 @@ from .objective import OBJECTIVES
 from .oracle import (
     DEFAULT_LIMIT,
     GridTooLargeError,
-    brute_force_minimal,
-    brute_force_optimum,
+    brute_force,
     is_minimal_point,
 )
 from .solver import SolveReport, SolverOptions, solve, solve_unpruned
@@ -173,8 +172,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     inst, name = load_instance(args.path)
     _print_header(name, inst)
-    report = solve(inst, OBJECTIVES[args.objective], SolverOptions(cap=_default_cap()))
-    oracle_minimal = brute_force_minimal(inst, limit=args.limit)
+    objective = OBJECTIVES[args.objective]
+    report = solve(inst, objective, SolverOptions(cap=_default_cap()))
+    oracle_minimal, oracle_optimum = brute_force(inst, objective, limit=args.limit)
 
     if not report.verdict.feasible:
         rows = ", ".join(str(i + 1) for i in report.verdict.empty_rows)
@@ -187,18 +187,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("verdict: agree")
         return 0
 
-    oracle_point, oracle_value = brute_force_optimum(
-        inst, OBJECTIVES[args.objective], limit=args.limit
+    print(
+        f"solver: {len(report.minimal_solutions)} minimal solution(s), "
+        f"optimal value {report.optimal_value!r}"
     )
+    if oracle_optimum is None:
+        print("oracle: no feasible grid points")
+        print("verdict: DISAGREE")
+        return 4
+    _, oracle_value = oracle_optimum
     solver_points = sorted(c.point for c in report.minimal_solutions)
     not_minimal = [p for p in solver_points if not is_minimal_point(inst, p)]
     minimal_agree = solver_points == oracle_minimal and not not_minimal
     value_agree = report.optimal_value == oracle_value
 
-    print(
-        f"solver: {len(solver_points)} minimal solution(s), "
-        f"optimal value {report.optimal_value!r}"
-    )
     print(
         f"oracle: {len(oracle_minimal)} minimal point(s), "
         f"optimal value {oracle_value!r}"

@@ -1,19 +1,20 @@
 """Brute-force cross-check for the solver, deliberately independent of the
-enumeration and pruning code it verifies.
+enumeration and pruning code it verifies, and of the solver's formulas.
 
-Any minimal solution's nonzero coordinates have the form
-t_ij = 1 + (b_i - epsilon) - a_ij with column j admissible for row i:
-below that value the row constraint that forced the coordinate fails, and
-a minimal point never carries slack. So the finite grid built from those
-values (plus 0 and 1 per column) contains every minimal solution, and
-exhaustive search over it is exact, not approximate. A uniform
-discretization would miss the exact points and report false mismatches.
+Everything runs on integers over the oracle's own common denominator D,
+the lcm of the denominators of epsilon, b and A. Row i constrains when
+``need_i = D*b_i - D*epsilon > 0``; column j meets it at x_j when
+``D*a_ij + D*x_j - D >= need_i``, the row inequality
+``a_ij + x_j - 1 >= b_i - epsilon`` scaled by D. Column j is admissible for
+the row when ``D*a_ij >= need_i``, and then the least such D*x_j is
+``D + need_i - D*a_ij``.
 
-Membership is tested on integers from the row inequality itself,
-``a_ij + x_j - 1 >= b_i - epsilon``: every grid value, a_ij, b_i and
-epsilon is scaled by the oracle's own common denominator D (the lcm of
-all their denominators, the grid's included), and the test reads
-``a_ij + x_j - D >= b_i - epsilon`` on exact integers.
+Any minimal solution's nonzero coordinates take one of those values: below
+it the row constraint that forced the coordinate fails, and a minimal point
+never carries slack. So the finite grid built from them (plus 0 and D per
+column) contains every minimal solution, and exhaustive search over it is
+exact, not approximate. A uniform discretization would miss the exact
+points and report false mismatches.
 
 Minimality uses the grid's order. Index tuples over the sorted grid
 columns are enumerated in lexicographic order, which is coordinate order,
@@ -23,18 +24,21 @@ lowering any one coordinate to the previous value of its column makes it
 infeasible. If a feasible q != p lies below p, pick j with q_j < p_j:
 lowering p_j by one grid step leaves a point still above q, feasible by
 upward closure. Conversely, a feasible lowered point is itself a feasible
-grid point below p. That is n set lookups per feasible point, so both
-searches cost time linear in the number of grid points.
+grid point below p. That is n set lookups per feasible point.
 
-None of this shares a path with solver or structure, which is the point.
-The one formula it shares with them is the threshold t_ij itself
-(core.coordinate_threshold), which only places the grid. A mistake there
-would move the grid and the solver's points alike, so is_minimal_point
-checks a reported point without it, from the membership inequality alone.
+One pass serves both answers: brute_force builds the grid once, takes the
+feasible points once, and returns the minimal points and the optimum over
+every feasible point, in time linear in the number of grid points.
+
+None of this shares a path or a formula with solver or structure, which is
+the point: a mistake in the solver's threshold t_ij moves the solver's
+points but not the grid. is_minimal_point checks a reported point from the
+row inequality alone, so a point off the grid is judged too.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -42,7 +46,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ONE, ZERO, Instance, Point, coordinate_threshold
+from .core import Instance, Point
 from .feasibility import InfeasibleSystemError
 from .objective import Objective, log_sum_exp
 
@@ -67,26 +71,56 @@ class GridTooLargeError(RuntimeError):
 @dataclass(frozen=True)
 class LatticeGrid:
     """Per-column sorted coordinate sets whose cartesian product contains
-    every candidate and every minimal solution."""
+    every candidate and every minimal solution.
+
+    ``columns[j][k]`` is ``coords[j][k]`` scaled by ``scale``, the
+    instance's common denominator D, so it is an integer.
+    """
 
     coords: tuple[tuple[Fraction, ...], ...]
+    scale: int
+    columns: tuple[tuple[int, ...], ...]
 
     @property
     def total_points(self) -> int:
-        return math.prod(len(c) for c in self.coords)
+        return math.prod(map(len, self.columns))
+
+
+def _common_denominator(inst: Instance, x: Point = ()) -> int:
+    """The lcm of the denominators of epsilon, b, A and the point x."""
+    values = itertools.chain((inst.epsilon,), inst.b, *inst.A, x)
+    return math.lcm(*(v.denominator for v in values))
+
+
+def _scaled(v: Fraction, scale: int) -> int:
+    return v.numerator * (scale // v.denominator)
+
+
+def _constraining_rows(inst: Instance, scale: int) -> list[tuple[list[int], int]]:
+    """Each row with ``need_i = D*b_i - D*epsilon > 0``, as its entries
+    ``D*a_ij`` and need_i, in row order; D is scale."""
+    eps = _scaled(inst.epsilon, scale)
+    rows = (
+        ([_scaled(a, scale) for a in row], _scaled(bi, scale) - eps)
+        for row, bi in zip(inst.A, inst.b)
+    )
+    return [(row, need) for row, need in rows if need > 0]
 
 
 def build_grid(inst: Instance) -> LatticeGrid:
-    """Collect {0, 1} plus every admissible threshold t_ij per column."""
-    eps = inst.epsilon
-    columns: list[set[Fraction]] = [{ZERO, ONE} for _ in range(inst.n)]
-    for i, (row, bi) in enumerate(zip(inst.A, inst.b)):
-        if bi - eps <= ZERO:
-            continue
+    """Collect {0, D} plus every admissible ``D + need_i - D*a_ij`` per
+    column, on the common denominator D; each distinct value becomes one
+    Fraction."""
+    scale = _common_denominator(inst)
+    values: list[set[int]] = [{0, scale} for _ in range(inst.n)]
+    for row, need in _constraining_rows(inst, scale):
         for j, a in enumerate(row):
-            if a >= bi - eps:
-                columns[j].add(coordinate_threshold(inst, i, j))
-    return LatticeGrid(coords=tuple(tuple(sorted(c)) for c in columns))
+            if a >= need:
+                values[j].add(scale + need - a)
+    columns = tuple(tuple(sorted(c)) for c in values)
+    fractions = {k: Fraction(k, scale) for k in set().union(*values)}
+    coords = tuple(tuple(map(fractions.__getitem__, c)) for c in columns)
+    return LatticeGrid(coords=coords, scale=scale, columns=columns)
 
 
 def is_minimal_point(inst: Instance, x: Point) -> bool:
@@ -96,51 +130,43 @@ def is_minimal_point(inst: Instance, x: Point) -> bool:
     Every constraining row must be met, and each nonzero x_j must be the
     sole column meeting some constraining row, meeting it with equality:
     then lowering x_j by any amount breaks that row, and by upward closure
-    no other member lies below x.
+    no other member lies below x. The test runs on integers over a common
+    denominator that takes in x's own, since a wrong point need not lie on
+    the grid.
     """
+    scale = _common_denominator(inst, x)
+    point = [_scaled(v, scale) for v in x]
     # A zero coordinate meets no constraining row: a_ij - 1 <= 0 < b_i - epsilon.
-    nonzero = [j for j, xj in enumerate(x) if xj != ZERO]
+    nonzero = [j for j, xj in enumerate(point) if xj]
     tight = set()
-    for row, bi in zip(inst.A, inst.b):
-        threshold = bi - inst.epsilon
-        if threshold <= ZERO:
-            continue
-        meeting = [j for j in nonzero if row[j] + x[j] - ONE >= threshold]
+    for row, need in _constraining_rows(inst, scale):
+        reach = need + scale
+        meeting = [j for j in nonzero if row[j] + point[j] >= reach]
         if not meeting:
             return False
-        if len(meeting) == 1 and row[meeting[0]] + x[meeting[0]] - ONE == threshold:
+        if len(meeting) == 1 and row[meeting[0]] + point[meeting[0]] == reach:
             tight.add(meeting[0])
     return tight.issuperset(nonzero)
 
 
 def _row_masks(inst: Instance, grid: LatticeGrid) -> tuple[list[list[int]], int]:
-    """For each column j and each grid value x in it, the bit set of the
-    constraining rows i that ``a_ij + x - 1 >= b_i - epsilon`` meets; and the
-    bit set of all constraining rows.
+    """For each column j and each grid value in it, the bit set of the
+    constraining rows that the value meets; and the bit set of all
+    constraining rows.
 
-    The test runs on integers: every grid value, a_ij, b_i and epsilon is
-    scaled by D, the lcm of all their denominators, so each becomes an
-    integer and the inequality reads ``a_ij + x - D >= b_i - epsilon``.
+    Value x meets row i when ``D*a_ij + x - D >= need_i``, that is from
+    ``t = D + need_i - D*a_ij`` up. The column is sorted, so each row
+    enters the mask at the first value of at least t, and every value's
+    mask is the union of the entries up to it.
     """
-    values = itertools.chain((inst.epsilon,), inst.b, *inst.A, *grid.coords)
-    scale = math.lcm(*(v.denominator for v in values))
-
-    def scaled(v: Fraction) -> int:
-        return v.numerator * (scale // v.denominator)
-
-    eps = scaled(inst.epsilon)
-    rows = [
-        ([scaled(a) - scale for a in row], scaled(bi) - eps)
-        for row, bi in zip(inst.A, inst.b)
-    ]
-    rows = [(row, need) for row, need in rows if need > 0]
-    masks = [
-        [
-            sum(1 << i for i, (row, need) in enumerate(rows) if row[j] + x >= need)
-            for x in map(scaled, column)
-        ]
-        for j, column in enumerate(grid.coords)
-    ]
+    scale = grid.scale
+    rows = _constraining_rows(inst, scale)
+    masks = []
+    for j, column in enumerate(grid.columns):
+        entering = [0] * (len(column) + 1)
+        for i, (row, need) in enumerate(rows):
+            entering[bisect.bisect_left(column, scale + need - row[j])] |= 1 << i
+        masks.append(list(itertools.accumulate(entering[:-1], operator.or_)))
     return masks, (1 << len(rows)) - 1
 
 
@@ -149,22 +175,23 @@ def _feasible_indices(inst: Instance, grid: LatticeGrid) -> list[tuple[int, ...]
     which is coordinate order: every column of the grid is sorted.
 
     A point is feasible when the rows its coordinates meet cover every
-    constraining row.
+    constraining row. The tuples grow one column at a time, and a prefix
+    is dropped as soon as the rows it meets, with every row the remaining
+    columns meet anywhere, fall short of all rows.
     """
     masks, full = _row_masks(inst, grid)
-    return [
-        idx
-        for idx in itertools.product(*(range(len(c)) for c in grid.coords))
-        if functools.reduce(operator.or_, map(list.__getitem__, masks, idx), 0) == full
-    ]
-
-
-def _feasible_grid(inst: Instance, limit: int) -> tuple[LatticeGrid, list[tuple[int, ...]]]:
-    grid = build_grid(inst)
-    total = grid.total_points
-    if total > limit:
-        raise GridTooLargeError(total, limit)
-    return grid, _feasible_indices(inst, grid)
+    rest = [0] * (len(masks) + 1)
+    for j in reversed(range(len(masks))):
+        rest[j] = rest[j + 1] | functools.reduce(operator.or_, masks[j], 0)
+    prefixes = [((), 0)]
+    for column, later in zip(masks, rest[1:]):
+        prefixes = [
+            (idx + (k,), met | mask)
+            for idx, met in prefixes
+            for k, mask in enumerate(column)
+            if met | mask | later == full
+        ]
+    return [idx for idx, _ in prefixes]
 
 
 def _at(grid: LatticeGrid, idx: tuple[int, ...]) -> Point:
@@ -178,21 +205,46 @@ def _lowered(idx: tuple[int, ...]):
             yield idx[:j] + (k - 1,) + idx[j + 1:]
 
 
-def brute_force_minimal(inst: Instance, limit: int = DEFAULT_LIMIT) -> list[Point]:
-    """The exact minimal-solution set, by exhaustion: every feasible grid
-    point that no other feasible grid point sits weakly below.
+def brute_force(
+    inst: Instance,
+    objective: Objective = log_sum_exp,
+    limit: int = DEFAULT_LIMIT,
+) -> tuple[list[Point], tuple[Point, float] | None]:
+    """The exact minimal-solution set and the optimum, by one exhaustive
+    pass over the grid.
 
-    A feasible point is such a point exactly when lowering any one
-    coordinate to the previous value of its grid column makes it
-    infeasible (see the module docstring), so each point costs n set
-    lookups. Returns an empty list for an infeasible system. Sorted by
-    coordinates for stable comparison against solver output.
+    The minimal points are the feasible grid points that no other feasible
+    grid point sits weakly below: those where lowering any one coordinate
+    to the previous value of its grid column leaves the feasible set (see
+    the module docstring). They come sorted by coordinates, for stable
+    comparison against solver output. The optimum is ``(optimizer, value)``
+    over every feasible grid point, found without any structural shortcut;
+    for a monotone objective it is the global minimum over the feasible
+    region. Ties break toward the coordinatewise smallest point. It is None
+    when no grid point is feasible, and then the minimal set is empty.
     """
-    grid, members = _feasible_grid(inst, limit)
+    grid = build_grid(inst)
+    total = grid.total_points
+    if total > limit:
+        raise GridTooLargeError(total, limit)
+    members = _feasible_indices(inst, grid)
+    if not members:
+        return [], None
     feasible = set(members)
-    return [
-        _at(grid, idx) for idx in members if not any(q in feasible for q in _lowered(idx))
+    points = [_at(grid, idx) for idx in members]
+    minimal = [
+        p for idx, p in zip(members, points) if not any(q in feasible for q in _lowered(idx))
     ]
+    # Members are in coordinate order, so the first of equal values is the
+    # coordinatewise smallest point.
+    value, best = min((objective(p), k) for k, p in enumerate(points))
+    return minimal, (points[best], value)
+
+
+def brute_force_minimal(inst: Instance, limit: int = DEFAULT_LIMIT) -> list[Point]:
+    """The minimal-solution set of brute_force; empty for an infeasible
+    system."""
+    return brute_force(inst, limit=limit)[0]
 
 
 def brute_force_optimum(
@@ -200,17 +252,11 @@ def brute_force_optimum(
     objective: Objective = log_sum_exp,
     limit: int = DEFAULT_LIMIT,
 ) -> tuple[Point, float]:
-    """Minimize the objective over every feasible grid point.
-
-    For a monotone objective this is the global minimum over the whole
-    feasible region, found without any structural shortcut. Ties break
-    toward the coordinatewise smallest point.
-    """
-    grid, members = _feasible_grid(inst, limit)
-    if not members:
+    """The optimum of brute_force; raises InfeasibleSystemError, naming the
+    rows no column can reach, when no grid point is feasible."""
+    optimum = brute_force(inst, objective, limit)[1]
+    if optimum is None:
         rows = [i for i, (row, bi) in enumerate(zip(inst.A, inst.b))
                 if all(a < bi - inst.epsilon for a in row)]
         raise InfeasibleSystemError(rows)
-    points = (_at(grid, idx) for idx in members)
-    value, best = min((objective(p), p) for p in points)
-    return best, value
+    return optimum

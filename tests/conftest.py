@@ -1,9 +1,10 @@
 """Shared fixtures: the golden 5x7 instance with its hand-checked values,
-random-instance streams, the product-then-dominance reference, and the
-acceptance-criteria summary hook."""
+random-instance streams, the product-then-dominance reference, the
+oracle's Fraction references, and the acceptance-criteria summary hook."""
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 from operator import le
@@ -11,7 +12,8 @@ from typing import Iterable
 
 import pytest
 
-from frisolve import Candidate, Instance, Point, generate_instance
+from frisolve import Candidate, Instance, Point, generate_instance, is_member
+from frisolve.core import coordinate_threshold
 
 # The worked 5x7 system. Every expected value below was recomputed by hand
 # or by an independent brute-force script before the solver existed.
@@ -142,6 +144,48 @@ def prune_to_minimal(candidates: Iterable[Candidate]) -> list[Candidate]:
     survivors = [by_ranks[ranks] for ranks in _undominated(by_ranks)]
     survivors.sort(key=lambda c: c.selector.key)
     return survivors
+
+
+def reference_grid(inst: Instance) -> tuple[tuple[Fraction, ...], ...]:
+    """The oracle's grid columns on Fractions: per column, 0 and 1 plus
+    the threshold core.coordinate_threshold gives for every constraining
+    row the column is admissible for, sorted."""
+    columns = [{Fraction(0), Fraction(1)} for _ in range(inst.n)]
+    for i, (row, bi) in enumerate(zip(inst.A, inst.b)):
+        need = bi - inst.epsilon
+        if need > 0:
+            for j, a in enumerate(row):
+                if a >= need:
+                    columns[j].add(coordinate_threshold(inst, i, j))
+    return tuple(tuple(sorted(c)) for c in columns)
+
+
+def pairwise_minimal(inst: Instance) -> list[Point]:
+    """Every point of the reference grid that core.is_member accepts and
+    that no other such point sits weakly below, sorted."""
+    members = [p for p in itertools.product(*reference_grid(inst)) if is_member(inst, p)]
+    return sorted(
+        p for p in members
+        if not any(q != p and all(qj <= pj for qj, pj in zip(q, p)) for q in members)
+    )
+
+
+def fraction_is_minimal_point(inst: Instance, x: Point) -> bool:
+    """The Fraction definition of oracle.is_minimal_point: every
+    constraining row is met, and each nonzero x_j is the sole column
+    meeting some constraining row, with equality."""
+    nonzero = [j for j, xj in enumerate(x) if xj != 0]
+    tight = set()
+    for row, bi in zip(inst.A, inst.b):
+        threshold = bi - inst.epsilon
+        if threshold <= 0:
+            continue
+        meeting = [j for j in nonzero if row[j] + x[j] - 1 >= threshold]
+        if not meeting:
+            return False
+        if len(meeting) == 1 and row[meeting[0]] + x[meeting[0]] - 1 == threshold:
+            tight.add(meeting[0])
+    return tight.issuperset(nonzero)
 
 
 # --- acceptance summary -----------------------------------------------------

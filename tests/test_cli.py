@@ -12,12 +12,14 @@ import pytest
 from frisolve import parse_instance_text, serialize_instance
 from frisolve.cli import main
 from frisolve.files import InstanceFormatError
+from frisolve.oracle import LatticeGrid, build_grid
 
 from conftest import GOLDEN_JSON
 
 EXPECTED = Path(__file__).resolve().parent / "expected"
 INSTANCES = Path(__file__).resolve().parent / "instances"
 SRC = Path(__file__).resolve().parents[1] / "src"
+SAMPLE = Path(__file__).resolve().parents[1] / "docs" / "sample_instance.json"
 
 
 def run_alone(argv: list[str]) -> tuple[int, str, str]:
@@ -222,6 +224,25 @@ class TestVerify:
         assert main(["verify", str(path)]) == 0
         assert "minimal set: agree" in capsys.readouterr().out
 
+    def test_oracle_without_feasible_points_disagrees(self, golden_file, capsys, monkeypatch):
+        # A grid holding only the bottom point has no feasible point, while
+        # the solver finds the system feasible.
+        def bottom_only(inst):
+            scale = build_grid(inst).scale
+            return LatticeGrid(
+                coords=((Fraction(0),),) * inst.n, scale=scale, columns=((0,),) * inst.n
+            )
+
+        monkeypatch.setattr("frisolve.oracle.build_grid", bottom_only)
+        assert main(["verify", golden_file]) == 4
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-3:] == [
+            "solver: 2 minimal solution(s), optimal value 2.443406680817312",
+            "oracle: no feasible grid points",
+            "verdict: DISAGREE",
+        ]
+        assert err == ""
+
 
 class TestGenerate:
     def test_same_seed_same_bytes(self, tmp_path, capsys):
@@ -360,6 +381,21 @@ class TestPinnedOutput:
     )
     def test_many_minimal_points(self, capsys, instance, expected):
         assert main(["solve", str(INSTANCES / instance), "--format", "structured"]) == 0
+        assert capsys.readouterr().out == (EXPECTED / expected).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "instance, objective, expected",
+        [
+            (SAMPLE, "lse", "verify_sample_lse.txt"),
+            (SAMPLE, "max", "verify_sample_max.txt"),
+            (SAMPLE, "sum", "verify_sample_sum.txt"),
+            (INSTANCES / "epsilon.json", "lse", "verify_epsilon.txt"),
+        ],
+        ids=["sample-lse", "sample-max", "sample-sum", "epsilon"],
+    )
+    def test_verify_report(self, capsys, instance, objective, expected):
+        # The 7x7 report is pinned in test_oracle, by the test that runs it.
+        assert main(["verify", str(instance), "--objective", objective]) == 0
         assert capsys.readouterr().out == (EXPECTED / expected).read_text(encoding="utf-8")
 
     def test_generated_instance(self, capsys):

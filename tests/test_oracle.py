@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from frisolve import (
     GridTooLargeError,
@@ -15,31 +15,36 @@ from frisolve import (
     brute_force_minimal,
     brute_force_optimum,
     build_grid,
+    compute_index_sets,
+    coordinate_sum,
     enumerate_candidates,
     is_member,
     load_instance,
+    log_sum_exp,
     max_coordinate,
     solve,
     zeros,
 )
 
 from frisolve.cli import main
-from frisolve.oracle import _feasible_indices, is_minimal_point
+from frisolve.oracle import _feasible_indices, brute_force, is_minimal_point
 
-from conftest import GOLDEN_CANDIDATES, GOLDEN_MINIMAL, HAND_2X2, HAND_2X2_MINIMAL, random_instances
+from conftest import (
+    GOLDEN_CANDIDATES,
+    GOLDEN_MINIMAL,
+    HAND_2X2,
+    HAND_2X2_MINIMAL,
+    fraction_is_minimal_point,
+    pairwise_minimal,
+    random_instances,
+    reference_grid,
+)
 from test_integer_paths import mixed_instances
 
 INSTANCES = Path(__file__).resolve().parent / "instances"
-
-
-def pairwise_minimal(inst):
-    """The reference: every feasible grid point, by core.is_member, that no
-    other feasible grid point sits weakly below."""
-    members = [p for p in itertools.product(*build_grid(inst).coords) if is_member(inst, p)]
-    return sorted(
-        p for p in members
-        if not any(q != p and all(qj <= pj for qj, pj in zip(q, p)) for q in members)
-    )
+EXPECTED = Path(__file__).resolve().parent / "expected"
+OBJECTIVES = [log_sum_exp, max_coordinate, coordinate_sum]
+SEVENTHS = (Fraction(0), Fraction(1, 100), Fraction(1, 7))
 
 
 def test_every_candidate_lies_on_the_grid(golden):
@@ -131,14 +136,13 @@ def test_minimality_predicate_agrees_with_the_oracle_on_random_instances():
 
 
 def test_verify_catches_a_threshold_mistake_shared_with_the_grid(tmp_path, capsys, monkeypatch):
-    # The threshold without epsilon moves the solver's point and the grid
-    # alike, to 0.7, so the two sets still agree; the row inequality does
-    # not hold with equality there.
+    # The threshold without epsilon moves the solver's point to 0.7. The
+    # oracle places its grid by its own formula, so it still finds 0.6, and
+    # the row inequality does not hold with equality at 0.7.
     def old_threshold(inst, i, j):
         return 1 + inst.b[i] - inst.A[i][j]
 
     monkeypatch.setattr("frisolve.structure.coordinate_threshold", old_threshold)
-    monkeypatch.setattr("frisolve.oracle.coordinate_threshold", old_threshold)
     path = tmp_path / "eps.json"
     path.write_text('{"A": [[0.9]], "b": [0.6], "epsilon": 0.1}', encoding="utf-8")
     assert main(["verify", str(path)]) == 4
@@ -146,14 +150,50 @@ def test_verify_catches_a_threshold_mistake_shared_with_the_grid(tmp_path, capsy
     assert "not minimal by the row inequalities: x = [0.7000]" in out
     assert "minimal set: DISAGREE" in out
     assert brute_force_minimal(Instance(A=(("0.9",),), b=("0.6",), epsilon="0.1")) == [
-        (Fraction("0.7"),)
+        (Fraction("0.6"),)
     ]
 
 
-@given(inst=mixed_instances(epsilons=(Fraction(0), Fraction(1, 100), Fraction(1, 7))))
+@given(inst=mixed_instances(epsilons=SEVENTHS))
 @settings(max_examples=150, deadline=None)
 def test_minimal_set_matches_the_pairwise_scan(inst):
-    assert brute_force_minimal(inst) == pairwise_minimal(inst)
+    # One pass answers both: the pairwise minimal set, and the least
+    # (objective, point) over every grid point core.is_member accepts.
+    members = [p for p in itertools.product(*reference_grid(inst)) if is_member(inst, p)]
+    for objective in OBJECTIVES:
+        minimal, optimum = brute_force(inst, objective)
+        assert minimal == pairwise_minimal(inst)
+        if members:
+            value, point = min((objective(p), p) for p in members)
+            assert optimum == (point, value)
+        else:
+            assert optimum is None
+
+
+@given(inst=mixed_instances(epsilons=SEVENTHS))
+@settings(max_examples=150, deadline=None)
+def test_integer_grid_matches_the_threshold_formula(inst):
+    grid = build_grid(inst)
+    assert grid.coords == reference_grid(inst)
+    values = itertools.chain((inst.epsilon,), inst.b, *inst.A)
+    assert grid.scale == math.lcm(*(v.denominator for v in values))
+    assert grid.columns == tuple(tuple(v * grid.scale for v in c) for c in grid.coords)
+    assert all(type(k) is int for column in grid.columns for k in column)
+
+
+@given(inst=mixed_instances(epsilons=SEVENTHS))
+@settings(max_examples=150, deadline=None)
+def test_integer_minimality_matches_the_fraction_definition(inst):
+    assume(compute_index_sets(inst).feasible)
+    seventh = Fraction(1, 7)
+    for cand in enumerate_candidates(inst, cap=None):
+        x = cand.point
+        shifted = [x, tuple(v + seventh for v in x), tuple(v - seventh for v in x)]
+        for j in range(inst.n):
+            for step in (seventh, -seventh):
+                shifted.append(x[:j] + (x[j] + step,) + x[j + 1:])
+        for point in shifted:
+            assert is_minimal_point(inst, point) == fraction_is_minimal_point(inst, point)
 
 
 @pytest.mark.parametrize("sevenths", [False, True])
@@ -177,3 +217,4 @@ def test_verify_on_a_grid_of_400_thousand_points(capsys):
     out = capsys.readouterr().out
     assert "oracle: 15 minimal point(s)" in out
     assert "verdict: agree" in out
+    assert out == (EXPECTED / "verify_7x7_seed4.txt").read_text(encoding="utf-8")
