@@ -13,9 +13,12 @@ which on the search's leaves is exactly minimality; solve_unpruned walks the
 same search with the objective as a lower bound and returns the optimizer
 alone; enumerate_candidates still streams the paper's full selector
 product. A column j reaches row i's threshold at
-x_j = t_ij = 1 + (b_i - epsilon) - a_ij. All lattice arithmetic is exact
-rational arithmetic; floats appear only in objective values and
-serialized output.
+x_j = t_ij = 1 + (b_i - epsilon) - a_ij. The report's cells, one box
+[x, ones] per minimal solution x, are derived from the minimal set where
+the report is rendered. brute_force is the independent exhaustive
+oracle that the verify command runs against the solver. All lattice
+arithmetic is exact rational arithmetic; floats appear only in objective
+values and serialized output.
 """
 
 from .core import (
@@ -42,10 +45,7 @@ from .structure import (
     Candidate,
     CapExceededError,
     Selector,
-    candidate_from_selector,
-    cell_decomposition,
     enumerate_candidates,
-    row_minimal,
     selector_count,
 )
 from .objective import (
@@ -56,13 +56,7 @@ from .objective import (
     max_coordinate,
 )
 from .solver import SolveReport, SolverOptions, solve, solve_unpruned
-from .oracle import (
-    GridTooLargeError,
-    LatticeGrid,
-    brute_force_minimal,
-    brute_force_optimum,
-    build_grid,
-)
+from .oracle import GridTooLargeError, brute_force
 from .files import (
     InstanceFormatError,
     load_instance,
@@ -93,10 +87,7 @@ __all__ = [
     "Candidate",
     "CapExceededError",
     "Selector",
-    "candidate_from_selector",
-    "cell_decomposition",
     "enumerate_candidates",
-    "row_minimal",
     "selector_count",
     "OBJECTIVES",
     "Objective",
@@ -108,10 +99,7 @@ __all__ = [
     "solve",
     "solve_unpruned",
     "GridTooLargeError",
-    "LatticeGrid",
-    "brute_force_minimal",
-    "brute_force_optimum",
-    "build_grid",
+    "brute_force",
     "InstanceFormatError",
     "load_instance",
     "parse_instance_text",

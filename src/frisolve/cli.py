@@ -137,8 +137,8 @@ def _print_text_report(
     print(f"optimizer: e = {_fmt_selector(report.optimizer.selector)}")
     print(f"x* = {_fmt_point(report.optimizer.point)}")
     print(f"f* = {_fmt_value(report.optimal_value)}")
-    if report.cells:
-        print(f"cells: {len(report.cells)}")
+    if report.minimal_solutions:
+        print(f"cells: {len(report.minimal_solutions)}")
     if timings:
         stages = ", ".join(f"{k} {v:.3f}s" for k, v in report.timing.items())
         print(f"timings: {stages}")

@@ -224,9 +224,11 @@ def build_report_data(
 
     Objective values are the ones the solver computed. Key order is fixed
     and timings are excluded unless asked for: wall clock is the one field
-    that would break run-to-run byte identity. Each point is converted
-    once: a minimal point's list is shared by its entry, the optimizer's
-    and its cell's lower corner, and one list serves every upper corner.
+    that would break run-to-run byte identity. The cells are derived
+    here: the feasible region is the union of the boxes [x, ones] over the
+    minimal solutions x, one cell each. Each point is converted once: a
+    minimal point's list is shared by its entry, the optimizer's and its
+    cell's lower corner, and one all-ones list serves every upper corner.
     """
     converted: dict[int, list[float]] = {}  # id of a point in report -> its list
 
@@ -246,9 +248,10 @@ def build_report_data(
     data["vacuous_rows"] = [i + 1 for i, v in enumerate(report.index_sets.vacuous) if v]
     data["E_size"] = report.selector_count
     data["candidates_enumerated"] = report.candidates_enumerated
+    minimal = report.minimal_solutions
     data["minimal_solutions"] = [
         _candidate_entry(c, v, numbers(c.point))
-        for c, v in zip(report.minimal_solutions, report.minimal_values)
+        for c, v in zip(minimal, report.minimal_values)
     ]
     optimizer = report.optimizer
     data["optimizer"] = (
@@ -257,7 +260,8 @@ def build_report_data(
         else None
     )
     data["optimal_value"] = report.optimal_value
-    data["cells"] = [{"lower": numbers(lo), "upper": numbers(hi)} for lo, hi in report.cells]
+    upper = [1.0] * len(minimal[0].point) if minimal else []
+    data["cells"] = [{"lower": numbers(c.point), "upper": upper} for c in minimal]
     data["display_precision"] = 4
     if include_timings:
         data["timings"] = dict(report.timing)

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Instance, Point
-from .feasibility import InfeasibleSystemError
 from .objective import Objective, log_sum_exp
 
 DEFAULT_LIMIT = 10**6
@@ -73,8 +72,11 @@ class LatticeGrid:
     """Per-column sorted coordinate sets whose cartesian product contains
     every candidate and every minimal solution.
 
-    ``columns[j][k]`` is ``coords[j][k]`` scaled by ``scale``, the
-    instance's common denominator D, so it is an integer.
+    ``build_grid`` is its only constructor. ``scale`` must be the common
+    denominator D of the instance it was built for (the lcm of the
+    denominators of epsilon, b and A): ``columns[j][k]`` is
+    ``coords[j][k]`` scaled by D, an integer, and the row tests scale the
+    instance by the same D, so any other scale makes them wrong.
     """
 
     coords: tuple[tuple[Fraction, ...], ...]
@@ -239,24 +241,3 @@ def brute_force(
     # coordinatewise smallest point.
     value, best = min((objective(p), k) for k, p in enumerate(points))
     return minimal, (points[best], value)
-
-
-def brute_force_minimal(inst: Instance, limit: int = DEFAULT_LIMIT) -> list[Point]:
-    """The minimal-solution set of brute_force; empty for an infeasible
-    system."""
-    return brute_force(inst, limit=limit)[0]
-
-
-def brute_force_optimum(
-    inst: Instance,
-    objective: Objective = log_sum_exp,
-    limit: int = DEFAULT_LIMIT,
-) -> tuple[Point, float]:
-    """The optimum of brute_force; raises InfeasibleSystemError, naming the
-    rows no column can reach, when no grid point is feasible."""
-    optimum = brute_force(inst, objective, limit)[1]
-    if optimum is None:
-        rows = [i for i, (row, bi) in enumerate(zip(inst.A, inst.b))
-                if all(a < bi - inst.epsilon for a in row)]
-        raise InfeasibleSystemError(rows)
-    return optimum

@@ -18,15 +18,18 @@ the same search with the objective as a lower bound
 subtrees that cannot beat the best leaf so far are cut, no minimal set is
 built, and the optimizer it returns is solve's for every monotone
 objective. The cap bounds the search nodes of either.
+
+Neither builds the box decomposition: the cells [x, ones] are a view of
+the minimal set, derived from minimal_solutions where the report is
+rendered (files.build_report_data).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from .core import Instance, Point
+from .core import Instance
 from .feasibility import (
     FeasibilityVerdict,
     IndexSets,
@@ -37,7 +40,6 @@ from .objective import Objective, log_sum_exp
 from .structure import (
     DEFAULT_CAP,
     Candidate,
-    cell_decomposition,
     prune_leaves,
     search_leaves,
     search_optimum,
@@ -71,8 +73,10 @@ class SolveReport:
     search leaves reached, duplicates included (for solve_unpruned, those
     the bound did not cut). minimal_values holds the objective value of
     each minimal solution, in the same order. solve_unpruned leaves
-    minimal_solutions, minimal_values and cells empty even when an
-    optimizer is found, since it never builds the minimal set.
+    minimal_solutions and minimal_values empty even when an optimizer is
+    found, since it never builds the minimal set. The report holds no
+    cells: files.build_report_data derives one box [x, ones] per minimal
+    solution x when it renders the report.
     """
 
     verdict: FeasibilityVerdict
@@ -83,7 +87,6 @@ class SolveReport:
     minimal_values: tuple[float, ...]
     optimizer: Candidate | None
     optimal_value: float | None
-    cells: tuple[tuple[Point, Point], ...]
     timing: dict[str, float] = field(default_factory=dict)
 
 
@@ -97,24 +100,8 @@ def _infeasible_report(verdict: FeasibilityVerdict, idx: IndexSets, t0: float) -
         minimal_values=(),
         optimizer=None,
         optimal_value=None,
-        cells=(),
         timing={"total": time.perf_counter() - t0},
     )
-
-
-def _best_candidate(valued: Iterable[tuple[Candidate, float]]) -> tuple[Candidate, float]:
-    """Streaming minimum of (candidate, value) pairs under the total order
-    (value, selector); the selector tie-break makes the result independent
-    of visit order."""
-    best = None
-    best_key = None
-    for cand, value in valued:
-        key = (value, cand.selector.key)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    if best is None:
-        raise ValueError("no candidates to minimize over")
-    return best, best_key[0]
 
 
 def solve(
@@ -146,8 +133,11 @@ def solve(
     minimal = tuple(prune_leaves(found))
     t_prune = time.perf_counter()
     values = tuple(objective(c.point) for c in minimal)
-    optimizer, value = _best_candidate(zip(minimal, values))
-    cells = tuple(cell_decomposition(list(minimal)))
+    # minimal is in canonical selector order, and distinct minimal points
+    # have distinct canonical selectors, so the first least value is the
+    # least (value, selector key).
+    value = min(values)
+    optimizer = minimal[values.index(value)]
     t_end = time.perf_counter()
 
     return SolveReport(
@@ -159,7 +149,6 @@ def solve(
         minimal_values=values,
         optimizer=optimizer,
         optimal_value=value,
-        cells=cells,
         timing={
             "index_sets": t_idx - t0,
             "candidates": t_search - t_idx,
@@ -182,7 +171,7 @@ def solve_unpruned(
     point; a subtree whose value is strictly greater than the best leaf
     value so far is cut. The optimizer, its selector and optimal_value
     equal solve's for every monotone objective; the report just carries
-    no minimal-solution set or cells.
+    no minimal-solution set.
     """
     options = options or SolverOptions()
     t0 = time.perf_counter()
@@ -204,7 +193,6 @@ def solve_unpruned(
         minimal_values=(),
         optimizer=optimizer,
         optimal_value=value,
-        cells=(),
         timing={
             "index_sets": t_idx - t0,
             "candidates": t_end - t_idx,

@@ -1,5 +1,4 @@
-"""Candidate minimal solutions, the covered-row search, and the box
-decomposition of the feasible set.
+"""Candidate minimal solutions and the covered-row search.
 
 For a constraining row i and an admissible column j, the least value of
 x_j at which column j alone satisfies row i is the threshold
@@ -7,7 +6,9 @@ x_j at which column j alone satisfies row i is the threshold
 selector picks one admissible column per constraining row; the
 componentwise maximum of the picked single-row points is the candidate
 x(e), feasible by construction. Every minimal solution is a candidate, and
-the feasible region is the union of boxes [x(e), ones].
+the feasible region is the union of the boxes [x, ones] over the minimal
+solutions x; the report renders those boxes as its cells
+(``files.build_report_data``), so nothing here builds them.
 
 ``enumerate_candidates`` streams x(e) for every selector e of the product
 E of the admissible sets, as the paper's algorithm does; |E| grows
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .core import ZERO, Instance, Point, coordinate_threshold, ones
+from .core import ZERO, Instance, Point, coordinate_threshold
 from .feasibility import IndexSets, InfeasibleSystemError, compute_index_sets
 
 DEFAULT_CAP = 10**6
@@ -87,33 +88,6 @@ class Candidate:
     point: Point
 
 
-def row_minimal(inst: Instance, i: int, j0: int) -> Point:
-    """The minimal point satisfying row i through column j0 alone:
-    coordinate j0 equals ``t_ij0 = 1 + (b_i - epsilon) - a_ij0``, all
-    others 0.
-
-    Requires j0 admissible (a_ij0 >= b_i - epsilon, else the coordinate
-    would exceed 1) and the row constraining (b_i > epsilon; a vacuous row
-    needs no contribution at all and the minimality argument breaks).
-    """
-    if not 0 <= i < inst.m:
-        raise ValueError(f"row index {i} out of range for m={inst.m}")
-    if not 0 <= j0 < inst.n:
-        raise ValueError(f"column index {j0} out of range for n={inst.n}")
-    bi = inst.b[i]
-    eps = inst.epsilon
-    if bi - eps <= ZERO:
-        raise ValueError(f"row {i + 1} is vacuous (b <= epsilon); it has no minimal point")
-    if inst.A[i][j0] < bi - eps:
-        raise ValueError(
-            f"column {j0 + 1} is not admissible for row {i + 1}: "
-            f"a[{i + 1}][{j0 + 1}] < b[{i + 1}]"
-        )
-    coords = [ZERO] * inst.n
-    coords[j0] = coordinate_threshold(inst, i, j0)
-    return tuple(coords)
-
-
 def selector_count(idx: IndexSets) -> int:
     """Exact size of the selector set: the product of |J(i)| over
     constraining rows (1 when every row is vacuous)."""
@@ -149,26 +123,6 @@ def _selector_from_choice(m: int, rows: tuple[int, ...], choice: tuple[int, ...]
     for i, j in zip(rows, choice):
         columns[i] = j
     return Selector(columns=tuple(columns))
-
-
-def candidate_from_selector(inst: Instance, idx: IndexSets, e: Selector) -> Candidate:
-    """Build the candidate x(e) for one selector: the componentwise maximum
-    of row_minimal(i, e(i)) over constraining rows (the zero point when
-    every row is vacuous)."""
-    if len(e.columns) != idx.m:
-        raise ValueError(f"selector has {len(e.columns)} entries, expected {idx.m}")
-    rows = idx.constraining_rows
-    for i, c in enumerate(e.columns):
-        if idx.vacuous[i]:
-            if c is not None:
-                raise ValueError(f"selector assigns a column to vacuous row {i + 1}")
-        elif c is None:
-            raise ValueError(f"selector misses constraining row {i + 1}")
-        elif c not in idx.sets[i]:
-            raise ValueError(f"selector column {c + 1} is not admissible for row {i + 1}")
-    table = _coordinate_table(inst, idx)
-    choice = tuple(e.columns[i] for i in rows)
-    return Candidate(selector=e, point=_build_point(inst.n, rows, choice, table))
 
 
 def _checked_index_sets(inst: Instance, idx: IndexSets | None) -> IndexSets:
@@ -456,13 +410,3 @@ def search_optimum(
     value, _, leaf = best
     optimizer = _leaf_candidate(inst.m, values, options, leaf)
     return optimizer, value, leaves
-
-
-def cell_decomposition(minimal: list[Candidate]) -> list[tuple[Point, Point]]:
-    """One closed box [x(e), ones] per minimal candidate; their union is
-    the whole feasible region."""
-    if not minimal:
-        raise ValueError("cell decomposition needs at least one candidate")
-    n = len(minimal[0].point)
-    top = ones(n)
-    return [(c.point, top) for c in minimal]

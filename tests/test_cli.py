@@ -18,8 +18,9 @@ from conftest import GOLDEN_JSON
 
 EXPECTED = Path(__file__).resolve().parent / "expected"
 INSTANCES = Path(__file__).resolve().parent / "instances"
-SRC = Path(__file__).resolve().parents[1] / "src"
-SAMPLE = Path(__file__).resolve().parents[1] / "docs" / "sample_instance.json"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+SAMPLE = ROOT / "docs" / "sample_instance.json"
 
 
 def run_alone(argv: list[str]) -> tuple[int, str, str]:
@@ -397,6 +398,29 @@ class TestPinnedOutput:
         # The 7x7 report is pinned in test_oracle, by the test that runs it.
         assert main(["verify", str(instance), "--objective", objective]) == 0
         assert capsys.readouterr().out == (EXPECTED / expected).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            ([SAMPLE], "solve_golden.txt"),
+            ([SAMPLE, "--no-prune"], "solve_golden_no_prune.txt"),
+            # 20 minimal points, so "cells: 20".
+            ([INSTANCES / "epsilon.json"], "solve_epsilon.txt"),
+        ],
+        ids=["sample", "sample-no-prune", "epsilon"],
+    )
+    def test_text_report(self, capsys, argv, expected):
+        assert main(["solve", *map(str, argv)]) == 0
+        out, err = capsys.readouterr()
+        assert out == (EXPECTED / expected).read_text(encoding="utf-8")
+        assert err == ""
+
+    def test_readme_example_is_the_pinned_text_report(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        _, _, example = readme.partition("$ frisolve solve docs/sample_instance.json\n")
+        block = example.partition("```")[0]
+        want = (EXPECTED / "solve_golden.txt").read_text(encoding="utf-8")
+        assert block.splitlines() == want.splitlines()
 
     def test_generated_instance(self, capsys):
         assert main(["generate", "3", "4", "--seed", "5"]) == 0

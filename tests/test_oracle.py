@@ -11,10 +11,7 @@ from hypothesis import assume, given, settings
 from frisolve import (
     GridTooLargeError,
     Instance,
-    InfeasibleSystemError,
-    brute_force_minimal,
-    brute_force_optimum,
-    build_grid,
+    brute_force,
     compute_index_sets,
     coordinate_sum,
     enumerate_candidates,
@@ -27,7 +24,7 @@ from frisolve import (
 )
 
 from frisolve.cli import main
-from frisolve.oracle import _feasible_indices, brute_force, is_minimal_point
+from frisolve.oracle import _feasible_indices, build_grid, is_minimal_point
 
 from conftest import (
     GOLDEN_CANDIDATES,
@@ -55,15 +52,17 @@ def test_every_candidate_lies_on_the_grid(golden):
 
 
 def test_golden_minimal_set(golden):
-    assert set(brute_force_minimal(golden)) == GOLDEN_MINIMAL
+    minimal, _ = brute_force(golden)
+    assert set(minimal) == GOLDEN_MINIMAL
 
 
 def test_hand_2x2_minimal_set():
-    assert set(brute_force_minimal(HAND_2X2)) == HAND_2X2_MINIMAL
+    minimal, _ = brute_force(HAND_2X2)
+    assert set(minimal) == HAND_2X2_MINIMAL
 
 
 def test_golden_optimum(golden):
-    point, value = brute_force_optimum(golden)
+    _, (point, value) = brute_force(golden)
     assert value == pytest.approx(2.4434, abs=5e-4)
     report = solve(golden)
     assert value == report.optimal_value
@@ -71,47 +70,45 @@ def test_golden_optimum(golden):
 
 
 def test_golden_max_objective_optimum(golden):
-    point, value = brute_force_optimum(golden, max_coordinate)
+    _, (point, value) = brute_force(golden, max_coordinate)
     assert value == pytest.approx(0.9892, abs=1e-12)
     assert value == solve(golden, objective=max_coordinate).optimal_value
 
 
 def test_infeasible_system_has_no_minimal_points():
     inst = Instance(A=(("0.3", "0.6"),), b=("0.7",))
-    assert brute_force_minimal(inst) == []
-    with pytest.raises(InfeasibleSystemError):
-        brute_force_optimum(inst)
+    assert brute_force(inst) == ([], None)
 
 
 def test_zero_thresholds_optimize_to_the_bottom():
     inst = Instance(A=(("0.4", "0.9"), ("0.2", "0.3")), b=(0, 0))
-    point, value = brute_force_optimum(inst)
+    minimal, (point, value) = brute_force(inst)
     assert point == zeros(2)
     assert value == pytest.approx(math.log(2), abs=1e-12)
-    assert brute_force_minimal(inst) == [zeros(2)]
+    assert minimal == [zeros(2)]
 
 
 def test_epsilon_grid_holds_the_true_minimum():
     inst = Instance(A=(("0.9",),), b=("0.6",), epsilon="0.1")
     assert Fraction("0.6") in build_grid(inst).coords[0]
-    assert brute_force_minimal(inst) == [(Fraction("0.6"),)]
-    assert [c.point for c in solve(inst).minimal_solutions] == brute_force_minimal(inst)
+    minimal, _ = brute_force(inst)
+    assert minimal == [(Fraction("0.6"),)]
+    assert [c.point for c in solve(inst).minimal_solutions] == minimal
 
 
 def test_grid_limit_is_enforced(golden):
     total = build_grid(golden).total_points
     with pytest.raises(GridTooLargeError) as err:
-        brute_force_minimal(golden, limit=total - 1)
+        brute_force(golden, limit=total - 1)
     assert err.value.total_points == total
-    assert brute_force_minimal(golden, limit=total)  # boundary inclusive
+    assert brute_force(golden, limit=total)[0]  # boundary inclusive
 
 
 def test_agreement_with_solver_on_random_instances():
     for inst, name in random_instances(12, base_seed=3030):
         report = solve(inst)
-        oracle_minimal = brute_force_minimal(inst)
+        oracle_minimal, (_, oracle_value) = brute_force(inst)
         assert sorted(c.point for c in report.minimal_solutions) == oracle_minimal, name
-        _, oracle_value = brute_force_optimum(inst)
         assert oracle_value == report.optimal_value, name
 
 
@@ -130,7 +127,7 @@ def test_minimality_predicate_rejects_slack_and_non_members():
 
 def test_minimality_predicate_agrees_with_the_oracle_on_random_instances():
     for inst, name in random_instances(12, base_seed=4040):
-        minimal = set(brute_force_minimal(inst))
+        minimal = set(brute_force(inst)[0])
         for cand in enumerate_candidates(inst):
             assert is_minimal_point(inst, cand.point) == (cand.point in minimal), name
 
@@ -149,9 +146,8 @@ def test_verify_catches_a_threshold_mistake_shared_with_the_grid(tmp_path, capsy
     out = capsys.readouterr().out
     assert "not minimal by the row inequalities: x = [0.7000]" in out
     assert "minimal set: DISAGREE" in out
-    assert brute_force_minimal(Instance(A=(("0.9",),), b=("0.6",), epsilon="0.1")) == [
-        (Fraction("0.6"),)
-    ]
+    minimal, _ = brute_force(Instance(A=(("0.9",),), b=("0.6",), epsilon="0.1"))
+    assert minimal == [(Fraction("0.6"),)]
 
 
 @given(inst=mixed_instances(epsilons=SEVENTHS))

@@ -11,16 +11,14 @@ from frisolve import (
     CapExceededError,
     Instance,
     InfeasibleSystemError,
-    Selector,
-    candidate_from_selector,
-    cell_decomposition,
     compute_index_sets,
     enumerate_candidates,
     is_member,
     ones,
-    row_minimal,
     selector_count,
+    solve,
 )
+from frisolve.files import build_report_data, grade_number
 from frisolve.structure import prune_leaves, search_leaves
 
 from conftest import (
@@ -38,35 +36,37 @@ from test_core import small_instances
 from test_solver import positive_epsilons, with_epsilon
 
 
+def single_row_points(row, b, epsilon=0):
+    """The candidates of the one-row system (row, b): with one constraining
+    row, each is the row's minimal point through one admissible column,
+    its threshold there and 0 elsewhere."""
+    inst = Instance(A=(tuple(row),), b=(b,), epsilon=epsilon)
+    return [c.point for c in enumerate_candidates(inst)]
+
+
 class TestRowMinimal:
+    """The minimal point of a single row, through each admissible column."""
+
     def test_golden_first_row(self, golden):
-        # 1 + 0.7898 - 0.8147 through column 1
-        p = row_minimal(golden, 0, 0)
-        assert p == fpoint("0.9751", "0", "0", "0", "0", "0", "0")
+        # 1 + 0.7898 - 0.8147 through column 1, the row's only admissible one
+        assert single_row_points(golden.A[0], golden.b[0]) == [
+            fpoint("0.9751", "0", "0", "0", "0", "0", "0")
+        ]
 
     def test_golden_fourth_row_fifth_column(self, golden):
-        # 1 + 0.7094 - 0.9339 through column 5
-        p = row_minimal(golden, 3, 4)
-        assert p[4] == F("0.7755")
-        assert sum(p) == p[4]
+        # 1 + 0.7094 - 0.9339 through column 5 (and 1 + 0.7094 - 0.7922
+        # through column 4)
+        fourth, fifth = single_row_points(golden.A[3], golden.b[3])
+        assert fourth == fpoint("0", "0", "0", "0.9172", "0", "0", "0")
+        assert fifth[4] == F("0.7755")
+        assert sum(fifth) == fifth[4]
 
     def test_grade_equal_to_threshold_needs_a_full_coordinate(self):
-        inst = Instance(A=(("0.6", "0.2"),), b=("0.6",))
-        assert row_minimal(inst, 0, 0)[0] == 1
-
-    def test_inadmissible_column_rejected(self, golden):
-        with pytest.raises(ValueError, match="not admissible"):
-            row_minimal(golden, 0, 1)
+        assert single_row_points(("0.6", "0.2"), "0.6") == [fpoint("1", "0")]
 
     def test_epsilon_enters_the_threshold(self):
         # t = 1 + (0.6 - 0.1) - 0.9; the coordinate 0.7 would carry slack
-        inst = Instance(A=(("0.9",),), b=("0.6",), epsilon="0.1")
-        assert row_minimal(inst, 0, 0) == fpoint("0.6")
-
-    def test_vacuous_row_rejected(self):
-        inst = Instance(A=(("0.5",),), b=(0,))
-        with pytest.raises(ValueError, match="vacuous"):
-            row_minimal(inst, 0, 0)
+        assert single_row_points(("0.9",), "0.6", "0.1") == [fpoint("0.6")]
 
 
 class TestCandidates:
@@ -83,19 +83,6 @@ class TestCandidates:
         assert keys == sorted(keys)
         assert len(keys) == selector_count(compute_index_sets(golden)) == 4
 
-    def test_candidate_from_selector_matches_stream(self, golden):
-        idx = compute_index_sets(golden)
-        for cand in enumerate_candidates(golden, idx):
-            rebuilt = candidate_from_selector(golden, idx, cand.selector)
-            assert rebuilt.point == cand.point
-
-    def test_invalid_selectors_rejected(self, golden):
-        idx = compute_index_sets(golden)
-        with pytest.raises(ValueError, match="not admissible"):
-            candidate_from_selector(golden, idx, Selector(columns=(1, 1, 2, 3, 2)))
-        with pytest.raises(ValueError, match="entries"):
-            candidate_from_selector(golden, idx, Selector(columns=(0, 1, 2)))
-
     def test_hand_2x2_candidates(self):
         got = {
             tuple(c.selector.columns): c.point
@@ -104,12 +91,10 @@ class TestCandidates:
         assert got == HAND_2X2_CANDIDATES
 
     def test_single_row_candidate_is_the_row_minimal_point(self):
-        inst = Instance(A=(("0.9", "0.7"),), b=("0.5",))
-        idx = compute_index_sets(inst)
-        cands = list(enumerate_candidates(inst, idx))
-        assert [c.point for c in cands] == [
-            row_minimal(inst, 0, 0),
-            row_minimal(inst, 0, 1),
+        # t = 1 + 0.5 - 0.9 through column 1, 1 + 0.5 - 0.7 through column 2
+        assert single_row_points(("0.9", "0.7"), "0.5") == [
+            fpoint("0.6", "0"),
+            fpoint("0", "0.8"),
         ]
 
     def test_all_vacuous_rows_give_the_single_zero_candidate(self):
@@ -274,25 +259,30 @@ class TestPruning:
 
 
 class TestCellDecomposition:
-    def test_golden_cells(self, golden):
-        minimal = prune_leaves(search_leaves(golden))
-        cells = cell_decomposition(minimal)
-        assert len(cells) == 2
-        assert all(hi == ones(7) for _, hi in cells)
-        assert {lo for lo, _ in cells} == GOLDEN_MINIMAL
+    """The cells are the boxes [x, ones] over the minimal solutions x; the
+    structured report renders one per minimal solution, in order."""
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            cell_decomposition([])
+    def test_golden_cells(self, golden):
+        report = solve(golden)
+        assert {c.point for c in report.minimal_solutions} == GOLDEN_MINIMAL
+        cells = build_report_data(report)["cells"]
+        assert len(cells) == 2
+        assert [cell["lower"] for cell in cells] == [
+            [grade_number(v) for v in c.point] for c in report.minimal_solutions
+        ]
+        assert all(cell["upper"] == [grade_number(v) for v in ones(7)] for cell in cells)
 
     def test_cells_cover_exactly_the_feasible_set(self):
         # Points inside some box must be members; points below every box
         # bottom must not be.
         rng = random.Random(99)
         for inst, _ in random_instances(6, base_seed=4200):
-            minimal = prune_leaves(search_leaves(inst))
-            cells = cell_decomposition(minimal)
-            lows = [lo for lo, _ in cells]
+            report = solve(inst)
+            lows = [c.point for c in report.minimal_solutions]
+            cells = build_report_data(report)["cells"]
+            assert [cell["lower"] for cell in cells] == [
+                [grade_number(v) for v in lo] for lo in lows
+            ]
             for _ in range(40):
                 x = tuple(Fraction(rng.randrange(0, 10001), 10000) for _ in range(inst.n))
                 in_some_cell = any(
