@@ -33,13 +33,7 @@ from .core import (
     ones,
     zeros,
 )
-from .feasibility import (
-    FeasibilityVerdict,
-    IndexSets,
-    InfeasibleSystemError,
-    check_feasibility,
-    compute_index_sets,
-)
+from .feasibility import IndexSets, InfeasibleSystemError, compute_index_sets
 from .structure import (
     DEFAULT_CAP,
     Candidate,
@@ -55,7 +49,7 @@ from .objective import (
     log_sum_exp,
     max_coordinate,
 )
-from .solver import SolveReport, SolverOptions, solve, solve_unpruned
+from .solver import SolveReport, solve, solve_unpruned
 from .oracle import GridTooLargeError, brute_force
 from .files import (
     InstanceFormatError,
@@ -78,10 +72,8 @@ __all__ = [
     "luk_tnorm",
     "ones",
     "zeros",
-    "FeasibilityVerdict",
     "IndexSets",
     "InfeasibleSystemError",
-    "check_feasibility",
     "compute_index_sets",
     "DEFAULT_CAP",
     "Candidate",
@@ -95,7 +87,6 @@ __all__ = [
     "log_sum_exp",
     "max_coordinate",
     "SolveReport",
-    "SolverOptions",
     "solve",
     "solve_unpruned",
     "GridTooLargeError",

@@ -40,7 +40,7 @@ from .oracle import (
     brute_force,
     is_minimal_point,
 )
-from .solver import SolveReport, SolverOptions, solve, solve_unpruned
+from .solver import SolveReport, solve, solve_unpruned
 from .structure import DEFAULT_CAP, CapExceededError, Selector, enumerate_candidates
 
 
@@ -119,8 +119,8 @@ def _print_text_report(
     report: SolveReport, name: Optional[str], inst: Instance, timings: bool
 ) -> None:
     _print_header(name, inst)
-    if not report.verdict.feasible:
-        rows = ", ".join(str(i + 1) for i in report.verdict.empty_rows)
+    if not report.index_sets.feasible:
+        rows = ", ".join(str(i + 1) for i in report.index_sets.empty_rows)
         print(f"feasible: no (no admissible columns for row(s) {rows})")
         return
     _print_index_sets(report.index_sets)
@@ -149,13 +149,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     objective = OBJECTIVES[args.objective]
     cap = args.cap if args.cap is not None else _default_cap()
     runner = solve_unpruned if args.no_prune else solve
-    report = runner(inst, objective, SolverOptions(cap=cap))
+    report = runner(inst, objective, cap)
     if args.format == "structured":
         data = build_report_data(report, name, include_timings=args.timings)
         sys.stdout.write(render_report_json(data))
     else:
         _print_text_report(report, name, inst, args.timings)
-    return 0 if report.verdict.feasible else 2
+    return 0 if report.index_sets.feasible else 2
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -173,11 +173,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     inst, name = load_instance(args.path)
     _print_header(name, inst)
     objective = OBJECTIVES[args.objective]
-    report = solve(inst, objective, SolverOptions(cap=_default_cap()))
+    report = solve(inst, objective, _default_cap())
     oracle_minimal, oracle_optimum = brute_force(inst, objective, limit=args.limit)
 
-    if not report.verdict.feasible:
-        rows = ", ".join(str(i + 1) for i in report.verdict.empty_rows)
+    if not report.index_sets.feasible:
+        rows = ", ".join(str(i + 1) for i in report.index_sets.empty_rows)
         print(f"solver: infeasible (row(s) {rows})")
         if oracle_minimal:
             print(f"oracle: found {len(oracle_minimal)} minimal point(s)")

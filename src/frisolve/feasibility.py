@@ -1,11 +1,13 @@
-"""Feasibility test, admissible index sets, and the maximum solution.
+"""Feasibility test and admissible index sets.
 
 A row inequality ``max_j max(a_ij + x_j - 1, 0) >= b_i`` is satisfiable iff
 some column grade reaches the threshold at ``x_j = 1``, i.e. iff
 ``a_ij >= b_i`` for some j. Collecting those columns per row gives the index
-sets J(i) that drive candidate enumeration; the system is feasible iff every
-J(i) is non-empty, and then the all-ones point is a solution that dominates
-every other, so it is the maximum solution.
+sets J(i) that drive candidate enumeration. The system is feasible iff
+every J(i) is non-empty (``IndexSets.feasible``; ``IndexSets.empty_rows``
+names the rows whose J(i) is empty), and then ``ones(n)`` is the maximum
+solution: the feasible set is upward closed, so the all-ones point is a
+member and dominates every other.
 
 Indices are 0-based throughout the library; human-facing output (reports,
 error messages) converts to 1-based.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, Point, ones
+from .core import Instance
 
 
 class InfeasibleSystemError(ValueError):
@@ -39,7 +41,7 @@ class IndexSets:
     sets[i] holds every column j with ``a_ij >= b_i - epsilon``, sorted
     ascending. vacuous[i] is true iff ``b_i <= epsilon``: such a row is
     satisfied by every point of the cube and contributes no choice during
-    enumeration.
+    enumeration. feasible and empty_rows are the feasibility verdict.
     """
 
     sets: tuple[tuple[int, ...], ...]
@@ -63,23 +65,6 @@ class IndexSets:
         return tuple(i for i, v in enumerate(self.vacuous) if not v)
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
-    """Outcome of the consistency check.
-
-    feasible iff empty_rows is empty; maximum_solution is the all-ones
-    point when feasible, None otherwise.
-    """
-
-    feasible: bool
-    empty_rows: tuple[int, ...]
-    maximum_solution: Point | None
-
-    def __post_init__(self) -> None:
-        if self.feasible != (not self.empty_rows):
-            raise ValueError("feasible verdict contradicts empty_rows")
-
-
 def compute_index_sets(inst: Instance) -> IndexSets:
     """Build J(i) = {j : a_ij >= b_i - epsilon} for every row, plus the
     vacuous mask (b_i <= epsilon).
@@ -96,18 +81,3 @@ def compute_index_sets(inst: Instance) -> IndexSets:
         sets.append(tuple(j for j, a in enumerate(row) if a.numerator * q >= p * a.denominator))
         vacuous.append(p <= 0)
     return IndexSets(sets=tuple(sets), vacuous=tuple(vacuous))
-
-
-def check_feasibility(inst: Instance, idx: IndexSets | None = None) -> FeasibilityVerdict:
-    """Decide consistency: feasible iff every J(i) is non-empty, which holds
-    iff the all-ones point is itself a member.
-
-    Never raises on infeasible input; the verdict carries every offending
-    row so diagnostics can name them all.
-    """
-    if idx is None:
-        idx = compute_index_sets(inst)
-    empty = idx.empty_rows
-    if empty:
-        return FeasibilityVerdict(feasible=False, empty_rows=empty, maximum_solution=None)
-    return FeasibilityVerdict(feasible=True, empty_rows=(), maximum_solution=ones(inst.n))

@@ -99,6 +99,8 @@ def parse_instance_text(text: str) -> tuple[Instance, Optional[str]]:
         data = json.loads(text, parse_float=_parse_float, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InstanceFormatError("nested too deeply to parse") from exc
     if not isinstance(data, dict):
         raise InstanceFormatError("top level must be an object with members A and b")
     unknown = sorted(set(data) - _ALLOWED_KEYS)
@@ -241,9 +243,9 @@ def build_report_data(
     data: dict[str, Any] = {}
     if name is not None:
         data["name"] = name
-    data["feasible"] = report.verdict.feasible
-    if not report.verdict.feasible:
-        data["empty_rows"] = [i + 1 for i in report.verdict.empty_rows]
+    data["feasible"] = report.index_sets.feasible
+    if not report.index_sets.feasible:
+        data["empty_rows"] = [i + 1 for i in report.index_sets.empty_rows]
     data["J"] = [[j + 1 for j in s] for s in report.index_sets.sets]
     data["vacuous_rows"] = [i + 1 for i, v in enumerate(report.index_sets.vacuous) if v]
     data["E_size"] = report.selector_count

@@ -1,6 +1,10 @@
 """End-to-end resolution: feasibility gate, covered-row search, pruning,
 and objective comparison.
 
+Both entry points gate on the index sets: the system is feasible iff
+every J(i) is non-empty (IndexSets.feasible), and an infeasible system
+gets a report that carries only its index sets.
+
 Why a finite scan gives the global optimum over an uncountable region: the
 feasible set is a finite union of boxes [x(e), ones], the objective is
 monotone nondecreasing, so on each box the objective's minimum sits at the
@@ -30,12 +34,7 @@ import time
 from dataclasses import dataclass, field
 
 from .core import Instance
-from .feasibility import (
-    FeasibilityVerdict,
-    IndexSets,
-    check_feasibility,
-    compute_index_sets,
-)
+from .feasibility import IndexSets, compute_index_sets
 from .objective import Objective, log_sum_exp
 from .structure import (
     DEFAULT_CAP,
@@ -47,39 +46,29 @@ from .structure import (
 )
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Resolution knobs.
-
-    cap bounds the work of one resolution (None disables the bound): the
-    search nodes of solve and solve_unpruned, one per column assignment
-    tried.
-    """
-
-    cap: int | None = DEFAULT_CAP
-
-    def __post_init__(self) -> None:
-        if self.cap is not None and self.cap < 1:
-            raise ValueError(f"cap must be >= 1 or None, got {self.cap}")
+def _check_cap(cap: int | None) -> None:
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be >= 1 or None, got {cap}")
 
 
 @dataclass(frozen=True)
 class SolveReport:
     """Everything the resolution produced.
 
-    For an infeasible system only verdict and index_sets are populated;
-    selector_count is None and optimizer/optimal_value stay None.
-    selector_count is |E| either way; candidates_enumerated counts the
-    search leaves reached, duplicates included (for solve_unpruned, those
-    the bound did not cut). minimal_values holds the objective value of
-    each minimal solution, in the same order. solve_unpruned leaves
-    minimal_solutions and minimal_values empty even when an optimizer is
-    found, since it never builds the minimal set. The report holds no
+    index_sets carries the feasibility verdict: index_sets.feasible, and
+    index_sets.empty_rows naming the rows with an empty J(i). For an
+    infeasible system nothing else is populated: selector_count is None
+    and optimizer/optimal_value stay None. Otherwise selector_count is
+    |E|; candidates_enumerated counts the search leaves reached,
+    duplicates included (for solve_unpruned, those the bound did not cut).
+    minimal_values holds the objective value of each minimal solution, in
+    the same order. solve_unpruned leaves minimal_solutions and
+    minimal_values empty even when an optimizer is found, since it never
+    builds the minimal set. The report holds no
     cells: files.build_report_data derives one box [x, ones] per minimal
     solution x when it renders the report.
     """
 
-    verdict: FeasibilityVerdict
     index_sets: IndexSets
     selector_count: int | None
     candidates_enumerated: int
@@ -90,9 +79,8 @@ class SolveReport:
     timing: dict[str, float] = field(default_factory=dict)
 
 
-def _infeasible_report(verdict: FeasibilityVerdict, idx: IndexSets, t0: float) -> SolveReport:
+def _infeasible_report(idx: IndexSets, t0: float) -> SolveReport:
     return SolveReport(
-        verdict=verdict,
         index_sets=idx,
         selector_count=None,
         candidates_enumerated=0,
@@ -107,7 +95,7 @@ def _infeasible_report(verdict: FeasibilityVerdict, idx: IndexSets, t0: float) -
 def solve(
     inst: Instance,
     objective: Objective = log_sum_exp,
-    options: SolverOptions | None = None,
+    cap: int | None = DEFAULT_CAP,
 ) -> SolveReport:
     """Full resolution: decide feasibility, search the candidates that can
     be minimal, keep those that pass the row test (the exact
@@ -119,16 +107,18 @@ def solve(
     solutions break toward the smaller objective value, then the
     lexicographically smallest selector. The objective is evaluated once
     per minimal solution.
+
+    ``cap`` bounds the search nodes (None: no bound); past it the search
+    raises CapExceededError. A cap below 1 raises ValueError.
     """
-    options = options or SolverOptions()
+    _check_cap(cap)
     t0 = time.perf_counter()
     idx = compute_index_sets(inst)
-    verdict = check_feasibility(inst, idx)
     t_idx = time.perf_counter()
-    if not verdict.feasible:
-        return _infeasible_report(verdict, idx, t0)
+    if not idx.feasible:
+        return _infeasible_report(idx, t0)
 
-    found = search_leaves(inst, idx, cap=options.cap)
+    found = search_leaves(inst, idx, cap=cap)
     t_search = time.perf_counter()
     minimal = tuple(prune_leaves(found))
     t_prune = time.perf_counter()
@@ -141,7 +131,6 @@ def solve(
     t_end = time.perf_counter()
 
     return SolveReport(
-        verdict=verdict,
         index_sets=idx,
         selector_count=selector_count(idx),
         candidates_enumerated=found.reached,
@@ -162,7 +151,7 @@ def solve(
 def solve_unpruned(
     inst: Instance,
     objective: Objective = log_sum_exp,
-    options: SolverOptions | None = None,
+    cap: int | None = DEFAULT_CAP,
 ) -> SolveReport:
     """Resolution without the minimal-solution set: a bound-pruned
     covered-row search for the optimizer alone.
@@ -171,21 +160,19 @@ def solve_unpruned(
     point; a subtree whose value is strictly greater than the best leaf
     value so far is cut. The optimizer, its selector and optimal_value
     equal solve's for every monotone objective; the report just carries
-    no minimal-solution set.
+    no minimal-solution set. ``cap`` is solve's.
     """
-    options = options or SolverOptions()
+    _check_cap(cap)
     t0 = time.perf_counter()
     idx = compute_index_sets(inst)
-    verdict = check_feasibility(inst, idx)
     t_idx = time.perf_counter()
-    if not verdict.feasible:
-        return _infeasible_report(verdict, idx, t0)
+    if not idx.feasible:
+        return _infeasible_report(idx, t0)
 
-    optimizer, value, leaves = search_optimum(inst, objective, idx, cap=options.cap)
+    optimizer, value, leaves = search_optimum(inst, objective, idx, cap=cap)
     t_end = time.perf_counter()
 
     return SolveReport(
-        verdict=verdict,
         index_sets=idx,
         selector_count=selector_count(idx),
         candidates_enumerated=leaves,

@@ -259,9 +259,29 @@ def _walk(
             stack.append((k + 1, c, t))
 
 
-def _canonical_key(leaf: tuple[int, ...], options: _Options) -> tuple[int, ...]:
-    """Per constraining row, the smallest admissible j with t_ij <= x_j."""
-    return tuple(next(c for c, t in row if t <= leaf[c]) for row in options.values())
+def _minimal_key(leaf: tuple[int, ...], options: _Options) -> tuple[int, ...] | None:
+    """The canonical selector key of a feasible ranked point if it is
+    minimal, None otherwise; one scan of the rows decides both.
+
+    The key holds, per constraining row, the smallest admissible j with
+    t_ij <= x_j: each row's options are in ascending column order, so it
+    is the first column that meets the row. The point is minimal iff each
+    nonzero x_j is the sole column meeting some row, and meets it at the
+    threshold, so that lowering x_j breaks that row. Lowering one
+    coordinate at a time is enough: the feasible set is upward closed, so
+    a feasible point below x would leave x feasible with one coordinate
+    lowered to it."""
+    key = []
+    tight = set()
+    for row in options.values():
+        met = [(c, t) for c, t in row if leaf[c] >= t]
+        c, t = met[0]
+        key.append(c)
+        if len(met) == 1 and leaf[c] == t:
+            tight.add(c)
+    if all(c in tight for c, r in enumerate(leaf) if r):
+        return tuple(key)
+    return None
 
 
 def _leaf_candidate(
@@ -269,28 +289,15 @@ def _leaf_candidate(
     values: list[Fraction],
     options: _Options,
     leaf: tuple[int, ...],
+    key: tuple[int, ...],
 ) -> Candidate:
     columns: list[Optional[int]] = [None] * m
-    for i, c in zip(options, _canonical_key(leaf, options)):
+    for i, c in zip(options, key):
         columns[i] = c
     return Candidate(
         selector=Selector(columns=tuple(columns)),
         point=tuple(values[r] for r in leaf),
     )
-
-
-def _is_minimal_leaf(leaf: tuple[int, ...], options: _Options) -> bool:
-    """Whether a feasible ranked point is minimal: each nonzero x_j is the
-    sole column meeting some row, and meets it at the threshold, so that
-    lowering x_j breaks that row. Lowering one coordinate at a time is
-    enough: the feasible set is upward closed, so a feasible point below x
-    would leave x feasible with one coordinate lowered to it."""
-    tight = set()
-    for row in options.values():
-        met = [(c, t) for c, t in row if leaf[c] >= t]
-        if len(met) == 1 and leaf[met[0][0]] == met[0][1]:
-            tight.add(met[0][0])
-    return all(c in tight for c, r in enumerate(leaf) if r)
 
 
 @dataclass(frozen=True)
@@ -346,7 +353,7 @@ def prune_leaves(found: SearchLeaves) -> list[Candidate]:
     minimal solutions of the system.
 
     Every leaf is feasible, and the feasible set is upward closed, so a
-    leaf is minimal iff it passes the row test (``_is_minimal_leaf``);
+    leaf is minimal iff it passes the row test (``_minimal_key``);
     every minimal solution is a leaf, and the leaves are distinct, so each
     comes out once. Only those leaves become candidates, in selector order.
 
@@ -357,11 +364,11 @@ def prune_leaves(found: SearchLeaves) -> list[Candidate]:
     t_ij <= x*_j, and the canonical columns give a feasible point below
     x*, hence x* itself.
     """
-    minimal = [
-        _leaf_candidate(found.m, found.values, found.options, leaf)
-        for leaf in found.points
-        if _is_minimal_leaf(leaf, found.options)
-    ]
+    minimal = []
+    for leaf in found.points:
+        key = _minimal_key(leaf, found.options)
+        if key is not None:
+            minimal.append(_leaf_candidate(found.m, found.values, found.options, leaf, key))
     minimal.sort(key=lambda c: c.selector.key)
     return minimal
 
@@ -402,11 +409,11 @@ def search_optimum(
         leaves += 1
         if best is not None and value > best[0]:
             continue
-        if not _is_minimal_leaf(leaf, options):
+        key = _minimal_key(leaf, options)
+        if key is None:
             continue
-        key = _canonical_key(leaf, options)
         if best is None or (value, key) < best[:2]:
             best = (value, key, leaf)
-    value, _, leaf = best
-    optimizer = _leaf_candidate(inst.m, values, options, leaf)
+    value, key, leaf = best
+    optimizer = _leaf_candidate(inst.m, values, options, leaf, key)
     return optimizer, value, leaves

@@ -14,7 +14,6 @@ import pytest
 
 from frisolve import (
     brute_force,
-    check_feasibility,
     compose,
     compute_index_sets,
     enumerate_candidates,
@@ -46,9 +45,10 @@ def test_criterion_1_feasibility(golden):
     for g, want in zip(got, GOLDEN_COMPOSE_ONES):
         assert abs(float(g) - float(want)) <= 1e-12
     assert got == GOLDEN_COMPOSE_ONES  # inputs are exact decimals
-    verdict = check_feasibility(golden)
-    assert verdict.feasible
-    assert verdict.maximum_solution == ones(7)
+    idx = compute_index_sets(golden)
+    assert idx.feasible
+    assert idx.empty_rows == ()
+    assert is_member(golden, ones(7))
 
 
 def test_criterion_2_index_sets(golden):

@@ -326,6 +326,18 @@ class TestParseBounds:
         with pytest.raises(InstanceFormatError, match="name must be a string"):
             parse_instance_text('{"A": [[0.5]], "b": [0.2], "name": %s}' % ("1" * 60))
 
+    @pytest.mark.parametrize("command", ["check", "solve", "verify"])
+    def test_deeply_nested_document_is_an_input_error(self, tmp_path, capsys, command):
+        # The JSON decoder recurses once per array level; a document deeper
+        # than the recursion limit must fail as input, not crash.
+        path = tmp_path / "deep.json"
+        depth = 100_000
+        path.write_text('{"A": %s%s, "b": [0.5]}' % ("[" * depth, "]" * depth), encoding="utf-8")
+        assert main([command, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"frisolve: error: {path}: nested too deeply to parse\n"
+
     @pytest.mark.parametrize(
         "literal", ["5e-324", "1e-400", "2.2250738585072014e-308", "0.1", "1E+0", "0.0001234567890123456"]
     )
@@ -411,6 +423,25 @@ class TestPinnedOutput:
     )
     def test_text_report(self, capsys, argv, expected):
         assert main(["solve", *map(str, argv)]) == 0
+        out, err = capsys.readouterr()
+        assert out == (EXPECTED / expected).read_text(encoding="utf-8")
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "argv, code, expected",
+        [
+            (["solve"], 2, "solve_infeasible_rows.txt"),
+            (["solve", "--format", "structured", "--no-prune"], 2, "solve_infeasible_rows_no_prune.json"),
+            (["check"], 2, "check_infeasible_rows.txt"),
+            (["verify"], 0, "verify_infeasible_rows.txt"),
+        ],
+        ids=["solve", "solve-structured-no-prune", "check", "verify"],
+    )
+    def test_infeasible_rows_report(self, capsys, argv, code, expected):
+        # Rows 1 and 3 of infeasible.json are unreachable; every report
+        # names both.
+        command, *flags = argv
+        assert main([command, str(INSTANCES / "infeasible.json"), *flags]) == code
         out, err = capsys.readouterr()
         assert out == (EXPECTED / expected).read_text(encoding="utf-8")
         assert err == ""

@@ -1,12 +1,11 @@
-"""Admissible sets, the consistency check, and the maximum solution."""
+"""Admissible sets, the feasibility verdict they carry, and the maximum
+solution."""
 
-import pytest
 from hypothesis import given, settings
 
 from frisolve import (
-    FeasibilityVerdict,
     Instance,
-    check_feasibility,
+    compose,
     compute_index_sets,
     is_member,
     ones,
@@ -28,7 +27,7 @@ def test_zero_threshold_row_is_vacuous_with_full_set():
     idx = compute_index_sets(inst)
     assert idx.sets == ((0, 1),)
     assert idx.vacuous == (True,)
-    assert check_feasibility(inst).feasible
+    assert idx.feasible
 
 
 def test_unreachable_threshold_gives_empty_set():
@@ -40,10 +39,10 @@ def test_unreachable_threshold_gives_empty_set():
 
 
 def test_golden_verdict(golden):
-    verdict = check_feasibility(golden)
-    assert verdict.feasible
-    assert verdict.empty_rows == ()
-    assert verdict.maximum_solution == ones(7)
+    idx = compute_index_sets(golden)
+    assert idx.feasible
+    assert idx.empty_rows == ()
+    assert is_member(golden, ones(7))
 
 
 def test_infeasible_verdict_lists_every_bad_row():
@@ -51,20 +50,15 @@ def test_infeasible_verdict_lists_every_bad_row():
         A=(("0.3", "0.6"), ("0.9", "0.9"), ("0.1", "0.2")),
         b=("0.7", "0.5", "0.9"),
     )
-    verdict = check_feasibility(inst)
-    assert not verdict.feasible
-    assert verdict.empty_rows == (0, 2)
-    assert verdict.maximum_solution is None
+    idx = compute_index_sets(inst)
+    assert not idx.feasible
+    assert idx.empty_rows == (0, 2)
+    assert not is_member(inst, ones(2))
 
 
 def test_epsilon_widens_the_threshold_test():
     inst = Instance(A=(("0.65",),), b=("0.7",), epsilon="0.1")
     assert compute_index_sets(inst).sets == ((0,),)
-
-
-def test_verdict_consistency_guard():
-    with pytest.raises(ValueError):
-        FeasibilityVerdict(feasible=True, empty_rows=(1,), maximum_solution=None)
 
 
 @given(inst=small_instances())
@@ -79,9 +73,12 @@ def test_consistency_equals_top_point_membership(inst):
 @given(inst=small_instances())
 @settings(max_examples=40)
 def test_maximum_solution_present_exactly_when_feasible(inst):
-    verdict = check_feasibility(inst)
-    if verdict.feasible:
-        assert verdict.maximum_solution == ones(inst.n)
-    else:
-        assert verdict.maximum_solution is None
-        assert len(verdict.empty_rows) >= 1
+    # ones(n) is a solution exactly when the system is feasible, and the
+    # empty rows are exactly the rows the all-ones point leaves unmet.
+    idx = compute_index_sets(inst)
+    top = ones(inst.n)
+    unmet = tuple(
+        i for i, (g, b) in enumerate(zip(compose(inst, top), inst.b)) if g < b - inst.epsilon
+    )
+    assert idx.empty_rows == unmet
+    assert idx.feasible == (not unmet) == is_member(inst, top)

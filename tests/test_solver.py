@@ -14,7 +14,6 @@ from frisolve import (
     CapExceededError,
     Instance,
     Selector,
-    SolverOptions,
     compute_index_sets,
     enumerate_candidates,
     generate_instance,
@@ -55,7 +54,7 @@ positive_epsilons = st.integers(1, 3000).map(lambda k: Fraction(k, 10_000))
 
 def test_golden_full_report(golden):
     report = solve(golden)
-    assert report.verdict.feasible
+    assert report.index_sets.feasible
     assert report.selector_count == 4
     assert report.candidates_enumerated == 2  # leaves of the covered-row search
     assert {c.point for c in report.minimal_solutions} == GOLDEN_MINIMAL
@@ -74,8 +73,8 @@ def test_golden_full_report(golden):
 def test_infeasible_report_has_no_optimizer():
     inst = Instance(A=(("0.3", "0.6"),), b=("0.7",))
     report = solve(inst)
-    assert not report.verdict.feasible
-    assert report.verdict.empty_rows == (0,)
+    assert not report.index_sets.feasible
+    assert report.index_sets.empty_rows == (0,)
     assert report.optimizer is None
     assert report.optimal_value is None
     assert report.minimal_solutions == ()
@@ -116,9 +115,9 @@ def test_unpruned_search_matches_solve_for_every_objective(inst, name):
     objective = OBJECTIVES[name]
     full = solve(inst, objective)
     fast = solve_unpruned(inst, objective)
-    assert fast.verdict == full.verdict
+    assert fast.index_sets == full.index_sets
     assert fast.selector_count == full.selector_count
-    if not full.verdict.feasible:
+    if not full.index_sets.feasible:
         assert fast.optimizer is None and fast.optimal_value is None
         return
     assert fast.optimizer == full.optimizer
@@ -139,7 +138,7 @@ def test_unpruned_max_tie_reports_the_minimal_point():
 
 def test_unpruned_search_solves_a_large_product_under_a_small_cap():
     inst, _ = generate_instance(8, 8, seed=1, density=2.0)
-    fast = solve_unpruned(inst, options=SolverOptions(cap=1000))
+    fast = solve_unpruned(inst, cap=1000)
     assert fast.selector_count == 1_806_336
     full = solve(inst)
     assert fast.optimizer == full.optimizer
@@ -177,12 +176,12 @@ def test_cap_propagates_with_the_exact_count(golden):
     # solve's search tries 4 column assignments on the golden system; the
     # cap stops it at the first node beyond the cap
     with pytest.raises(CapExceededError) as err:
-        solve(golden, options=SolverOptions(cap=2))
+        solve(golden, cap=2)
     assert err.value.count == 3
-    assert solve(golden, options=SolverOptions(cap=4)).candidates_enumerated == 2
+    assert solve(golden, cap=4).candidates_enumerated == 2
     # solve_unpruned walks the same search, with the same node count
     with pytest.raises(CapExceededError) as err:
-        solve_unpruned(golden, options=SolverOptions(cap=2))
+        solve_unpruned(golden, cap=2)
     assert err.value.count == 3
     assert "search reached 3 nodes" in str(err.value)
 
@@ -196,9 +195,11 @@ def test_generic_objective_lower_bounds_sampled_points(golden):
         assert report.optimal_value <= max_coordinate(cand_point)
 
 
-def test_options_validation():
+def test_options_validation(golden):
     with pytest.raises(ValueError):
-        SolverOptions(cap=0)
+        solve(golden, cap=0)
+    with pytest.raises(ValueError):
+        solve_unpruned(golden, cap=0)
 
 
 def test_timing_stages_recorded(golden):
@@ -211,7 +212,7 @@ def test_timing_stages_recorded(golden):
 @settings(max_examples=150, deadline=None)
 def test_search_matches_pruned_product_enumeration(inst):
     report = solve(inst)
-    if not report.verdict.feasible:
+    if not report.index_sets.feasible:
         assert not compute_index_sets(inst).feasible
         return
     reference = prune_to_minimal(enumerate_candidates(inst, cap=None))
