@@ -5,10 +5,11 @@ resolution), enumerate (list every candidate), verify (cross-check solver
 against the brute-force oracle), generate (seeded random instances).
 
 Exit codes: 0 success, 1 input error, 2 infeasible, 3 work cap or oracle
-grid limit exceeded, 4 solver/oracle disagreement. The work cap (--cap or
-FRI_CAP, default 10^6) bounds search nodes for solve, solve --no-prune and
-verify, and the selector count |E| for enumerate. Reports go to
-stdout, diagnostics to stderr. All row/column indices in output are
+grid limit exceeded, 4 solver/oracle disagreement. The work cap (default
+10^6) bounds search nodes for solve and solve --no-prune, which take it
+from --cap or FRI_CAP, and for verify, which reads FRI_CAP only; for
+enumerate (--cap or FRI_CAP) it bounds the selector count |E|. Reports go
+to stdout, diagnostics to stderr. All row/column indices in output are
 1-based; text mode rounds values to 4 decimals, structured mode emits full
 precision. Both formats are byte-identical from run to run unless
 --timings adds wall-clock stage times.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import sys
 from typing import Optional
@@ -27,7 +29,6 @@ from .core import Instance, Point
 from .feasibility import InfeasibleSystemError, compute_index_sets
 from .files import (
     InstanceFormatError,
-    build_report_data,
     load_instance,
     render_report_json,
     serialize_instance,
@@ -98,7 +99,13 @@ def _print_index_sets(idx) -> None:
 
 
 def _print_header(name: Optional[str], inst: Instance) -> None:
-    shown = name if name is not None else "(unnamed)"
+    """The instance line. A name with a character that print would not
+    show as itself (a newline, a control or format character) is written
+    JSON-escaped, so that it can neither split the line nor forge one."""
+    if name is None:
+        shown = "(unnamed)"
+    else:
+        shown = name if name.isprintable() else json.dumps(name)
     print(f"instance: {shown} (m={inst.m}, n={inst.n})")
 
 
@@ -151,8 +158,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     runner = solve_unpruned if args.no_prune else solve
     report = runner(inst, objective, cap)
     if args.format == "structured":
-        data = build_report_data(report, name, include_timings=args.timings)
-        sys.stdout.write(render_report_json(data))
+        sys.stdout.write(render_report_json(report, name, include_timings=args.timings))
     else:
         _print_text_report(report, name, inst, args.timings)
     return 0 if report.index_sets.feasible else 2

@@ -18,24 +18,27 @@ import math
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 GradeLike = Union[int, float, str, Fraction]
 Point = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_FRACTION = frozenset((Fraction,))
 
 
-def _to_fraction(value: GradeLike, label: str) -> Fraction:
+def _to_fraction(value: GradeLike, label: Callable[[], str]) -> Fraction:
+    """value as an exact rational; label() names it in the error for a
+    value that is not one, and is called only then."""
     if type(value) is Fraction:
         return value
     if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{label} is not finite: {value!r}")
+        raise ValueError(f"{label()} is not finite: {value!r}")
     try:
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{label} is not a number: {value!r}") from exc
+        raise ValueError(f"{label()} is not a number: {value!r}") from exc
 
 
 def _short_decimal(value: Fraction) -> str:
@@ -43,6 +46,13 @@ def _short_decimal(value: Fraction) -> str:
     the exact rational of a literal such as 1e400 has hundreds of digits."""
     d = Context(prec=15).divide(Decimal(value.numerator), value.denominator).normalize()
     return f"{d:f}" if -20 < d.adjusted() < 20 else str(d)
+
+
+def _to_grade(value: GradeLike, label: Callable[[], str]) -> Fraction:
+    grade = _to_fraction(value, label)
+    if not 0 <= grade.numerator <= grade.denominator:
+        raise ValueError(f"{label()} out of [0,1]: {_short_decimal(grade)}")
+    return grade
 
 
 def as_grade(value: GradeLike, label: str = "value") -> Fraction:
@@ -53,15 +63,25 @@ def as_grade(value: GradeLike, label: str = "value") -> Fraction:
     integers: a Fraction's denominator is positive, so ``0 <= p/q <= 1``
     holds exactly when ``0 <= p <= q``.
     """
-    grade = _to_fraction(value, label)
-    if not 0 <= grade.numerator <= grade.denominator:
-        raise ValueError(f"{label} out of [0,1]: {_short_decimal(grade)}")
-    return grade
+    return _to_grade(value, lambda: label)
+
+
+def _grades(values: Iterable[GradeLike], label: Callable[[int], str]) -> tuple[Fraction, ...]:
+    """The values converted as as_grade converts them; label(k) names
+    value k in the error for a bad one, and is built only then. Values
+    that are already Fractions in [0, 1], as a parsed file's are, are
+    kept as they are."""
+    grades = tuple(values)
+    if _FRACTION.issuperset(map(type, grades)) and all(
+        0 <= g.numerator <= g.denominator for g in grades
+    ):
+        return grades
+    return tuple(_to_grade(v, lambda: label(k)) for k, v in enumerate(grades))
 
 
 def as_point(values: Iterable[GradeLike], n: int | None = None, label: str = "x") -> Point:
     """Convert a coordinate sequence to an exact point in the unit cube."""
-    point = tuple(as_grade(v, f"{label}[{k + 1}]") for k, v in enumerate(values))
+    point = _grades(values, lambda k: f"{label}[{k + 1}]")
     if not point:
         raise ValueError(f"{label} must have at least one coordinate")
     if n is not None and len(point) != n:
@@ -104,7 +124,7 @@ class Instance:
         matrix = []
         width = None
         for i, row in enumerate(rows):
-            entries = tuple(as_grade(v, f"A[{i + 1}][{j + 1}]") for j, v in enumerate(row))
+            entries = _grades(row, lambda j: f"A[{i + 1}][{j + 1}]")
             if not entries:
                 raise ValueError(f"A[{i + 1}] must have at least one column")
             if width is None:
@@ -112,10 +132,10 @@ class Instance:
             elif len(entries) != width:
                 raise ValueError(f"A[{i + 1}] has {len(entries)} columns, expected {width}")
             matrix.append(entries)
-        thresholds = tuple(as_grade(v, f"b[{i + 1}]") for i, v in enumerate(self.b))
+        thresholds = _grades(self.b, lambda i: f"b[{i + 1}]")
         if len(thresholds) != len(matrix):
             raise ValueError(f"b has {len(thresholds)} entries, expected {len(matrix)}")
-        eps = _to_fraction(self.epsilon, "epsilon")
+        eps = _to_fraction(self.epsilon, lambda: "epsilon")
         if eps.numerator < 0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon!r}")
         object.__setattr__(self, "A", tuple(matrix))
@@ -150,7 +170,7 @@ def compose_row(row: Sequence[GradeLike], x: Iterable[GradeLike]) -> Fraction:
         raise ValueError(f"row has {len(row)} entries, point has {len(point)}")
     best = ZERO
     for a, xj in zip(row, point):
-        t = _to_fraction(a, "a") + xj - ONE
+        t = _to_fraction(a, lambda: "a") + xj - ONE
         if t > best:
             best = t
     return best

@@ -12,13 +12,22 @@ Fraction(literal) finds by its regex. A numeric literal may carry at most
 stays cheap; every float repr fits. A longer literal is rejected with the
 member that holds it named.
 
+Each value is validated once. The parser checks only that a grade slot
+holds a number within the bounds; Instance then checks the range, and
+keeps a parsed Fraction in [0, 1] as it is rather than converting it
+again. The label that names a value in an error ("A[2][3]", "b[1]") is
+built only for the value that fails, so a valid file builds none.
+
 On output, grades are emitted as their float value, whose shortest repr
 round-trips to the same rational for any grade with at most 15 significant
 decimal digits (every file-parsed or generated grade qualifies). The
 conversion is the true division of numerator by denominator, the same
 correctly rounded float that float() of the Fraction gives. Structured
 reports are JSON with a fixed key order and no volatile fields by default,
-so identical inputs produce byte-identical reports.
+so identical inputs produce byte-identical reports. render_report_json
+writes the report's fixed shape in one pass straight from the SolveReport,
+with the bytes that the generic _compact_json gives for the same
+document; _compact_json itself serves serialize_instance.
 """
 
 from __future__ import annotations
@@ -27,14 +36,17 @@ import json
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode_key
+from math import isfinite
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .core import Instance, Point
 from .solver import SolveReport
-from .structure import Selector
+from .structure import Candidate, Selector
 
 _ALLOWED_KEYS = {"A", "b", "epsilon", "name"}
+# The types the parse hooks return for a number within the bounds.
+_NUMBER_TYPES = frozenset((int, Fraction))
 # What json.dumps(value) calls with its default arguments.
 _encode = json.JSONEncoder().encode
 MAX_DIGITS = 50
@@ -80,23 +92,39 @@ def _parse_int(literal: str) -> int | _OutOfBounds:
     return int(literal) if _within_bounds(literal) else _OutOfBounds(literal)
 
 
-def _require_number(value: Any, label: str) -> Fraction | int:
+def _number_error(value: Any, label: str) -> InstanceFormatError:
     if isinstance(value, _OutOfBounds):
-        raise InstanceFormatError(
+        return InstanceFormatError(
             f"{label} is out of the parse bounds (at most {MAX_DIGITS} digits and a "
             f"decimal exponent within +-{MAX_EXPONENT}): {value!r}"
         )
-    # bool is an int subclass, but true/false in a grade slot is a mistake
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise InstanceFormatError(f"{label} is not a number: {value!r}")
-    return value
+    return InstanceFormatError(f"{label} is not a number: {value!r}")
+
+
+def _numbers(values: list, label: Callable[[int], str]) -> tuple:
+    """The parsed values as a tuple, when each is an int or a Fraction.
+    Otherwise raises for the first that is not, named by label(k); the
+    label is built only then. bool is an int subclass, but true/false in
+    a grade slot is a mistake, so its exact type is tested."""
+    if _NUMBER_TYPES.issuperset(map(type, values)):
+        return tuple(values)
+    k = next(k for k, v in enumerate(values) if type(v) not in _NUMBER_TYPES)
+    raise _number_error(values[k], label(k))
+
+
+# What json.loads(text, parse_float=..., parse_int=...) would build anew on
+# every call.
+_DECODER = json.JSONDecoder(parse_float=_parse_float, parse_int=_parse_int)
 
 
 def parse_instance_text(text: str) -> tuple[Instance, Optional[str]]:
     """Parse an instance document; returns the instance and its optional
     name. Raises InstanceFormatError with the offending field named."""
     try:
-        data = json.loads(text, parse_float=_parse_float, parse_int=_parse_int)
+        if text.startswith("\ufeff"):
+            # json.loads's own check, with its message.
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        data = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -119,14 +147,16 @@ def parse_instance_text(text: str) -> tuple[Instance, Optional[str]]:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or not row:
             raise InstanceFormatError(f"A[{i + 1}] must be a non-empty array of numbers")
-        matrix.append(tuple(_require_number(v, f"A[{i + 1}][{j + 1}]") for j, v in enumerate(row)))
+        matrix.append(_numbers(row, lambda j: f"A[{i + 1}][{j + 1}]"))
 
     b = data["b"]
     if not isinstance(b, list) or not b:
         raise InstanceFormatError("b must be a non-empty array of numbers")
-    thresholds = tuple(_require_number(v, f"b[{i + 1}]") for i, v in enumerate(b))
+    thresholds = _numbers(b, lambda i: f"b[{i + 1}]")
 
-    epsilon = _require_number(data.get("epsilon", 0), "epsilon")
+    epsilon = data.get("epsilon", 0)
+    if type(epsilon) not in _NUMBER_TYPES:
+        raise _number_error(epsilon, "epsilon")
 
     name = data.get("name")
     if name is not None and not isinstance(name, str):
@@ -161,23 +191,16 @@ def _compact_json(value: Any) -> str:
     rows read as vectors. Output is a pure function of the data.
 
     Keys go through encode_basestring_ascii, the encoder json.dumps uses
-    for a str, so they come out as it writes them. A leaf array that the
-    document holds more than once (one list object in several places) is
-    rendered once.
+    for a str, so they come out as it writes them.
     """
-    leaves: dict[int, str] = {}
 
     def render(value: Any, pad: str) -> str:
         if isinstance(value, list):
-            text = leaves.get(id(value))
-            if text is not None:
-                return text
             if not value:
                 return "[]"
             if not any(map(isinstance, value, repeat((dict, list)))):
                 # The default encoder already writes one line with ", ".
-                text = leaves[id(value)] = _encode(value)
-                return text
+                return _encode(value)
             inner = pad + "  "
             items = [inner + render(v, inner) for v in value]
             return "[\n" + ",\n".join(items) + f"\n{pad}]"
@@ -205,70 +228,97 @@ def serialize_instance(inst: Instance, name: Optional[str] = None) -> str:
     return _compact_json(doc) + "\n"
 
 
-def _selector_list(sel: Selector) -> list[Optional[int]]:
-    return [c + 1 if c is not None else None for c in sel.columns]
+def _number(value: Any) -> str:
+    """A value as json.dumps writes it: a finite float by its repr, and
+    anything else (NaN, an infinity, None, an int) through the encoder."""
+    return repr(value) if type(value) is float and isfinite(value) else _encode(value)
 
 
-def _candidate_entry(cand, value: float, point: list[float]) -> dict[str, Any]:
-    return {
-        "selector": _selector_list(cand.selector),
-        "point": point,
-        "objective_value": value,
-    }
+def _one_based(indices: Iterable[int]) -> str:
+    return "[" + ", ".join([str(i + 1) for i in indices]) + "]"
 
 
-def build_report_data(
+def _selector_text(sel: Selector) -> str:
+    return "[" + ", ".join(["null" if c is None else str(c + 1) for c in sel.columns]) + "]"
+
+
+def _array(items: list[str], pad: str) -> str:
+    """An array of rendered items, one a line, for a member indented by pad."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def _entry(cand: Candidate, point: str, value: Any, pad: str) -> str:
+    inner = "\n" + pad + "  "
+    return (
+        "{" + inner + '"selector": ' + _selector_text(cand.selector) + ","
+        + inner + '"point": ' + point + ","
+        + inner + '"objective_value": ' + _number(value) + "\n" + pad + "}"
+    )
+
+
+def render_report_json(
     report: SolveReport,
     name: Optional[str] = None,
     include_timings: bool = False,
-) -> dict[str, Any]:
-    """Flatten a solve report into the structured-output document.
+) -> str:
+    """The structured-output document of a solve report, written in one
+    pass with the layout _compact_json gives: leaf arrays on one line,
+    everything else indented by two spaces.
 
     Objective values are the ones the solver computed. Key order is fixed
     and timings are excluded unless asked for: wall clock is the one field
     that would break run-to-run byte identity. The cells are derived
     here: the feasible region is the union of the boxes [x, ones] over the
-    minimal solutions x, one cell each. Each point is converted once: a
-    minimal point's list is shared by its entry, the optimizer's and its
-    cell's lower corner, and one all-ones list serves every upper corner.
+    minimal solutions x, one cell each. Each point's text is built once:
+    a minimal point's text serves its entry, the optimizer's and its
+    cell's lower corner, and one all-ones text serves every upper corner.
     """
-    converted: dict[int, list[float]] = {}  # id of a point in report -> its list
+    texts: dict[int, str] = {}  # id of a point in report -> its text
 
-    def numbers(point: Point) -> list[float]:
-        listed = converted.get(id(point))
-        if listed is None:
-            listed = converted[id(point)] = [grade_number(v) for v in point]
-        return listed
+    def point_text(point: Point) -> str:
+        text = texts.get(id(point))
+        if text is None:
+            # grade_number, inline
+            coordinates = [repr(v.numerator / v.denominator) for v in point]
+            text = texts[id(point)] = "[" + ", ".join(coordinates) + "]"
+        return text
 
-    data: dict[str, Any] = {}
+    idx = report.index_sets
+    members = []
     if name is not None:
-        data["name"] = name
-    data["feasible"] = report.index_sets.feasible
-    if not report.index_sets.feasible:
-        data["empty_rows"] = [i + 1 for i in report.index_sets.empty_rows]
-    data["J"] = [[j + 1 for j in s] for s in report.index_sets.sets]
-    data["vacuous_rows"] = [i + 1 for i, v in enumerate(report.index_sets.vacuous) if v]
-    data["E_size"] = report.selector_count
-    data["candidates_enumerated"] = report.candidates_enumerated
-    minimal = report.minimal_solutions
-    data["minimal_solutions"] = [
-        _candidate_entry(c, v, numbers(c.point))
-        for c, v in zip(minimal, report.minimal_values)
-    ]
-    optimizer = report.optimizer
-    data["optimizer"] = (
-        _candidate_entry(optimizer, report.optimal_value, numbers(optimizer.point))
-        if optimizer
-        else None
+        members.append('"name": ' + _encode_key(name))
+    members.append('"feasible": ' + ("true" if idx.feasible else "false"))
+    if not idx.feasible:
+        members.append('"empty_rows": ' + _one_based(idx.empty_rows))
+    members.append('"J": ' + _array([_one_based(s) for s in idx.sets], "  "))
+    members.append(
+        '"vacuous_rows": ' + _one_based([i for i, v in enumerate(idx.vacuous) if v])
     )
-    data["optimal_value"] = report.optimal_value
-    upper = [1.0] * len(minimal[0].point) if minimal else []
-    data["cells"] = [{"lower": numbers(c.point), "upper": upper} for c in minimal]
-    data["display_precision"] = 4
+    members.append('"E_size": ' + _encode(report.selector_count))
+    members.append('"candidates_enumerated": ' + str(report.candidates_enumerated))
+    minimal = report.minimal_solutions
+    members.append('"minimal_solutions": ' + _array(
+        [_entry(c, point_text(c.point), v, "    ") for c, v in zip(minimal, report.minimal_values)],
+        "  ",
+    ))
+    optimizer = report.optimizer
+    members.append('"optimizer": ' + (
+        _entry(optimizer, point_text(optimizer.point), report.optimal_value, "  ")
+        if optimizer is not None
+        else "null"
+    ))
+    members.append('"optimal_value": ' + _number(report.optimal_value))
+    cells = []
+    if minimal:
+        upper = "[" + ", ".join(["1.0"] * len(minimal[0].point)) + "]"
+        tail = ',\n      "upper": ' + upper + "\n    }"
+        cells = ['{\n      "lower": ' + point_text(c.point) + tail for c in minimal]
+    members.append('"cells": ' + _array(cells, "  "))
+    members.append('"display_precision": 4')
     if include_timings:
-        data["timings"] = dict(report.timing)
-    return data
-
-
-def render_report_json(data: dict[str, Any]) -> str:
-    return _compact_json(data) + "\n"
+        timings = [f"    {_encode_key(k)}: {_number(v)}" for k, v in report.timing.items()]
+        members.append('"timings": ' + ("{\n" + ",\n".join(timings) + "\n  }" if timings else "{}"))
+    return "{\n  " + ",\n  ".join(members) + "\n}\n"

@@ -30,7 +30,7 @@ def _floats(x: Sequence[GradeLike]) -> list[float]:
     _to_fraction, which names a rejected coordinate."""
     return [
         v.numerator / v.denominator if type(v) is Fraction or type(v) is int
-        else float(_to_fraction(v, f"x[{k + 1}]"))
+        else float(_to_fraction(v, lambda: f"x[{k + 1}]"))
         for k, v in enumerate(x)
     ]
 

@@ -25,7 +25,7 @@ objective. The cap bounds the search nodes of either.
 
 Neither builds the box decomposition: the cells [x, ones] are a view of
 the minimal set, derived from minimal_solutions where the report is
-rendered (files.build_report_data).
+written (files.render_report_json).
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ class SolveReport:
     the same order. solve_unpruned leaves minimal_solutions and
     minimal_values empty even when an optimizer is found, since it never
     builds the minimal set. The report holds no
-    cells: files.build_report_data derives one box [x, ones] per minimal
-    solution x when it renders the report.
+    cells: files.render_report_json derives one box [x, ones] per
+    minimal solution x as it writes the report.
     """
 
     index_sets: IndexSets

@@ -7,8 +7,8 @@ selector picks one admissible column per constraining row; the
 componentwise maximum of the picked single-row points is the candidate
 x(e), feasible by construction. Every minimal solution is a candidate, and
 the feasible region is the union of the boxes [x, ones] over the minimal
-solutions x; the report renders those boxes as its cells
-(``files.build_report_data``), so nothing here builds them.
+solutions x; the report writer renders those boxes as its cells
+(``files.render_report_json``), so nothing here builds them.
 
 ``enumerate_candidates`` streams x(e) for every selector e of the product
 E of the admissible sets, as the paper's algorithm does; |E| grows

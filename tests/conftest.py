@@ -1,6 +1,7 @@
 """Shared fixtures: the golden 5x7 instance with its hand-checked values,
 random-instance streams, the product-then-dominance reference, the
-oracle's Fraction references, and the acceptance-criteria summary hook."""
+oracle's Fraction references, the dict-then-encoder report reference, and
+the acceptance-criteria summary hook."""
 
 from __future__ import annotations
 
@@ -8,12 +9,13 @@ import itertools
 import re
 from fractions import Fraction
 from operator import le
-from typing import Iterable
+from typing import Any, Iterable, Optional
 
 import pytest
 
-from frisolve import Candidate, Instance, Point, generate_instance, is_member
+from frisolve import Candidate, Instance, Point, SolveReport, generate_instance, is_member
 from frisolve.core import coordinate_threshold
+from frisolve.files import _compact_json, grade_number
 
 # The worked 5x7 system. Every expected value below was recomputed by hand
 # or by an independent brute-force script before the solver existed.
@@ -186,6 +188,57 @@ def fraction_is_minimal_point(inst: Instance, x: Point) -> bool:
         if len(meeting) == 1 and row[meeting[0]] + x[meeting[0]] - 1 == threshold:
             tight.add(meeting[0])
     return tight.issuperset(nonzero)
+
+
+def build_report_data(
+    report: SolveReport,
+    name: Optional[str] = None,
+    include_timings: bool = False,
+) -> dict[str, Any]:
+    """The structured-output document as a dict, built field by field
+    from the report: the reference that files.render_report_json writes
+    in one pass. Key order is fixed; one cell [x, ones] per minimal
+    solution x."""
+    data: dict[str, Any] = {}
+    if name is not None:
+        data["name"] = name
+    data["feasible"] = report.index_sets.feasible
+    if not report.index_sets.feasible:
+        data["empty_rows"] = [i + 1 for i in report.index_sets.empty_rows]
+    data["J"] = [[j + 1 for j in s] for s in report.index_sets.sets]
+    data["vacuous_rows"] = [i + 1 for i, v in enumerate(report.index_sets.vacuous) if v]
+    data["E_size"] = report.selector_count
+    data["candidates_enumerated"] = report.candidates_enumerated
+
+    def entry(cand: Candidate, value: Any) -> dict[str, Any]:
+        return {
+            "selector": [c + 1 if c is not None else None for c in cand.selector.columns],
+            "point": [grade_number(v) for v in cand.point],
+            "objective_value": value,
+        }
+
+    minimal = report.minimal_solutions
+    data["minimal_solutions"] = [entry(c, v) for c, v in zip(minimal, report.minimal_values)]
+    optimizer = report.optimizer
+    data["optimizer"] = entry(optimizer, report.optimal_value) if optimizer else None
+    data["optimal_value"] = report.optimal_value
+    data["cells"] = [
+        {"lower": [grade_number(v) for v in c.point], "upper": [1.0] * len(c.point)}
+        for c in minimal
+    ]
+    data["display_precision"] = 4
+    if include_timings:
+        data["timings"] = dict(report.timing)
+    return data
+
+
+def reference_report_json(
+    report: SolveReport,
+    name: Optional[str] = None,
+    include_timings: bool = False,
+) -> str:
+    """build_report_data rendered by the generic encoder."""
+    return _compact_json(build_report_data(report, name, include_timings)) + "\n"
 
 
 # --- acceptance summary -----------------------------------------------------

@@ -245,6 +245,40 @@ class TestVerify:
         assert err == ""
 
 
+class TestHeader:
+    """The instance line of text check, solve and verify output."""
+
+    @pytest.mark.parametrize("command", ["check", "solve", "verify"])
+    def test_a_name_cannot_forge_a_line(self, tmp_path, capsys, command):
+        # Printed raw, this name would add a second verdict line.
+        path = tmp_path / "forged.json"
+        doc = json.loads(GOLDEN_JSON)
+        doc["name"] = "x\nverdict: agree"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([command, str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == 'instance: "x\\nverdict: agree" (m=5, n=7)'
+        assert sum(line.startswith("verdict:") for line in lines) == (command == "verify")
+
+    @pytest.mark.parametrize(
+        "name, shown",
+        [
+            ("café \"quoted\" ∞", "café \"quoted\" ∞"),
+            ("two words", "two words"),
+            ("", ""),
+            ("tab\there", '"tab\\there"'),
+            ("bidi\u202e", '"bidi\\u202e"'),
+            ("café\r", '"caf\\u00e9\\r"'),
+        ],
+        ids=["printable", "space", "empty", "tab", "format-char", "carriage-return"],
+    )
+    def test_only_unprintable_names_are_escaped(self, tmp_path, capsys, name, shown):
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps({"name": name, "A": [[0.9]], "b": [0.5]}), encoding="utf-8")
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"instance: {shown} (m=1, n=1)"
+
+
 class TestGenerate:
     def test_same_seed_same_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

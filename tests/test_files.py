@@ -1,0 +1,251 @@
+"""The file boundary: the one-pass report writer against the dict-then-
+encoder reference, the pinned large report, and the parse failure
+messages, whose labels are built only for a value that fails."""
+
+import dataclasses
+import hashlib
+import json
+import math
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from frisolve import OBJECTIVES, Instance, solve, solve_unpruned
+from frisolve.cli import main
+from frisolve.files import (
+    InstanceFormatError,
+    load_instance,
+    parse_instance_text,
+    render_report_json,
+)
+
+from conftest import reference_report_json
+
+ROOT = Path(__file__).resolve().parent.parent
+INSTANCES = ROOT / "tests" / "instances"
+
+SOLVERS = {"solve": solve, "solve_unpruned": solve_unpruned}
+# Besides the built-in objectives, two whose values the encoder writes
+# itself: an infinity and an int.
+WRITER_OBJECTIVES = {
+    **OBJECTIVES,
+    "inf": lambda x: math.inf,
+    "int": lambda x: sum(1 for v in x if v),
+}
+NAMES = [
+    None, "", "plain", 'say "hi"', "back\\slash", "caf\u00e9 \u221e", "tab\there",
+    "x\nverdict: agree", "\x00\x1f\x7f", "\u2028\u202e", "\U0001f600",
+]
+TIMINGS = {"index_sets": 1.25e-05, "candidates": 0.5, "total": 3.0}
+
+
+@st.composite
+def writer_cases(draw):
+    """An instance small enough to solve at once, with every report
+    option the writer takes."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    denominator = draw(st.sampled_from([10, 10_000, 7]))
+    grades = st.integers(0, denominator).map(lambda k: Fraction(k, denominator))
+    A = [[draw(grades) for _ in range(n)] for _ in range(m)]
+    b = [draw(grades) for _ in range(m)]
+    epsilon = draw(st.sampled_from([Fraction(0), Fraction(1, 100), Fraction(1, 7)]))
+    name = draw(st.one_of(st.sampled_from(NAMES), st.text(max_size=8)))
+    return (
+        Instance(A=tuple(map(tuple, A)), b=tuple(b), epsilon=epsilon),
+        draw(st.sampled_from(sorted(SOLVERS))),
+        draw(st.sampled_from(sorted(WRITER_OBJECTIVES))),
+        name,
+        draw(st.sampled_from([None, {}, TIMINGS])),
+    )
+
+
+class TestReportWriter:
+    """render_report_json writes the bytes that the reference dict,
+    rendered by the generic encoder, gives."""
+
+    @given(case=writer_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_reference(self, case):
+        inst, solver, objective, name, timings = case
+        report = SOLVERS[solver](inst, WRITER_OBJECTIVES[objective])
+        if timings is not None:
+            report = dataclasses.replace(report, timing=dict(timings))
+        include = timings is not None
+        assert render_report_json(report, name, include) == reference_report_json(
+            report, name, include
+        )
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
+    @pytest.mark.parametrize(
+        "path",
+        [ROOT / "docs" / "sample_instance.json", *sorted(INSTANCES.glob("*.json"))],
+        ids=lambda p: p.stem,
+    )
+    def test_instance_files_equal_the_reference(self, path, objective, solver):
+        inst, name = load_instance(path)
+        report = SOLVERS[solver](inst, OBJECTIVES[objective])
+        assert render_report_json(report, name) == reference_report_json(report, name)
+
+    def test_infeasible_report(self):
+        report = solve(Instance(A=(("0.3", "0.6"), ("0.9", "0.1")), b=("0.7", "0.95")))
+        assert not report.index_sets.feasible
+        text = render_report_json(report, "none")
+        assert text == reference_report_json(report, "none")
+        assert json.loads(text)["empty_rows"] == [1, 2]
+
+    def test_nan_objective_value(self):
+        report = solve(Instance(A=(("0.9",),), b=("0.5",)), lambda x: math.nan)
+        text = render_report_json(report)
+        assert text == reference_report_json(report)
+        assert '"optimal_value": NaN' in text
+
+
+# sha256 of `solve --format structured` on `generate 40 25 --seed 9
+# --density 3`: 1,668 minimal points, recorded before the one-pass writer
+# and the same under Python 3.10, 3.11 and 3.12.
+LARGE_SHA256 = "d8ba7c1056e33bf5597f2f61dbd2a2a89e1bfa9989348d06fa2c258e652ff260"
+
+
+def test_large_report_is_pinned(tmp_path, capsys):
+    path = tmp_path / "large.json"
+    assert main(["generate", "40", "25", "--seed", "9", "--density", "3", "-o", str(path)]) == 0
+    assert main(["solve", str(path), "--format", "structured"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LARGE_SHA256
+    inst, name = load_instance(path)
+    report = solve(inst)
+    assert len(report.minimal_solutions) == 1668
+    assert reference_report_json(report, name) == out
+
+
+BOUNDS = "is out of the parse bounds (at most 50 digits and a decimal exponent within +-400)"
+LONG = "1" * 51  # one digit past the bound
+
+
+def _document(slot: str, literal: str) -> str:
+    """A 3x3 instance with literal in A[2][3], b[2] or epsilon: away from
+    the first row and column, so a label that names the wrong index shows."""
+    A = [["0.5"] * 3 for _ in range(3)]
+    b = ["0.25"] * 3
+    epsilon = "0"
+    if slot == "A[2][3]":
+        A[1][2] = literal
+    elif slot == "b[2]":
+        b[1] = literal
+    else:
+        epsilon = literal
+    rows = ", ".join("[" + ", ".join(row) + "]" for row in A)
+    return f'{{"A": [{rows}], "b": [{", ".join(b)}], "epsilon": {epsilon}}}'
+
+
+class TestParseFailures:
+    """Every message is the one printed before labels became lazy."""
+
+    @pytest.mark.parametrize("slot", ["A[2][3]", "b[2]"])
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ("1.5", "out of [0,1]: 1.5"),
+            ("-0.5", "out of [0,1]: -0.5"),
+            ("true", "is not a number: True"),
+            ('"x"', "is not a number: 'x'"),
+            ("null", "is not a number: None"),
+            (LONG, f"{BOUNDS}: {LONG[:37]}..."),
+            ("1e401", f"{BOUNDS}: 1e401"),
+        ],
+        ids=["above", "below", "true", "string", "null", "long", "exponent"],
+    )
+    def test_grade_slot(self, slot, literal, message):
+        with pytest.raises(InstanceFormatError) as info:
+            parse_instance_text(_document(slot, literal))
+        assert str(info.value) == f"{slot} {message}"
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ("-0.5", "epsilon must be >= 0, got Fraction(-1, 2)"),
+            ("true", "epsilon is not a number: True"),
+            ('"x"', "epsilon is not a number: 'x'"),
+            ("null", "epsilon is not a number: None"),
+            (LONG, f"epsilon {BOUNDS}: {LONG[:37]}..."),
+        ],
+        ids=["negative", "true", "string", "null", "long"],
+    )
+    def test_epsilon(self, literal, message):
+        with pytest.raises(InstanceFormatError) as info:
+            parse_instance_text(_document("epsilon", literal))
+        assert str(info.value) == message
+
+    def test_epsilon_above_one_is_accepted(self):
+        inst, _ = parse_instance_text(_document("epsilon", "1.5"))
+        assert inst.epsilon == Fraction(3, 2)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('\ufeff{"A": [[1]], "b": [1]}',
+             "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+            ('{"A": [[1]], "b": [1]', "not valid JSON: Expecting ',' delimiter: line 1 column 22 (char 21)"),
+            ('{"A": [[1]], "b": [1]} x', "not valid JSON: Extra data: line 1 column 24 (char 23)"),
+            ("", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ],
+        ids=["bom", "unterminated", "extra", "empty"],
+    )
+    def test_invalid_json(self, text, message):
+        with pytest.raises(InstanceFormatError) as info:
+            parse_instance_text(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("slot", ["A[2][3]", "b[2]"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (Fraction(3, 2), "out of [0,1]: 1.5"),
+            (-0.5, "out of [0,1]: -0.5"),
+            ("x", "is not a number: 'x'"),
+            (None, "is not a number: None"),
+            (LONG, "out of [0,1]: 1.11111111111111E+50"),
+            (math.nan, "is not finite: nan"),
+            (math.inf, "is not finite: inf"),
+        ],
+        ids=["above", "below", "string", "none", "long", "nan", "inf"],
+    )
+    def test_library_grade_slot(self, slot, value, message):
+        A = [[Fraction(1, 2)] * 3 for _ in range(3)]
+        b = [Fraction(1, 4)] * 3
+        if slot == "A[2][3]":
+            A[1][2] = value
+        else:
+            b[1] = value
+        with pytest.raises(ValueError) as info:
+            Instance(A=A, b=b)
+        assert str(info.value) == f"{slot} {message}"
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (-0.5, "epsilon must be >= 0, got -0.5"),
+            ("x", "epsilon is not a number: 'x'"),
+            (None, "epsilon is not a number: None"),
+            (math.nan, "epsilon is not finite: nan"),
+        ],
+        ids=["negative", "string", "none", "nan"],
+    )
+    def test_library_epsilon(self, value, message):
+        with pytest.raises(ValueError) as info:
+            Instance(A=((Fraction(1, 2),),), b=(Fraction(1, 4),), epsilon=value)
+        assert str(info.value) == message
+
+    def test_library_grades_convert_as_before(self):
+        # ints, bools, decimal strings and floats convert; Fractions in
+        # range are kept as they are.
+        half = Fraction(1, 2)
+        inst = Instance(A=((True, 0, "0.25"), (half, 0.75, Fraction(1, 3))), b=(1, half))
+        assert inst.A == ((1, 0, Fraction(1, 4)), (half, Fraction(3, 4), Fraction(1, 3)))
+        assert all(type(v) is Fraction for row in inst.A for v in row)
+        assert inst.A[1][0] is half and inst.b[1] is half

@@ -1,6 +1,7 @@
 """End-to-end resolution: golden report, search against the product
 enumeration, path equivalence, ties, the cap, and epsilon > 0."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from frisolve import (
     zeros,
 )
 from frisolve.core import coordinate_threshold
-from frisolve.files import build_report_data
+from frisolve.files import render_report_json
 from frisolve.oracle import is_minimal_point
 from frisolve.structure import search_leaves
 
@@ -65,7 +66,7 @@ def test_golden_full_report(golden):
         c for c in report.minimal_solutions if c.point != report.optimizer.point
     )
     assert log_sum_exp(other.point) == pytest.approx(GOLDEN_OTHER_VALUE, abs=5e-4)
-    assert len(build_report_data(report)["cells"]) == 2
+    assert len(json.loads(render_report_json(report))["cells"]) == 2
     assert report.optimal_value == log_sum_exp(report.optimizer.point)
     assert is_member(golden, report.optimizer.point)
 
@@ -95,7 +96,7 @@ def test_unpruned_matches_solve_on_golden(golden):
     assert fast.optimal_value == full.optimal_value
     assert fast.optimizer.point == full.optimizer.point
     assert fast.minimal_solutions == ()
-    assert build_report_data(fast)["cells"] == []
+    assert json.loads(render_report_json(fast))["cells"] == []
 
 
 def test_unpruned_matches_solve_on_random_instances():

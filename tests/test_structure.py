@@ -1,5 +1,6 @@
 """Candidates, selectors, pruning, and the box decomposition."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from frisolve import (
     selector_count,
     solve,
 )
-from frisolve.files import build_report_data, grade_number
+from frisolve.files import grade_number, render_report_json
 from frisolve.structure import prune_leaves, search_leaves
 
 from conftest import (
@@ -265,7 +266,7 @@ class TestCellDecomposition:
     def test_golden_cells(self, golden):
         report = solve(golden)
         assert {c.point for c in report.minimal_solutions} == GOLDEN_MINIMAL
-        cells = build_report_data(report)["cells"]
+        cells = json.loads(render_report_json(report))["cells"]
         assert len(cells) == 2
         assert [cell["lower"] for cell in cells] == [
             [grade_number(v) for v in c.point] for c in report.minimal_solutions
@@ -279,7 +280,7 @@ class TestCellDecomposition:
         for inst, _ in random_instances(6, base_seed=4200):
             report = solve(inst)
             lows = [c.point for c in report.minimal_solutions]
-            cells = build_report_data(report)["cells"]
+            cells = json.loads(render_report_json(report))["cells"]
             assert [cell["lower"] for cell in cells] == [
                 [grade_number(v) for v in lo] for lo in lows
             ]
