@@ -9,7 +9,14 @@ log_sum_exp is the shipped default; max_coordinate and coordinate_sum are
 simple monotone alternatives used to exercise the generic path.
 
 Objectives take exact rational points but return binary floats: the report
-boundary is where exact lattice arithmetic ends.
+boundary is where exact lattice arithmetic ends. Each built-in objective is
+its private float kernel applied to the coordinates' floats
+(``kernel(_floats(x))``). Callers that already hold the float of every
+value a coordinate can take (the solver's ranked thresholds, the oracle's
+grid columns) look the kernel up with ``_float_kernel`` and call it on
+those floats directly: the float of an exact value is correctly rounded
+however it is computed, so the result has the same bits as the public
+function on the exact point. Any other objective receives exact points.
 """
 
 from __future__ import annotations
@@ -35,6 +42,25 @@ def _floats(x: Sequence[GradeLike]) -> list[float]:
     ]
 
 
+def _log_sum_exp(values: list[float]) -> float:
+    if not values:
+        raise ValueError("log_sum_exp of an empty vector")
+    shift = max(values)
+    return shift + math.log(math.fsum([math.exp(v - shift) for v in values]))
+
+
+def _max_coordinate(values: list[float]) -> float:
+    if not values:
+        raise ValueError("max_coordinate of an empty vector")
+    return max(values)
+
+
+def _coordinate_sum(values: list[float]) -> float:
+    if not values:
+        raise ValueError("coordinate_sum of an empty vector")
+    return math.fsum(values)
+
+
 def log_sum_exp(x: Sequence[GradeLike]) -> float:
     """log(exp(x_1) + ... + exp(x_n)), evaluated in max-shifted form
     M + log(sum_j exp(x_j - M)) with M = max_j x_j.
@@ -44,27 +70,17 @@ def log_sum_exp(x: Sequence[GradeLike]) -> float:
     The exponential terms are accumulated with math.fsum, so the result is
     identical under any permutation of coordinates.
     """
-    values = _floats(x)
-    if not values:
-        raise ValueError("log_sum_exp of an empty vector")
-    shift = max(values)
-    return shift + math.log(math.fsum(math.exp(v - shift) for v in values))
+    return _log_sum_exp(_floats(x))
 
 
 def max_coordinate(x: Sequence[GradeLike]) -> float:
     """The largest coordinate; the function log-sum-exp smooths."""
-    values = _floats(x)
-    if not values:
-        raise ValueError("max_coordinate of an empty vector")
-    return max(values)
+    return _max_coordinate(_floats(x))
 
 
 def coordinate_sum(x: Sequence[GradeLike]) -> float:
     """The plain coordinate sum, the other easy monotone objective."""
-    values = _floats(x)
-    if not values:
-        raise ValueError("coordinate_sum of an empty vector")
-    return math.fsum(values)
+    return _coordinate_sum(_floats(x))
 
 
 OBJECTIVES: dict[str, Objective] = {
@@ -72,3 +88,16 @@ OBJECTIVES: dict[str, Objective] = {
     "max": max_coordinate,
     "sum": coordinate_sum,
 }
+
+_KERNELS = (
+    (log_sum_exp, _log_sum_exp),
+    (max_coordinate, _max_coordinate),
+    (coordinate_sum, _coordinate_sum),
+)
+
+
+def _float_kernel(objective: Objective) -> Callable[[list[float]], float] | None:
+    """The float kernel of a built-in objective, None for any other.
+    Matched by identity, so a wrapped built-in counts as another
+    objective."""
+    return next((kernel for f, kernel in _KERNELS if f is objective), None)

@@ -28,7 +28,13 @@ grid point below p. That is n set lookups per feasible point.
 
 One pass serves both answers: brute_force builds the grid once, takes the
 feasible points once, and returns the minimal points and the optimum over
-every feasible point, in time linear in the number of grid points.
+every feasible point, in time linear in the number of grid points. A
+built-in objective is evaluated by its float kernel on per-column floats
+computed once per grid, ``k / D`` for each grid value k: integer true
+division is correctly rounded, as ``float()`` of the grid's Fraction is,
+so each value has the bits the objective gives on the exact point. Only
+the minimal points and the optimizer are built as Fraction points; any
+other objective receives every feasible point exactly.
 
 None of this shares a path or a formula with solver or structure, which is
 the point: a mistake in the solver's threshold t_ij moves the solver's
@@ -47,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Instance, Point
-from .objective import Objective, log_sum_exp
+from .objective import Objective, _float_kernel, log_sum_exp
 
 DEFAULT_LIMIT = 10**6
 
@@ -233,11 +239,16 @@ def brute_force(
     if not members:
         return [], None
     feasible = set(members)
-    points = [_at(grid, idx) for idx in members]
     minimal = [
-        p for idx, p in zip(members, points) if not any(q in feasible for q in _lowered(idx))
+        _at(grid, idx) for idx in members if not any(q in feasible for q in _lowered(idx))
     ]
+    kernel = _float_kernel(objective)
+    if kernel is None:
+        values = (objective(_at(grid, idx)) for idx in members)
+    else:
+        floats = tuple(tuple(k / grid.scale for k in column) for column in grid.columns)
+        values = (kernel(list(map(tuple.__getitem__, floats, idx))) for idx in members)
     # Members are in coordinate order, so the first of equal values is the
     # coordinatewise smallest point.
-    value, best = min((objective(p), k) for k, p in enumerate(points))
-    return minimal, (points[best], value)
+    value, best = min(zip(values, itertools.count()))
+    return minimal, (_at(grid, members[best]), value)

@@ -16,7 +16,9 @@ solve finds the minimal solutions by the covered-row search
 their integer ranks (structure.prune_leaves): each nonzero x_j is the only
 column meeting some row, at its threshold. Every leaf is feasible and
 every minimal solution is a leaf, so these are exactly the minimal
-solutions; solve minimizes the objective over them. solve_unpruned walks
+solutions; solve minimizes the objective over them, evaluating a built-in
+objective on one float per threshold rank and any other on the exact
+points (structure._ranked_objective). solve_unpruned walks
 the same search with the objective as a lower bound
 (structure.search_optimum) and applies the same row test to its leaves:
 subtrees that cannot beat the best leaf so far are cut, no minimal set is
@@ -39,6 +41,7 @@ from .objective import Objective, log_sum_exp
 from .structure import (
     DEFAULT_CAP,
     Candidate,
+    _ranked_objective,
     prune_leaves,
     search_leaves,
     search_optimum,
@@ -120,9 +123,11 @@ def solve(
 
     found = search_leaves(inst, idx, cap=cap)
     t_search = time.perf_counter()
-    minimal = tuple(prune_leaves(found))
+    pruned = prune_leaves(found)
+    minimal = tuple(c for _, c in pruned)
     t_prune = time.perf_counter()
-    values = tuple(objective(c.point) for c in minimal)
+    rated = _ranked_objective(objective, found.scale, found.thresholds)
+    values = tuple(rated(leaf) for leaf, _ in pruned)
     # minimal is in canonical selector order, and distinct minimal points
     # have distinct canonical selectors, so the first least value is the
     # least (value, selector key).

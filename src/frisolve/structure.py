@@ -26,10 +26,18 @@ subtrees that cannot beat the best leaf so far are cut, and only the
 optimizer is returned; it applies the same row test to its leaves.
 
 The searches and the row test run on integers that stand in for the
-thresholds: each t_ij is ranked by its numerator over the lcm of all the
-denominators, which orders the thresholds exactly as the rationals do,
-so every comparison has the rational outcome. Only the points handed
-back are rebuilt from the thresholds' Fractions.
+thresholds. Every t_ij is computed as the integer D * t_ij over one common
+denominator D of epsilon, the constraining b_i and the admissible a_ij
+(``_scaled_thresholds``), and one sort ranks them: rank order is the
+rational order, so every comparison has the rational outcome, and no
+Fraction is built per pair. Rank r stands for thresholds[r] / D. Its
+Fraction is built once per rank where minimal points are handed back
+(``search_leaves``); ``search_optimum`` builds Fractions only for its
+optimizer's coordinates. Its float is the integer true division
+thresholds[r] / D, correctly rounded as ``float()`` of the Fraction is:
+a built-in objective runs its float kernel on those per-rank floats
+(``_ranked_objective``), with the bits it gives on the exact point, and
+any other objective receives exact points.
 """
 
 from __future__ import annotations
@@ -38,10 +46,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
-from .core import ZERO, Instance, Point, coordinate_threshold
+from .core import Instance, Point
 from .feasibility import IndexSets, InfeasibleSystemError, compute_index_sets
+from .objective import _float_kernel
 
 DEFAULT_CAP = 10**6
 
@@ -94,31 +103,7 @@ def selector_count(idx: IndexSets) -> int:
     return math.prod(len(idx.sets[i]) for i in idx.constraining_rows)
 
 
-def _coordinate_table(inst: Instance, idx: IndexSets) -> dict[tuple[int, int], Fraction]:
-    """The threshold t_ij for every (constraining row, admissible column)
-    pair."""
-    return {
-        (i, j): coordinate_threshold(inst, i, j)
-        for i in idx.constraining_rows
-        for j in idx.sets[i]
-    }
-
-
-def _build_point(
-    n: int,
-    rows: tuple[int, ...],
-    choice: tuple[int, ...],
-    table: dict[tuple[int, int], Fraction],
-) -> Point:
-    coords = [ZERO] * n
-    for i, j in zip(rows, choice):
-        v = table[(i, j)]
-        if v > coords[j]:
-            coords[j] = v
-    return tuple(coords)
-
-
-def _selector_from_choice(m: int, rows: tuple[int, ...], choice: tuple[int, ...]) -> Selector:
+def _selector_from_choice(m: int, rows: tuple[int, ...], choice: list[int]) -> Selector:
     columns: list[Optional[int]] = [None] * m
     for i, j in zip(rows, choice):
         columns[i] = j
@@ -149,14 +134,19 @@ def enumerate_candidates(
     if cap is not None and count > cap:
         raise CapExceededError(count, cap)
     rows = idx.constraining_rows
-    table = _coordinate_table(inst, idx)
+    scale, thresholds, options = _ranked_options(inst, idx)
+    values = _fractions(scale, thresholds)
     n, m = inst.n, inst.m
 
     def stream() -> Iterator[Candidate]:
-        for choice in itertools.product(*(idx.sets[i] for i in rows)):
+        for choice in itertools.product(*options.values()):
+            x = [0] * n
+            for j, r in choice:
+                if r > x[j]:
+                    x[j] = r
             yield Candidate(
-                selector=_selector_from_choice(m, rows, choice),
-                point=_build_point(n, rows, choice, table),
+                selector=_selector_from_choice(m, rows, [j for j, _ in choice]),
+                point=tuple(values[r] for r in x),
             )
 
     return stream()
@@ -166,35 +156,63 @@ def enumerate_candidates(
 _Options = dict[int, tuple[tuple[int, int], ...]]
 
 
-def _ranked_options(inst: Instance, idx: IndexSets) -> tuple[list[Fraction], _Options]:
+def _scaled_thresholds(inst: Instance, i: int, columns: tuple[int, ...], scale: int) -> list[int]:
+    """D * t_ij for each j in columns, as ``D + (D*b_i - D*epsilon) - D*a_ij``;
+    D is scale, a common denominator of epsilon, b_i and every a_ij."""
+    b, eps, row = inst.b[i], inst.epsilon, inst.A[i]
+    top = scale + b.numerator * (scale // b.denominator) - eps.numerator * (scale // eps.denominator)
+    return [top - row[j].numerator * (scale // row[j].denominator) for j in columns]
+
+
+def _ranked_options(inst: Instance, idx: IndexSets) -> tuple[int, list[int], _Options]:
     """The thresholds as integer ranks, for the covered-row walk.
 
     A coordinate only ever holds 0 or one of its column's thresholds, so
     the walk compares integer ranks of the thresholds: the same order,
-    exactly, without rational arithmetic. Returns the sorted values (rank
-    r stands for values[r], and rank 0 for 0) and the ranked options of
-    the constraining rows, in row order.
+    exactly, without rational arithmetic. Returns the common denominator
+    D, the distinct thresholds scaled by D in ascending order (rank r
+    stands for thresholds[r] / D, and rank 0, thresholds[0] = 0, for 0),
+    and the ranked options of the constraining rows, in row order.
 
-    The ranks come from integers too: over the lcm L of the thresholds'
-    denominators, t = p/q is the integer p * (L // q), and distinct
-    thresholds give distinct integers in the same order. Sorting and the
-    rank lookup run on those; values keeps one threshold per integer.
+    D is the lcm of the denominators of epsilon, the constraining b_i and
+    the admissible a_ij, so every D * t_ij is an integer, and distinct
+    thresholds give distinct integers in the same order.
     """
-    table = _coordinate_table(inst, idx)
-    lcm = math.lcm(*(t.denominator for t in table.values()))
-    scaled: dict[tuple[int, int], int] = {}
-    by_scaled = {0: ZERO}
-    for pair, t in table.items():
-        s = scaled[pair] = t.numerator * (lcm // t.denominator)
-        by_scaled.setdefault(s, t)
-    order = sorted(by_scaled)
-    values = [by_scaled[s] for s in order]
-    rank = {s: r for r, s in enumerate(order)}
-    options = {
-        i: tuple((j, rank[scaled[i, j]]) for j in idx.sets[i])
-        for i in idx.constraining_rows
-    }
-    return values, options
+    rows, sets, A = idx.constraining_rows, idx.sets, inst.A
+    scale = math.lcm(
+        inst.epsilon.denominator,
+        *(inst.b[i].denominator for i in rows),
+        *(A[i][j].denominator for i in rows for j in sets[i]),
+    )
+    scaled = {i: _scaled_thresholds(inst, i, sets[i], scale) for i in rows}
+    thresholds = sorted(set().union(*scaled.values()) | {0})
+    rank = {t: r for r, t in enumerate(thresholds)}
+    options = {i: tuple(zip(sets[i], map(rank.__getitem__, scaled[i]))) for i in rows}
+    return scale, thresholds, options
+
+
+def _fractions(scale: int, thresholds: list[int]) -> list[Fraction]:
+    """Each rank's exact value, thresholds[r] / scale."""
+    return [Fraction(t, scale) for t in thresholds]
+
+
+def _ranked_objective(
+    objective: Callable[[Point], float], scale: int, thresholds: list[int]
+) -> Callable[[Iterable[int]], float]:
+    """objective on a point given by its ranks.
+
+    A built-in objective runs its float kernel on one float per rank,
+    thresholds[r] / scale: integer true division is correctly rounded, as
+    ``float()`` of the rank's Fraction is, so the value has the bits the
+    objective gives on the exact point. Any other objective receives the
+    exact point.
+    """
+    kernel = _float_kernel(objective)
+    if kernel is None:
+        values = _fractions(scale, thresholds)
+        return lambda x: objective(tuple([values[r] for r in x]))
+    floats = [t / scale for t in thresholds]
+    return lambda x: kernel([floats[r] for r in x])
 
 
 def _walk(
@@ -284,33 +302,27 @@ def _minimal_key(leaf: tuple[int, ...], options: _Options) -> tuple[int, ...] | 
     return None
 
 
-def _leaf_candidate(
-    m: int,
-    values: list[Fraction],
-    options: _Options,
-    leaf: tuple[int, ...],
-    key: tuple[int, ...],
-) -> Candidate:
+def _leaf_candidate(m: int, options: _Options, key: tuple[int, ...], point: Point) -> Candidate:
     columns: list[Optional[int]] = [None] * m
     for i, c in zip(options, key):
         columns[i] = c
-    return Candidate(
-        selector=Selector(columns=tuple(columns)),
-        point=tuple(values[r] for r in leaf),
-    )
+    return Candidate(selector=Selector(columns=tuple(columns)), point=point)
 
 
 @dataclass(frozen=True)
 class SearchLeaves:
     """The leaves of a covered-row search, as integer ranks.
 
-    A coordinate of rank r stands for values[r] (rank 0 for 0); options
-    holds, per constraining row in row order, its admissible columns with
-    the ranks of their thresholds. points are the distinct leaves in the
-    order first reached; reached counts the leaves, duplicates included.
+    A coordinate of rank r stands for thresholds[r] / scale (rank 0 for
+    0), whose Fraction is values[r]; options holds, per constraining row
+    in row order, its admissible columns with the ranks of their
+    thresholds. points are the distinct leaves in the order first
+    reached; reached counts the leaves, duplicates included.
     """
 
     m: int
+    scale: int
+    thresholds: list[int]
     values: list[Fraction]
     options: _Options
     points: list[tuple[int, ...]]
@@ -339,18 +351,21 @@ def search_leaves(
     cap=None to disable the cap.
     """
     idx = _checked_index_sets(inst, idx)
-    values, options = _ranked_options(inst, idx)
+    scale, thresholds, options = _ranked_options(inst, idx)
     distinct: dict[tuple[int, ...], None] = {}
     reached = 0
     for leaf, _ in _walk(inst.n, options, cap):
         distinct[leaf] = None
         reached += 1
-    return SearchLeaves(inst.m, values, options, list(distinct), reached)
+    return SearchLeaves(
+        inst.m, scale, thresholds, _fractions(scale, thresholds), options, list(distinct), reached
+    )
 
 
-def prune_leaves(found: SearchLeaves) -> list[Candidate]:
+def prune_leaves(found: SearchLeaves) -> list[tuple[tuple[int, ...], Candidate]]:
     """The minimal solutions among a search's leaves, which are exactly the
-    minimal solutions of the system.
+    minimal solutions of the system, each as its ranked leaf and its
+    candidate.
 
     Every leaf is feasible, and the feasible set is upward closed, so a
     leaf is minimal iff it passes the row test (``_minimal_key``);
@@ -364,13 +379,17 @@ def prune_leaves(found: SearchLeaves) -> list[Candidate]:
     t_ij <= x*_j, and the canonical columns give a feasible point below
     x*, hence x* itself.
     """
-    minimal = []
+    keyed = []
     for leaf in found.points:
         key = _minimal_key(leaf, found.options)
         if key is not None:
-            minimal.append(_leaf_candidate(found.m, found.values, found.options, leaf, key))
-    minimal.sort(key=lambda c: c.selector.key)
-    return minimal
+            keyed.append((key, leaf))
+    keyed.sort()
+    values = found.values
+    return [
+        (leaf, _leaf_candidate(found.m, found.options, key, tuple([values[r] for r in leaf])))
+        for key, leaf in keyed
+    ]
 
 
 def search_optimum(
@@ -383,26 +402,26 @@ def search_optimum(
     objective, without building or pruning the minimal-solution set.
 
     The walk is search_leaves', with ``objective`` evaluated once per
-    node on the partial point. For a nondecreasing objective that value
-    is a lower bound on every leaf below the node, so a subtree whose
-    bound is strictly greater than the least leaf value so far cannot
-    hold a better point and is cut. The cut is strict, so every minimal
-    solution of optimal value is still reached.
+    node on the partial point (``_ranked_objective``: a built-in
+    objective on the per-rank floats, any other on the exact point). For
+    a nondecreasing objective that value is a lower bound on every leaf
+    below the node, so a subtree whose bound is strictly greater than the
+    least leaf value so far cannot hold a better point and is cut. The
+    cut is strict, so every minimal solution of optimal value is still
+    reached.
 
     Every leaf is feasible and can lower the incumbent value, but only a
     minimal leaf can be returned: among those, the least (value, canonical
     selector key), which is the optimizer solve reports after pruning.
+    Fractions are built only for the optimizer's coordinates.
 
     Returns the optimizer with its canonical selector, its value, and the
     number of leaves reached. ``cap`` bounds the search nodes as in
     search_leaves.
     """
     idx = _checked_index_sets(inst, idx)
-    values, options = _ranked_options(inst, idx)
-
-    def bound(x: list[int]) -> float:
-        return objective(tuple(values[r] for r in x))
-
+    scale, thresholds, options = _ranked_options(inst, idx)
+    bound = _ranked_objective(objective, scale, thresholds)
     best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None
     leaves = 0
     for leaf, value in _walk(inst.n, options, cap, bound):
@@ -415,5 +434,5 @@ def search_optimum(
         if best is None or (value, key) < best[:2]:
             best = (value, key, leaf)
     value, key, leaf = best
-    optimizer = _leaf_candidate(inst.m, values, options, leaf, key)
-    return optimizer, value, leaves
+    point = tuple([Fraction(thresholds[r], scale) for r in leaf])
+    return _leaf_candidate(inst.m, options, key, point), value, leaves

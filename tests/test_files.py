@@ -123,6 +123,26 @@ def test_large_report_is_pinned(tmp_path, capsys):
     assert reference_report_json(report, name) == out
 
 
+# sha256 of `solve --format structured --no-prune` on `generate 100 40
+# --seed 2 --density 2`, recorded while the bound search still built a
+# Fraction point per node: the bound search at ladder scale. max is left
+# out, as it runs into the default cap there.
+NO_PRUNE_SHA256 = {
+    "lse": "aab15b1ae002f0acded6ebb3ea9a43e634621454673f76f25b20acf1f4b13b1f",
+    "sum": "3f7c9b529a1cbd3d2598d9133787ce22e328c4196d2afdff38115e53062a1ed2",
+}
+
+
+@pytest.mark.parametrize("objective", sorted(NO_PRUNE_SHA256))
+def test_bound_search_report_is_pinned(tmp_path, capsys, objective):
+    path = tmp_path / "ladder.json"
+    assert main(["generate", "100", "40", "--seed", "2", "--density", "2", "-o", str(path)]) == 0
+    argv = ["solve", str(path), "--format", "structured", "--no-prune", "--objective", objective]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == NO_PRUNE_SHA256[objective]
+
+
 BOUNDS = "is out of the parse bounds (at most 50 digits and a decimal exponent within +-400)"
 LONG = "1" * 51  # one digit past the bound
 

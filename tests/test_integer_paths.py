@@ -144,7 +144,9 @@ def test_index_sets_match_the_fraction_definition(inst):
 @settings(max_examples=200)
 def test_threshold_ranks_match_the_fraction_order(inst):
     idx = compute_index_sets(inst)
-    values, options = _ranked_options(inst, idx)
+    scale, scaled, options = _ranked_options(inst, idx)
+    assert all(type(t) is int for t in scaled)
+    values = [Fraction(t, scale) for t in scaled]
     thresholds = {
         (i, j): 1 + (inst.b[i] - inst.epsilon) - inst.A[i][j]
         for i in idx.constraining_rows
@@ -155,6 +157,7 @@ def test_threshold_ranks_match_the_fraction_order(inst):
         assert [j for j, _ in row] == list(idx.sets[i])
         for j, r in row:
             assert values[r] == thresholds[i, j] == coordinate_threshold(inst, i, j)
+            assert scaled[r] / scale == float(coordinate_threshold(inst, i, j))
 
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=10**30)

@@ -10,13 +10,18 @@ from hypothesis import strategies as st
 
 from frisolve import (
     OBJECTIVES,
+    brute_force,
     coordinate_sum,
     log_sum_exp,
     max_coordinate,
+    solve,
+    solve_unpruned,
     zeros,
 )
+from frisolve.objective import _float_kernel
 
 from conftest import GOLDEN_OPT_VALUE, GOLDEN_OTHER_VALUE, fpoint
+from test_integer_paths import mixed_instances
 
 unit_floats = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -107,3 +112,37 @@ def test_contract_violation_is_detectable():
 def test_registry_names():
     assert set(OBJECTIVES) == {"lse", "max", "sum"}
     assert OBJECTIVES["lse"] is log_sum_exp
+
+
+def _bits(value):
+    return None if value is None else value.hex()
+
+
+def _outcome(report):
+    optimizer = report.optimizer
+    return (
+        None if optimizer is None else (optimizer.selector, optimizer.point),
+        _bits(report.optimal_value),
+        report.minimal_solutions,
+        [_bits(v) for v in report.minimal_values],
+        report.candidates_enumerated,
+    )
+
+
+def _oracle_outcome(answer):
+    minimal, optimum = answer
+    return minimal, None if optimum is None else (optimum[0], _bits(optimum[1]))
+
+
+@given(inst=mixed_instances())
+@settings(max_examples=150, deadline=None)
+def test_float_kernels_match_the_exact_point_path(inst):
+    # A built-in objective runs its float kernel on per-rank (solver) or
+    # per-column (oracle) floats; a wrapper around it is another objective
+    # and receives exact points. Both paths must give the same bits.
+    for f in OBJECTIVES.values():
+        exact = lambda x, f=f: f(x)
+        assert _float_kernel(f) is not None and _float_kernel(exact) is None
+        for run in (solve, solve_unpruned):
+            assert _outcome(run(inst, f)) == _outcome(run(inst, exact))
+        assert _oracle_outcome(brute_force(inst, f)) == _oracle_outcome(brute_force(inst, exact))

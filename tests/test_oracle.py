@@ -133,13 +133,13 @@ def test_minimality_predicate_agrees_with_the_oracle_on_random_instances():
 
 
 def test_verify_catches_a_threshold_mistake_shared_with_the_grid(tmp_path, capsys, monkeypatch):
-    # The threshold without epsilon moves the solver's point to 0.7. The
-    # oracle places its grid by its own formula, so it still finds 0.6, and
-    # the row inequality does not hold with equality at 0.7.
-    def old_threshold(inst, i, j):
-        return 1 + inst.b[i] - inst.A[i][j]
+    # The scaled threshold without epsilon moves the solver's point to 0.7.
+    # The oracle places its grid by its own formula, so it still finds 0.6,
+    # and the row inequality does not hold with equality at 0.7.
+    def scaled_without_epsilon(inst, i, columns, scale):
+        return [int(scale * (1 + inst.b[i] - inst.A[i][j])) for j in columns]
 
-    monkeypatch.setattr("frisolve.structure.coordinate_threshold", old_threshold)
+    monkeypatch.setattr("frisolve.structure._scaled_thresholds", scaled_without_epsilon)
     path = tmp_path / "eps.json"
     path.write_text('{"A": [[0.9]], "b": [0.6], "epsilon": 0.1}', encoding="utf-8")
     assert main(["verify", str(path)]) == 4

@@ -135,7 +135,7 @@ class TestSearch:
         # covered at x_3, and row 4 branches: 4 nodes, 2 leaves
         found = search_leaves(golden, cap=4)
         assert found.reached == len(found.points) == 2
-        minimal = prune_leaves(found)
+        minimal = [c for _, c in prune_leaves(found)]
         assert len(minimal) == 2
         assert {c.point for c in minimal} == GOLDEN_MINIMAL
         for cand in minimal:
@@ -151,7 +151,8 @@ class TestSearch:
         found = search_leaves(inst)
         assert found.reached == 1
         assert found.points == [(0, 0)]
-        [cand] = prune_leaves(found)
+        [(leaf, cand)] = prune_leaves(found)
+        assert leaf == (0, 0)
         assert cand.point == fpoint("0", "0")
         assert cand.selector.columns == (None,)
 
@@ -170,7 +171,7 @@ class TestSearch:
         )
         found = search_leaves(inst)
         assert found.reached == 1
-        minimal = prune_leaves(found)
+        minimal = [c for _, c in prune_leaves(found)]
         assert [c.point for c in minimal] == [fpoint("0.8", "0.7")]
         assert minimal[0].selector.columns == (0, 1, 0)
 
@@ -188,12 +189,12 @@ class TestSearch:
 
 class TestPruning:
     def test_golden_minimal_set(self, golden):
-        assert {c.point for c in prune_leaves(search_leaves(golden))} == GOLDEN_MINIMAL
+        assert {c.point for _, c in prune_leaves(search_leaves(golden))} == GOLDEN_MINIMAL
         minimal = prune_to_minimal(enumerate_candidates(golden))
         assert {c.point for c in minimal} == GOLDEN_MINIMAL
 
     def test_hand_2x2_minimal_set(self):
-        assert {c.point for c in prune_leaves(search_leaves(HAND_2X2))} == HAND_2X2_MINIMAL
+        assert {c.point for _, c in prune_leaves(search_leaves(HAND_2X2))} == HAND_2X2_MINIMAL
         minimal = prune_to_minimal(enumerate_candidates(HAND_2X2))
         assert {c.point for c in minimal} == HAND_2X2_MINIMAL
 
@@ -239,7 +240,9 @@ class TestPruning:
             return
         found = search_leaves(inst, idx)
         leaves = [tuple(found.values[r] for r in leaf) for leaf in found.points]
-        minimal = prune_leaves(found)
+        pruned = prune_leaves(found)
+        assert all(tuple(found.values[r] for r in leaf) == c.point for leaf, c in pruned)
+        minimal = [c for _, c in pruned]
 
         def below(p, q):
             return p != q and all(pj <= qj for pj, qj in zip(p, q))
