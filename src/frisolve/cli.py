@@ -29,6 +29,7 @@ from .core import Instance, Point
 from .feasibility import InfeasibleSystemError, compute_index_sets
 from .files import (
     InstanceFormatError,
+    grade_number,
     load_instance,
     render_report_json,
     serialize_instance,
@@ -84,7 +85,7 @@ def _fmt_value(v: float) -> str:
 
 
 def _fmt_point(p: Point) -> str:
-    return "[" + ", ".join(f"{float(v):.4f}" for v in p) + "]"
+    return "[" + ", ".join(f"{grade_number(v):.4f}" for v in p) + "]"
 
 
 def _fmt_selector(sel: Selector) -> str:
@@ -96,6 +97,11 @@ def _print_index_sets(idx) -> None:
         member_list = "{" + ", ".join(str(j + 1) for j in s) + "}"
         mark = "  (vacuous)" if idx.vacuous[i] else ""
         print(f"J({i + 1}) = {member_list}{mark}")
+
+
+def _print_infeasible(idx) -> None:
+    rows = ", ".join(str(i + 1) for i in idx.empty_rows)
+    print(f"feasible: no (no admissible columns for row(s) {rows})")
 
 
 def _print_header(name: Optional[str], inst: Instance) -> None:
@@ -117,8 +123,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if idx.feasible:
         print("feasible: yes (the all-ones point is the maximum solution)")
         return 0
-    rows = ", ".join(str(i + 1) for i in idx.empty_rows)
-    print(f"feasible: no (no admissible columns for row(s) {rows})")
+    _print_infeasible(idx)
     return 2
 
 
@@ -127,8 +132,7 @@ def _print_text_report(
 ) -> None:
     _print_header(name, inst)
     if not report.index_sets.feasible:
-        rows = ", ".join(str(i + 1) for i in report.index_sets.empty_rows)
-        print(f"feasible: no (no admissible columns for row(s) {rows})")
+        _print_infeasible(report.index_sets)
         return
     _print_index_sets(report.index_sets)
     print(f"|E| = {report.selector_count}")
@@ -228,8 +232,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     )
     text = serialize_instance(inst, name)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _fail(f"cannot write {args.output}: {exc.strerror}")
+            return 1
     else:
         sys.stdout.write(text)
     return 0

@@ -24,17 +24,15 @@ decimal digits (every file-parsed or generated grade qualifies). The
 conversion is the true division of numerator by denominator, the same
 correctly rounded float that float() of the Fraction gives. Structured
 reports are JSON with a fixed key order and no volatile fields by default,
-so identical inputs produce byte-identical reports. render_report_json
-writes the report's fixed shape in one pass straight from the SolveReport,
-with the bytes that the generic _compact_json gives for the same
-document; _compact_json itself serves serialize_instance.
+so identical inputs produce byte-identical reports. serialize_instance
+and render_report_json write their fixed shapes in one pass, with the same
+array and grade-array texts, leaf arrays on one line.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode_key
 from math import isfinite
 from pathlib import Path
@@ -170,8 +168,11 @@ def parse_instance_text(text: str) -> tuple[Instance, Optional[str]]:
 
 
 def load_instance(path: str | Path) -> tuple[Instance, Optional[str]]:
-    """Read and parse an instance file."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read and parse an instance file; bytes that are not UTF-8 fail to parse."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         return parse_instance_text(text)
     except InstanceFormatError as exc:
@@ -184,48 +185,6 @@ def grade_number(value: Fraction) -> float:
     denominator is what float(value) computes, without its pure-Python
     call."""
     return value.numerator / value.denominator
-
-
-def _compact_json(value: Any) -> str:
-    """json.dumps with leaf arrays kept on one line, so points and matrix
-    rows read as vectors. Output is a pure function of the data.
-
-    Keys go through encode_basestring_ascii, the encoder json.dumps uses
-    for a str, so they come out as it writes them.
-    """
-
-    def render(value: Any, pad: str) -> str:
-        if isinstance(value, list):
-            if not value:
-                return "[]"
-            if not any(map(isinstance, value, repeat((dict, list)))):
-                # The default encoder already writes one line with ", ".
-                return _encode(value)
-            inner = pad + "  "
-            items = [inner + render(v, inner) for v in value]
-            return "[\n" + ",\n".join(items) + f"\n{pad}]"
-        if isinstance(value, dict):
-            if not value:
-                return "{}"
-            inner = pad + "  "
-            items = [f"{inner}{_encode_key(k)}: {render(v, inner)}" for k, v in value.items()]
-            return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-        return _encode(value)
-
-    return render(value, "")
-
-
-def serialize_instance(inst: Instance, name: Optional[str] = None) -> str:
-    """Render an instance back to its file form; parsing the result yields
-    an equal instance for decimal-valued grades."""
-    doc: dict[str, Any] = {}
-    if name is not None:
-        doc["name"] = name
-    doc["A"] = [[grade_number(a) for a in row] for row in inst.A]
-    doc["b"] = [grade_number(v) for v in inst.b]
-    if inst.epsilon != 0:
-        doc["epsilon"] = grade_number(inst.epsilon)
-    return _compact_json(doc) + "\n"
 
 
 def _number(value: Any) -> str:
@@ -250,6 +209,25 @@ def _array(items: list[str], pad: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
 
 
+def _grades(values: Iterable[Fraction]) -> str:
+    """A grade array on one line, each grade as its float (grade_number,
+    inline) by its repr, which is how json.dumps writes a finite float."""
+    return "[" + ", ".join([repr(v.numerator / v.denominator) for v in values]) + "]"
+
+
+def serialize_instance(inst: Instance, name: Optional[str] = None) -> str:
+    """Render an instance back to its file form; parsing the result yields
+    an equal instance for decimal-valued grades."""
+    members = []
+    if name is not None:
+        members.append('"name": ' + _encode_key(name))
+    members.append('"A": ' + _array([_grades(row) for row in inst.A], "  "))
+    members.append('"b": ' + _grades(inst.b))
+    if inst.epsilon != 0:
+        members.append('"epsilon": ' + repr(grade_number(inst.epsilon)))
+    return "{\n  " + ",\n  ".join(members) + "\n}\n"
+
+
 def _entry(cand: Candidate, point: str, value: Any, pad: str) -> str:
     inner = "\n" + pad + "  "
     return (
@@ -265,8 +243,7 @@ def render_report_json(
     include_timings: bool = False,
 ) -> str:
     """The structured-output document of a solve report, written in one
-    pass with the layout _compact_json gives: leaf arrays on one line,
-    everything else indented by two spaces.
+    pass: leaf arrays on one line, everything else indented by two spaces.
 
     Objective values are the ones the solver computed. Key order is fixed
     and timings are excluded unless asked for: wall clock is the one field
@@ -281,9 +258,7 @@ def render_report_json(
     def point_text(point: Point) -> str:
         text = texts.get(id(point))
         if text is None:
-            # grade_number, inline
-            coordinates = [repr(v.numerator / v.denominator) for v in point]
-            text = texts[id(point)] = "[" + ", ".join(coordinates) + "]"
+            text = texts[id(point)] = _grades(point)
         return text
 
     idx = report.index_sets

@@ -31,10 +31,11 @@ feasible points once, and returns the minimal points and the optimum over
 every feasible point, in time linear in the number of grid points. A
 built-in objective is evaluated by its float kernel on per-column floats
 computed once per grid, ``k / D`` for each grid value k: integer true
-division is correctly rounded, as ``float()`` of the grid's Fraction is,
-so each value has the bits the objective gives on the exact point. Only
-the minimal points and the optimizer are built as Fraction points; any
-other objective receives every feasible point exactly.
+division is correctly rounded, as ``float()`` of ``Fraction(k, D)`` is,
+so each value has the bits the objective gives on the exact point. The
+grid holds only integers: only the minimal points and the optimizer are
+built as Fraction points, and any other objective receives every feasible
+point exactly.
 
 None of this shares a path or a formula with solver or structure, which is
 the point: a mistake in the solver's threshold t_ij moves the solver's
@@ -76,16 +77,16 @@ class GridTooLargeError(RuntimeError):
 @dataclass(frozen=True)
 class LatticeGrid:
     """Per-column sorted coordinate sets whose cartesian product contains
-    every candidate and every minimal solution.
+    every candidate and every minimal solution, as integers over a scale.
 
     ``build_grid`` is its only constructor. ``scale`` must be the common
     denominator D of the instance it was built for (the lcm of the
-    denominators of epsilon, b and A): ``columns[j][k]`` is
-    ``coords[j][k]`` scaled by D, an integer, and the row tests scale the
-    instance by the same D, so any other scale makes them wrong.
+    denominators of epsilon, b and A): ``columns[j][k]`` stands for the
+    coordinate ``columns[j][k] / D``, and the row tests scale the instance
+    by the same D, so any other scale makes them wrong. A grid point
+    becomes Fractions only where it is handed out (``_at``).
     """
 
-    coords: tuple[tuple[Fraction, ...], ...]
     scale: int
     columns: tuple[tuple[int, ...], ...]
 
@@ -117,18 +118,14 @@ def _constraining_rows(inst: Instance, scale: int) -> list[tuple[list[int], int]
 
 def build_grid(inst: Instance) -> LatticeGrid:
     """Collect {0, D} plus every admissible ``D + need_i - D*a_ij`` per
-    column, on the common denominator D; each distinct value becomes one
-    Fraction."""
+    column, on the common denominator D."""
     scale = _common_denominator(inst)
     values: list[set[int]] = [{0, scale} for _ in range(inst.n)]
     for row, need in _constraining_rows(inst, scale):
         for j, a in enumerate(row):
             if a >= need:
                 values[j].add(scale + need - a)
-    columns = tuple(tuple(sorted(c)) for c in values)
-    fractions = {k: Fraction(k, scale) for k in set().union(*values)}
-    coords = tuple(tuple(map(fractions.__getitem__, c)) for c in columns)
-    return LatticeGrid(coords=coords, scale=scale, columns=columns)
+    return LatticeGrid(scale=scale, columns=tuple(tuple(sorted(c)) for c in values))
 
 
 def is_minimal_point(inst: Instance, x: Point) -> bool:
@@ -203,7 +200,8 @@ def _feasible_indices(inst: Instance, grid: LatticeGrid) -> list[tuple[int, ...]
 
 
 def _at(grid: LatticeGrid, idx: tuple[int, ...]) -> Point:
-    return tuple(map(tuple.__getitem__, grid.coords, idx))
+    """The exact grid point at an index tuple."""
+    return tuple([Fraction(column[k], grid.scale) for column, k in zip(grid.columns, idx)])
 
 
 def _lowered(idx: tuple[int, ...]):

@@ -78,15 +78,6 @@ class Selector:
 
     columns: tuple[Optional[int], ...]
 
-    @property
-    def key(self) -> tuple[int, ...]:
-        """Ordering key: the chosen columns of constraining rows only.
-
-        Vacuous positions are identical across all selectors of an
-        instance, so dropping them preserves lexicographic order.
-        """
-        return tuple(c for c in self.columns if c is not None)
-
 
 @dataclass(frozen=True)
 class Candidate:
@@ -103,11 +94,12 @@ def selector_count(idx: IndexSets) -> int:
     return math.prod(len(idx.sets[i]) for i in idx.constraining_rows)
 
 
-def _selector_from_choice(m: int, rows: tuple[int, ...], choice: list[int]) -> Selector:
+def _candidate(m: int, rows: Iterable[int], key: Iterable[int], point: Point) -> Candidate:
+    """point with the selector that picks key[k] for rows[k], None elsewhere."""
     columns: list[Optional[int]] = [None] * m
-    for i, j in zip(rows, choice):
-        columns[i] = j
-    return Selector(columns=tuple(columns))
+    for i, c in zip(rows, key):
+        columns[i] = c
+    return Candidate(selector=Selector(columns=tuple(columns)), point=point)
 
 
 def _checked_index_sets(inst: Instance, idx: IndexSets | None) -> IndexSets:
@@ -144,10 +136,7 @@ def enumerate_candidates(
             for j, r in choice:
                 if r > x[j]:
                     x[j] = r
-            yield Candidate(
-                selector=_selector_from_choice(m, rows, [j for j, _ in choice]),
-                point=tuple(values[r] for r in x),
-            )
+            yield _candidate(m, rows, [j for j, _ in choice], tuple(values[r] for r in x))
 
     return stream()
 
@@ -219,7 +208,7 @@ def _walk(
     n: int,
     options: _Options,
     cap: int | None,
-    bound: Callable[[list[int]], float] | None = None,
+    bound: Callable[[tuple[int, ...]], float] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], float | None]]:
     """The covered-row walk over ranked options; yields (leaf, value).
 
@@ -228,7 +217,8 @@ def _walk(
     on each admissible column, raising it to its threshold. ``cap`` bounds
     the nodes, one per column assignment tried. The branching depth can
     reach the row count, so the walk keeps an explicit stack rather than
-    recursing.
+    recursing. Each stack entry carries its node's point as a tuple of
+    ranks, so a branch needs no undoing, and a leaf is the tuple itself.
 
     With ``bound``, each node (the root included) is valued once by
     ``bound(x)`` on its partial point, and its subtree is cut iff that
@@ -238,21 +228,15 @@ def _walk(
     """
     order = sorted(options.values(), key=len)
     depth = len(order)
-    x = [0] * n
     incumbent = math.inf
-    nodes = 0
-    # Entries (k, j, v): set x[j] = v, then walk on from row position k.
-    # k = -1 only restores x[j] after a branch's subtree; j = -1 is the root.
-    stack = [(0, -1, 0)]
+    nodes = -1  # every pop is a node but the root's
+    # Entries (k, x): walk on from row position k with the point x.
+    stack = [(0, (0,) * n)]
     while stack:
-        k, j, v = stack.pop()
-        if j >= 0:
-            x[j] = v
-            if k < 0:
-                continue
-            nodes += 1
-            if cap is not None and nodes > cap:
-                raise CapExceededError(nodes, cap, f"search reached {nodes} nodes")
+        k, x = stack.pop()
+        nodes += 1
+        if cap is not None and nodes > cap:
+            raise CapExceededError(nodes, cap, f"search reached {nodes} nodes")
         value = None
         if bound is not None:
             value = bound(x)
@@ -270,11 +254,10 @@ def _walk(
         if k == depth:
             if value is not None and value < incumbent:
                 incumbent = value
-            yield tuple(x), value
+            yield x, value
             continue
         for c, t in reversed(order[k]):
-            stack.append((-1, c, x[c]))
-            stack.append((k + 1, c, t))
+            stack.append((k + 1, x[:c] + (t,) + x[c + 1:]))
 
 
 def _minimal_key(leaf: tuple[int, ...], options: _Options) -> tuple[int, ...] | None:
@@ -300,13 +283,6 @@ def _minimal_key(leaf: tuple[int, ...], options: _Options) -> tuple[int, ...] | 
     if all(c in tight for c, r in enumerate(leaf) if r):
         return tuple(key)
     return None
-
-
-def _leaf_candidate(m: int, options: _Options, key: tuple[int, ...], point: Point) -> Candidate:
-    columns: list[Optional[int]] = [None] * m
-    for i, c in zip(options, key):
-        columns[i] = c
-    return Candidate(selector=Selector(columns=tuple(columns)), point=point)
 
 
 @dataclass(frozen=True)
@@ -387,7 +363,7 @@ def prune_leaves(found: SearchLeaves) -> list[tuple[tuple[int, ...], Candidate]]
     keyed.sort()
     values = found.values
     return [
-        (leaf, _leaf_candidate(found.m, found.options, key, tuple([values[r] for r in leaf])))
+        (leaf, _candidate(found.m, found.options, key, tuple([values[r] for r in leaf])))
         for key, leaf in keyed
     ]
 
@@ -435,4 +411,4 @@ def search_optimum(
             best = (value, key, leaf)
     value, key, leaf = best
     point = tuple([Fraction(thresholds[r], scale) for r in leaf])
-    return _leaf_candidate(inst.m, options, key, point), value, leaves
+    return _candidate(inst.m, options, key, point), value, leaves

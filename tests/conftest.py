@@ -1,21 +1,33 @@
 """Shared fixtures: the golden 5x7 instance with its hand-checked values,
 random-instance streams, the product-then-dominance reference, the
-oracle's Fraction references, the dict-then-encoder report reference, and
-the acceptance-criteria summary hook."""
+oracle's Fraction references, the generic JSON writer with the instance and
+report references it renders, and the acceptance-criteria summary hook."""
 
 from __future__ import annotations
 
 import itertools
+import json
 import re
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from operator import le
 from typing import Any, Iterable, Optional
 
 import pytest
 
-from frisolve import Candidate, Instance, Point, SolveReport, generate_instance, is_member
+from frisolve import (
+    Candidate,
+    Instance,
+    Point,
+    Selector,
+    SolveReport,
+    generate_instance,
+    is_member,
+)
 from frisolve.core import coordinate_threshold
-from frisolve.files import _compact_json, grade_number
+from frisolve.files import grade_number
+from frisolve.oracle import LatticeGrid
 
 # The worked 5x7 system. Every expected value below was recomputed by hand
 # or by an independent brute-force script before the solver existed.
@@ -106,6 +118,13 @@ def random_instances(count: int, base_seed: int, density: float = 1.0, feasible:
     return out
 
 
+def selector_key(sel: Selector) -> tuple[int, ...]:
+    """A selector's ordering key: the chosen columns of constraining rows
+    only. Vacuous positions are the same in every selector of an instance,
+    so dropping them keeps the lexicographic order."""
+    return tuple(c for c in sel.columns if c is not None)
+
+
 def _undominated(points: Iterable[tuple]) -> list[tuple]:
     """The points of a set of distinct tuples that no other point lies
     below componentwise.
@@ -139,12 +158,12 @@ def prune_to_minimal(candidates: Iterable[Candidate]) -> list[Candidate]:
     by_point: dict[Point, Candidate] = {}
     for cand in candidates:
         kept = by_point.get(cand.point)
-        if kept is None or cand.selector.key < kept.selector.key:
+        if kept is None or selector_key(cand.selector) < selector_key(kept.selector):
             by_point[cand.point] = cand
     rank = {v: r for r, v in enumerate(sorted({v for p in by_point for v in p}))}
     by_ranks = {tuple(rank[v] for v in p): cand for p, cand in by_point.items()}
     survivors = [by_ranks[ranks] for ranks in _undominated(by_ranks)]
-    survivors.sort(key=lambda c: c.selector.key)
+    survivors.sort(key=lambda c: selector_key(c.selector))
     return survivors
 
 
@@ -160,6 +179,11 @@ def reference_grid(inst: Instance) -> tuple[tuple[Fraction, ...], ...]:
                 if a >= need:
                     columns[j].add(coordinate_threshold(inst, i, j))
     return tuple(tuple(sorted(c)) for c in columns)
+
+
+def grid_coords(grid: LatticeGrid) -> tuple[tuple[Fraction, ...], ...]:
+    """The grid's columns as Fractions: each integer value over its scale."""
+    return tuple(tuple(Fraction(k, grid.scale) for k in column) for column in grid.columns)
 
 
 def pairwise_minimal(inst: Instance) -> list[Point]:
@@ -188,6 +212,56 @@ def fraction_is_minimal_point(inst: Instance, x: Point) -> bool:
         if len(meeting) == 1 and row[meeting[0]] + x[meeting[0]] - 1 == threshold:
             tight.add(meeting[0])
     return tight.issuperset(nonzero)
+
+
+# What json.dumps(value) calls with its default arguments.
+_encode = json.JSONEncoder().encode
+
+
+def compact_json(value: Any) -> str:
+    """json.dumps with leaf arrays kept on one line, so points and matrix
+    rows read as vectors; everything else is indented by two spaces. The
+    generic writer that files.serialize_instance and
+    files.render_report_json each write one fixed shape of, byte for byte.
+
+    Keys go through encode_basestring_ascii, the encoder json.dumps uses
+    for a str, so they come out as it writes them.
+    """
+    def render(value: Any, pad: str) -> str:
+        if isinstance(value, list):
+            if not value:
+                return "[]"
+            if not any(map(isinstance, value, repeat((dict, list)))):
+                # The default encoder already writes one line with ", ".
+                return _encode(value)
+            inner = pad + "  "
+            items = [inner + render(v, inner) for v in value]
+            return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            inner = pad + "  "
+            items = [
+                f"{inner}{encode_basestring_ascii(k)}: {render(v, inner)}"
+                for k, v in value.items()
+            ]
+            return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+        return _encode(value)
+
+    return render(value, "")
+
+
+def reference_instance_json(inst: Instance, name: Optional[str] = None) -> str:
+    """An instance's file form as a dict rendered by the generic writer:
+    the reference for files.serialize_instance."""
+    doc: dict[str, Any] = {}
+    if name is not None:
+        doc["name"] = name
+    doc["A"] = [[grade_number(a) for a in row] for row in inst.A]
+    doc["b"] = [grade_number(v) for v in inst.b]
+    if inst.epsilon != 0:
+        doc["epsilon"] = grade_number(inst.epsilon)
+    return compact_json(doc) + "\n"
 
 
 def build_report_data(
@@ -237,8 +311,8 @@ def reference_report_json(
     name: Optional[str] = None,
     include_timings: bool = False,
 ) -> str:
-    """build_report_data rendered by the generic encoder."""
-    return _compact_json(build_report_data(report, name, include_timings)) + "\n"
+    """build_report_data rendered by the generic writer."""
+    return compact_json(build_report_data(report, name, include_timings)) + "\n"
 
 
 # --- acceptance summary -----------------------------------------------------

@@ -77,7 +77,21 @@ class TestCheck:
 
     def test_missing_file_is_an_input_error(self, capsys):
         assert main(["check", "/nonexistent/nope.json"]) == 1
-        assert "error" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "frisolve: error: cannot read /nonexistent/nope.json: no such file\n"
+
+    @pytest.mark.parametrize("command", ["check", "solve", "verify"])
+    def test_non_utf8_file_is_an_input_error_naming_the_path(self, tmp_path, capsys, command):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + '{"A": [[0.5]], "b": [0.2]}'.encode("utf-16-le"))
+        assert main([command, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"frisolve: error: {path}: not UTF-8 text: 'utf-8' codec can't decode "
+            "byte 0xff in position 0: invalid start byte\n"
+        )
 
     def test_malformed_json_names_the_problem(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -229,10 +243,7 @@ class TestVerify:
         # A grid holding only the bottom point has no feasible point, while
         # the solver finds the system feasible.
         def bottom_only(inst):
-            scale = build_grid(inst).scale
-            return LatticeGrid(
-                coords=((Fraction(0),),) * inst.n, scale=scale, columns=((0,),) * inst.n
-            )
+            return LatticeGrid(scale=build_grid(inst).scale, columns=((0,),) * inst.n)
 
         monkeypatch.setattr("frisolve.oracle.build_grid", bottom_only)
         assert main(["verify", golden_file]) == 4
@@ -303,6 +314,13 @@ class TestGenerate:
     def test_density_must_be_finite_and_positive(self, capsys, density):
         assert main(["generate", "3", "3", "--seed", "1", f"--density={density}"]) == 1
         assert "density must be a finite number > 0" in capsys.readouterr().err
+
+    def test_unwritable_output_is_reported_as_a_write(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        assert main(["generate", "2", "2", "--seed", "1", "-o", str(target)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"frisolve: error: cannot write {target}: No such file or directory\n"
 
     def test_stdout_when_no_output_path(self, capsys):
         assert main(["generate", "2", "2", "--seed", "9"]) == 0

@@ -1,6 +1,6 @@
-"""The file boundary: the one-pass report writer against the dict-then-
-encoder reference, the pinned large report, and the parse failure
-messages, whose labels are built only for a value that fails."""
+"""The file boundary: the instance and report writers against the
+dict-then-encoder references, the pinned large report, and the parse
+failure messages, whose labels are built only for a value that fails."""
 
 import dataclasses
 import hashlib
@@ -20,9 +20,10 @@ from frisolve.files import (
     load_instance,
     parse_instance_text,
     render_report_json,
+    serialize_instance,
 )
 
-from conftest import reference_report_json
+from conftest import reference_instance_json, reference_report_json
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "tests" / "instances"
@@ -103,6 +104,30 @@ class TestReportWriter:
         text = render_report_json(report)
         assert text == reference_report_json(report)
         assert '"optimal_value": NaN' in text
+
+
+@st.composite
+def named_instances(draw):
+    """Any shape from 1x1 to 12x12, with or without epsilon, and a name
+    that may need escaping."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 12))
+    denominator = draw(st.sampled_from([10, 10_000, 7, 3]))
+    grades = st.integers(0, denominator).map(lambda k: Fraction(k, denominator))
+    A = tuple(tuple(draw(grades) for _ in range(n)) for _ in range(m))
+    b = tuple(draw(grades) for _ in range(m))
+    epsilon = draw(st.sampled_from([Fraction(0), Fraction(1, 7)]))
+    name = draw(st.one_of(st.sampled_from(NAMES), st.text(max_size=8)))
+    return Instance(A=A, b=b, epsilon=epsilon), name
+
+
+@given(case=named_instances())
+@settings(max_examples=300, deadline=None)
+def test_serialize_instance_equals_the_reference(case):
+    inst, name = case
+    text = serialize_instance(inst, name)
+    assert text == reference_instance_json(inst, name)
+    assert parse_instance_text(text)[1] == name
 
 
 # sha256 of `solve --format structured` on `generate 40 25 --seed 9

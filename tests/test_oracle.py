@@ -32,6 +32,7 @@ from conftest import (
     HAND_2X2,
     HAND_2X2_MINIMAL,
     fraction_is_minimal_point,
+    grid_coords,
     pairwise_minimal,
     random_instances,
     reference_grid,
@@ -45,10 +46,10 @@ SEVENTHS = (Fraction(0), Fraction(1, 100), Fraction(1, 7))
 
 
 def test_every_candidate_lies_on_the_grid(golden):
-    grid = build_grid(golden)
+    coords = grid_coords(build_grid(golden))
     for cand in enumerate_candidates(golden):
         for j, v in enumerate(cand.point):
-            assert v in grid.coords[j]
+            assert v in coords[j]
 
 
 def test_golden_minimal_set(golden):
@@ -90,7 +91,7 @@ def test_zero_thresholds_optimize_to_the_bottom():
 
 def test_epsilon_grid_holds_the_true_minimum():
     inst = Instance(A=(("0.9",),), b=("0.6",), epsilon="0.1")
-    assert Fraction("0.6") in build_grid(inst).coords[0]
+    assert Fraction("0.6") in grid_coords(build_grid(inst))[0]
     minimal, _ = brute_force(inst)
     assert minimal == [(Fraction("0.6"),)]
     assert [c.point for c in solve(inst).minimal_solutions] == minimal
@@ -170,10 +171,11 @@ def test_minimal_set_matches_the_pairwise_scan(inst):
 @settings(max_examples=150, deadline=None)
 def test_integer_grid_matches_the_threshold_formula(inst):
     grid = build_grid(inst)
-    assert grid.coords == reference_grid(inst)
+    reference = reference_grid(inst)
+    assert grid_coords(grid) == reference
     values = itertools.chain((inst.epsilon,), inst.b, *inst.A)
     assert grid.scale == math.lcm(*(v.denominator for v in values))
-    assert grid.columns == tuple(tuple(v * grid.scale for v in c) for c in grid.coords)
+    assert grid.columns == tuple(tuple(v * grid.scale for v in c) for c in reference)
     assert all(type(k) is int for column in grid.columns for k in column)
 
 
@@ -199,10 +201,11 @@ def test_integer_membership_matches_is_member(golden, sevenths):
         base, _ = load_instance(str(INSTANCES / "epsilon.json"))
         inst = Instance(A=base.A, b=base.b, epsilon=Fraction(1, 7))
     grid = build_grid(inst)
+    coords = grid_coords(grid)
     expected = [
         idx
-        for idx in itertools.product(*(range(len(c)) for c in grid.coords))
-        if is_member(inst, tuple(c[k] for c, k in zip(grid.coords, idx)))
+        for idx in itertools.product(*(range(len(c)) for c in coords))
+        if is_member(inst, tuple(c[k] for c, k in zip(coords, idx)))
     ]
     assert expected  # both instances have feasible grid points
     assert _feasible_indices(inst, grid) == expected

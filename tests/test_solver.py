@@ -38,6 +38,7 @@ from conftest import (
     GOLDEN_OTHER_VALUE,
     prune_to_minimal,
     random_instances,
+    selector_key,
 )
 from test_core import small_instances
 
@@ -218,7 +219,7 @@ def test_search_matches_pruned_product_enumeration(inst):
         return
     reference = prune_to_minimal(enumerate_candidates(inst, cap=None))
     assert report.minimal_solutions == tuple(reference)
-    want = min(reference, key=lambda c: (log_sum_exp(c.point), c.selector.key))
+    want = min(reference, key=lambda c: (log_sum_exp(c.point), selector_key(c.selector)))
     assert report.optimizer == want
     assert report.optimal_value == log_sum_exp(want.point)
 

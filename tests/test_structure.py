@@ -32,6 +32,7 @@ from conftest import (
     fpoint,
     prune_to_minimal,
     random_instances,
+    selector_key,
 )
 from test_core import small_instances
 from test_solver import positive_epsilons, with_epsilon
@@ -80,7 +81,7 @@ class TestCandidates:
         assert got == GOLDEN_CANDIDATES
 
     def test_golden_enumeration_is_lexicographic(self, golden):
-        keys = [c.selector.key for c in enumerate_candidates(golden)]
+        keys = [selector_key(c.selector) for c in enumerate_candidates(golden)]
         assert keys == sorted(keys)
         assert len(keys) == selector_count(compute_index_sets(golden)) == 4
 
@@ -248,7 +249,7 @@ class TestPruning:
             return p != q and all(pj <= qj for pj, qj in zip(p, q))
 
         assert [c.point for c in minimal] == [
-            c.point for c in sorted(minimal, key=lambda c: c.selector.key)
+            c.point for c in sorted(minimal, key=lambda c: selector_key(c.selector))
         ]
         assert len({c.point for c in minimal}) == len(minimal)
         assert {c.point for c in minimal} == {
