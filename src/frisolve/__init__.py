@@ -12,13 +12,15 @@ nonzero coordinate is the only one meeting some row, at its threshold),
 which on the search's leaves is exactly minimality; solve_unpruned walks the
 same search with the objective as a lower bound and returns the optimizer
 alone; enumerate_candidates still streams the paper's full selector
-product. A column j reaches row i's threshold at
-x_j = t_ij = 1 + (b_i - epsilon) - a_ij. The report's cells, one box
-[x, ones] per minimal solution x, are derived from the minimal set where
-the report is rendered. brute_force is the independent exhaustive
-oracle that the verify command runs against the solver. All lattice
-arithmetic is exact rational arithmetic; floats appear only in objective
-values and serialized output.
+product. Each of the three is bounded by an integer work cap of at least
+1 (DEFAULT_CAP unless given), and each candidate carries its selector as a
+tuple of one column per row, None at a vacuous row. A column j reaches
+row i's threshold at x_j = t_ij = 1 + (b_i - epsilon) - a_ij. The
+report's cells, one box [x, ones] per minimal solution x, are derived from
+the minimal set where the report is rendered. brute_force is the
+independent exhaustive oracle that the verify command runs against the
+solver. All lattice arithmetic is exact rational arithmetic; floats appear
+only in objective values and serialized output.
 """
 
 from .core import (
@@ -27,9 +29,7 @@ from .core import (
     as_grade,
     as_point,
     compose,
-    compose_row,
     is_member,
-    luk_tnorm,
     ones,
     zeros,
 )
@@ -38,7 +38,6 @@ from .structure import (
     DEFAULT_CAP,
     Candidate,
     CapExceededError,
-    Selector,
     enumerate_candidates,
     selector_count,
 )
@@ -67,9 +66,7 @@ __all__ = [
     "as_grade",
     "as_point",
     "compose",
-    "compose_row",
     "is_member",
-    "luk_tnorm",
     "ones",
     "zeros",
     "IndexSets",
@@ -78,7 +75,6 @@ __all__ = [
     "DEFAULT_CAP",
     "Candidate",
     "CapExceededError",
-    "Selector",
     "enumerate_candidates",
     "selector_count",
     "OBJECTIVES",

@@ -8,11 +8,12 @@ Exit codes: 0 success, 1 input error, 2 infeasible, 3 work cap or oracle
 grid limit exceeded, 4 solver/oracle disagreement. The work cap (default
 10^6) bounds search nodes for solve and solve --no-prune, which take it
 from --cap or FRI_CAP, and for verify, which reads FRI_CAP only; for
-enumerate (--cap or FRI_CAP) it bounds the selector count |E|. Reports go
-to stdout, diagnostics to stderr. All row/column indices in output are
-1-based; text mode rounds values to 4 decimals, structured mode emits full
-precision. Both formats are byte-identical from run to run unless
---timings adds wall-clock stage times.
+enumerate (--cap or FRI_CAP) it bounds the selector count |E|. verify checks
+the grid limit before it solves, so an instance over both limits is refused
+for its grid. Reports go to stdout, diagnostics to stderr. All row/column
+indices in output are 1-based; text mode rounds values to 4 decimals,
+structured mode emits full precision. Both formats are byte-identical from
+run to run unless --timings adds wall-clock stage times.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .oracle import (
     is_minimal_point,
 )
 from .solver import SolveReport, solve, solve_unpruned
-from .structure import DEFAULT_CAP, CapExceededError, Selector, enumerate_candidates
+from .structure import DEFAULT_CAP, CapExceededError, enumerate_candidates
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,8 +89,8 @@ def _fmt_point(p: Point) -> str:
     return "[" + ", ".join(f"{grade_number(v):.4f}" for v in p) + "]"
 
 
-def _fmt_selector(sel: Selector) -> str:
-    return "[" + ", ".join("-" if c is None else str(c + 1) for c in sel.columns) + "]"
+def _fmt_selector(selector: tuple[Optional[int], ...]) -> str:
+    return "[" + ", ".join("-" if c is None else str(c + 1) for c in selector) + "]"
 
 
 def _print_index_sets(idx) -> None:
@@ -183,8 +184,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     inst, name = load_instance(args.path)
     _print_header(name, inst)
     objective = OBJECTIVES[args.objective]
-    report = solve(inst, objective, _default_cap())
     oracle_minimal, oracle_optimum = brute_force(inst, objective, limit=args.limit)
+    report = solve(inst, objective, _default_cap())
 
     if not report.index_sets.feasible:
         rows = ", ".join(str(i + 1) for i in report.index_sets.empty_rows)
@@ -327,25 +328,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InstanceFormatError as exc:
-        _fail(str(exc))
-        return 1
     except InfeasibleSystemError as exc:
         _fail(str(exc))
         return 2
-    except CapExceededError as exc:
+    except (CapExceededError, GridTooLargeError) as exc:
         _fail(str(exc))
         return 3
-    except GridTooLargeError as exc:
-        _fail(str(exc))
-        return 3
-    except FileNotFoundError as exc:
-        _fail(f"cannot read {exc.filename}: no such file")
-        return 1
-    except OSError as exc:
-        _fail(str(exc))
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         _fail(str(exc))
         return 1
 

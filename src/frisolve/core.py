@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Union
 
 GradeLike = Union[int, float, str, Fraction]
 Point = tuple[Fraction, ...]
@@ -79,13 +79,13 @@ def _grades(values: Iterable[GradeLike], label: Callable[[int], str]) -> tuple[F
     return tuple(_to_grade(v, lambda: label(k)) for k, v in enumerate(grades))
 
 
-def as_point(values: Iterable[GradeLike], n: int | None = None, label: str = "x") -> Point:
+def as_point(values: Iterable[GradeLike], n: int | None = None) -> Point:
     """Convert a coordinate sequence to an exact point in the unit cube."""
-    point = _grades(values, lambda k: f"{label}[{k + 1}]")
+    point = _grades(values, lambda k: f"x[{k + 1}]")
     if not point:
-        raise ValueError(f"{label} must have at least one coordinate")
+        raise ValueError("x must have at least one coordinate")
     if n is not None and len(point) != n:
-        raise ValueError(f"{label} has {len(point)} coordinates, expected {n}")
+        raise ValueError(f"x has {len(point)} coordinates, expected {n}")
     return point
 
 
@@ -149,31 +149,6 @@ class Instance:
     @property
     def n(self) -> int:
         return len(self.A[0])
-
-
-def luk_tnorm(a: GradeLike, x: GradeLike) -> Fraction:
-    """The Lukasiewicz t-norm ``max(a + x - 1, 0)``.
-
-    Monotone in both arguments, commutative, with identity 1 and
-    annihilator-like behaviour at 0 (``a < 1`` forces the result to 0).
-    """
-    a = as_grade(a, "a")
-    x = as_grade(x, "x")
-    s = a + x - ONE
-    return s if s > ZERO else ZERO
-
-
-def compose_row(row: Sequence[GradeLike], x: Iterable[GradeLike]) -> Fraction:
-    """Compose one grade row with a point: ``max_j max(a_j + x_j - 1, 0)``."""
-    point = as_point(x, label="x")
-    if len(row) != len(point):
-        raise ValueError(f"row has {len(row)} entries, point has {len(point)}")
-    best = ZERO
-    for a, xj in zip(row, point):
-        t = _to_fraction(a, lambda: "a") + xj - ONE
-        if t > best:
-            best = t
-    return best
 
 
 def compose(inst: Instance, x: Iterable[GradeLike]) -> tuple[Fraction, ...]:

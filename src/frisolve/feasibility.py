@@ -48,10 +48,6 @@ class IndexSets:
     vacuous: tuple[bool, ...]
 
     @property
-    def m(self) -> int:
-        return len(self.sets)
-
-    @property
     def empty_rows(self) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.sets) if not s)
 

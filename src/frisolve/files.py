@@ -40,7 +40,7 @@ from typing import Any, Callable, Iterable, Optional
 
 from .core import Instance, Point
 from .solver import SolveReport
-from .structure import Candidate, Selector
+from .structure import Candidate
 
 _ALLOWED_KEYS = {"A", "b", "epsilon", "name"}
 # The types the parse hooks return for a number within the bounds.
@@ -168,11 +168,16 @@ def parse_instance_text(text: str) -> tuple[Instance, Optional[str]]:
 
 
 def load_instance(path: str | Path) -> tuple[Instance, Optional[str]]:
-    """Read and parse an instance file; bytes that are not UTF-8 fail to parse."""
+    """Read and parse an instance file; a file that cannot be read, or
+    whose bytes are not UTF-8, fails to parse."""
+    file = Path(path)
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = file.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InstanceFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        reason = "no such file" if isinstance(exc, FileNotFoundError) else exc.strerror
+        raise InstanceFormatError(f"cannot read {file}: {reason}") from exc
     try:
         return parse_instance_text(text)
     except InstanceFormatError as exc:
@@ -197,8 +202,8 @@ def _one_based(indices: Iterable[int]) -> str:
     return "[" + ", ".join([str(i + 1) for i in indices]) + "]"
 
 
-def _selector_text(sel: Selector) -> str:
-    return "[" + ", ".join(["null" if c is None else str(c + 1) for c in sel.columns]) + "]"
+def _selector_text(selector: tuple[Optional[int], ...]) -> str:
+    return "[" + ", ".join(["null" if c is None else str(c + 1) for c in selector]) + "]"
 
 
 def _array(items: list[str], pad: str) -> str:

@@ -41,17 +41,13 @@ from .objective import Objective, log_sum_exp
 from .structure import (
     DEFAULT_CAP,
     Candidate,
+    _check_cap,
     _ranked_objective,
     prune_leaves,
     search_leaves,
     search_optimum,
     selector_count,
 )
-
-
-def _check_cap(cap: int | None) -> None:
-    if cap is not None and cap < 1:
-        raise ValueError(f"cap must be >= 1 or None, got {cap}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +94,7 @@ def _infeasible_report(idx: IndexSets, t0: float) -> SolveReport:
 def solve(
     inst: Instance,
     objective: Objective = log_sum_exp,
-    cap: int | None = DEFAULT_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> SolveReport:
     """Full resolution: decide feasibility, search the candidates that can
     be minimal, keep those that pass the row test (the exact
@@ -111,8 +107,9 @@ def solve(
     lexicographically smallest selector. The objective is evaluated once
     per minimal solution.
 
-    ``cap`` bounds the search nodes (None: no bound); past it the search
-    raises CapExceededError. A cap below 1 raises ValueError.
+    ``cap`` bounds the search nodes; past it the search raises
+    CapExceededError. A cap that is not an integer of at least 1 raises
+    ValueError.
     """
     _check_cap(cap)
     t0 = time.perf_counter()
@@ -121,7 +118,7 @@ def solve(
     if not idx.feasible:
         return _infeasible_report(idx, t0)
 
-    found = search_leaves(inst, idx, cap=cap)
+    found = search_leaves(inst, idx, cap)
     t_search = time.perf_counter()
     pruned = prune_leaves(found)
     minimal = tuple(c for _, c in pruned)
@@ -156,7 +153,7 @@ def solve(
 def solve_unpruned(
     inst: Instance,
     objective: Objective = log_sum_exp,
-    cap: int | None = DEFAULT_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> SolveReport:
     """Resolution without the minimal-solution set: a bound-pruned
     covered-row search for the optimizer alone.
@@ -174,7 +171,7 @@ def solve_unpruned(
     if not idx.feasible:
         return _infeasible_report(idx, t0)
 
-    optimizer, value, leaves = search_optimum(inst, objective, idx, cap=cap)
+    optimizer, value, leaves = search_optimum(inst, objective, idx, cap)
     t_end = time.perf_counter()
 
     return SolveReport(

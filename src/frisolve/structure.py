@@ -64,27 +64,25 @@ class CapExceededError(RuntimeError):
     (one more than the cap). The caller can raise the cap or give up.
     """
 
-    def __init__(self, count: int, cap: int, progress: str | None = None):
+    def __init__(self, count: int, cap: int, progress: str):
         self.count = count
         self.cap = cap
-        progress = progress or f"enumeration needs {count} candidates"
         super().__init__(f"{progress}, exceeding the cap of {cap}; raise the cap to proceed")
 
 
-@dataclass(frozen=True)
-class Selector:
-    """One column choice per row: columns[i] is the picked column (0-based)
-    for constraining row i, and None for vacuous rows."""
-
-    columns: tuple[Optional[int], ...]
+def _check_cap(cap: int) -> None:
+    """Reject a work cap that is not an integer of at least 1."""
+    if not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"cap must be an integer >= 1, got {cap!r}")
 
 
 @dataclass(frozen=True)
 class Candidate:
     """A candidate minimal solution x(e) with its originating selector,
-    which builds the point."""
+    which builds the point: selector[i] is the column (0-based) picked for
+    row i, and None for a vacuous row."""
 
-    selector: Selector
+    selector: tuple[Optional[int], ...]
     point: Point
 
 
@@ -99,32 +97,24 @@ def _candidate(m: int, rows: Iterable[int], key: Iterable[int], point: Point) ->
     columns: list[Optional[int]] = [None] * m
     for i, c in zip(rows, key):
         columns[i] = c
-    return Candidate(selector=Selector(columns=tuple(columns)), point=point)
+    return Candidate(selector=tuple(columns), point=point)
 
 
-def _checked_index_sets(inst: Instance, idx: IndexSets | None) -> IndexSets:
-    if idx is None:
-        idx = compute_index_sets(inst)
-    if not idx.feasible:
-        raise InfeasibleSystemError(list(idx.empty_rows))
-    return idx
-
-
-def enumerate_candidates(
-    inst: Instance,
-    idx: IndexSets | None = None,
-    cap: int | None = DEFAULT_CAP,
-) -> Iterator[Candidate]:
+def enumerate_candidates(inst: Instance, cap: int = DEFAULT_CAP) -> Iterator[Candidate]:
     """Stream every candidate x(e) in lexicographic selector order.
 
     The total count, the product of the |J(i)|, is computed up front:
-    an infeasible system or a product beyond ``cap`` raises immediately,
-    before any candidate is built. Pass cap=None to disable the cap.
+    a cap that is not an integer of at least 1 raises ValueError, and an
+    infeasible system or a product beyond ``cap`` raises immediately,
+    before any candidate is built.
     """
-    idx = _checked_index_sets(inst, idx)
+    _check_cap(cap)
+    idx = compute_index_sets(inst)
+    if not idx.feasible:
+        raise InfeasibleSystemError(list(idx.empty_rows))
     count = selector_count(idx)
-    if cap is not None and count > cap:
-        raise CapExceededError(count, cap)
+    if count > cap:
+        raise CapExceededError(count, cap, f"enumeration needs {count} candidates")
     rows = idx.constraining_rows
     scale, thresholds, options = _ranked_options(inst, idx)
     values = _fractions(scale, thresholds)
@@ -207,7 +197,7 @@ def _ranked_objective(
 def _walk(
     n: int,
     options: _Options,
-    cap: int | None,
+    cap: int,
     bound: Callable[[tuple[int, ...]], float] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], float | None]]:
     """The covered-row walk over ranked options; yields (leaf, value).
@@ -235,7 +225,7 @@ def _walk(
     while stack:
         k, x = stack.pop()
         nodes += 1
-        if cap is not None and nodes > cap:
+        if nodes > cap:
             raise CapExceededError(nodes, cap, f"search reached {nodes} nodes")
         value = None
         if bound is not None:
@@ -305,11 +295,7 @@ class SearchLeaves:
     reached: int
 
 
-def search_leaves(
-    inst: Instance,
-    idx: IndexSets | None = None,
-    cap: int | None = DEFAULT_CAP,
-) -> SearchLeaves:
+def search_leaves(inst: Instance, idx: IndexSets, cap: int) -> SearchLeaves:
     """Covered-row search: a set of feasible points that contains every
     minimal solution, found without walking the selector product.
 
@@ -322,11 +308,10 @@ def search_leaves(
     row, a column with t_ij <= x*_j keeps the partial point below x*, and a
     feasible point below x* equals x*.
 
-    ``cap`` bounds the search nodes, one per column assignment tried; the
-    search raises CapExceededError when it would try one more. Pass
-    cap=None to disable the cap.
+    ``idx`` is the index sets of the feasible instance. ``cap`` bounds
+    the search nodes, one per column assignment tried; the search raises
+    CapExceededError when it would try one more.
     """
-    idx = _checked_index_sets(inst, idx)
     scale, thresholds, options = _ranked_options(inst, idx)
     distinct: dict[tuple[int, ...], None] = {}
     reached = 0
@@ -371,8 +356,8 @@ def prune_leaves(found: SearchLeaves) -> list[tuple[tuple[int, ...], Candidate]]
 def search_optimum(
     inst: Instance,
     objective: Callable[[Point], float],
-    idx: IndexSets | None = None,
-    cap: int | None = DEFAULT_CAP,
+    idx: IndexSets,
+    cap: int,
 ) -> tuple[Candidate, float, int]:
     """Bound-pruned covered-row search for the minimum of a monotone
     objective, without building or pruning the minimal-solution set.
@@ -392,10 +377,8 @@ def search_optimum(
     Fractions are built only for the optimizer's coordinates.
 
     Returns the optimizer with its canonical selector, its value, and the
-    number of leaves reached. ``cap`` bounds the search nodes as in
-    search_leaves.
+    number of leaves reached. ``idx`` and ``cap`` are search_leaves'.
     """
-    idx = _checked_index_sets(inst, idx)
     scale, thresholds, options = _ranked_options(inst, idx)
     bound = _ranked_objective(objective, scale, thresholds)
     best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None

@@ -20,7 +20,6 @@ from frisolve import (
     Candidate,
     Instance,
     Point,
-    Selector,
     SolveReport,
     generate_instance,
     is_member,
@@ -118,11 +117,11 @@ def random_instances(count: int, base_seed: int, density: float = 1.0, feasible:
     return out
 
 
-def selector_key(sel: Selector) -> tuple[int, ...]:
+def selector_key(selector: tuple[Optional[int], ...]) -> tuple[int, ...]:
     """A selector's ordering key: the chosen columns of constraining rows
     only. Vacuous positions are the same in every selector of an instance,
     so dropping them keeps the lexicographic order."""
-    return tuple(c for c in sel.columns if c is not None)
+    return tuple(c for c in selector if c is not None)
 
 
 def _undominated(points: Iterable[tuple]) -> list[tuple]:
@@ -286,7 +285,7 @@ def build_report_data(
 
     def entry(cand: Candidate, value: Any) -> dict[str, Any]:
         return {
-            "selector": [c + 1 if c is not None else None for c in cand.selector.columns],
+            "selector": [c + 1 if c is not None else None for c in cand.selector],
             "point": [grade_number(v) for v in cand.point],
             "objective_value": value,
         }

@@ -63,7 +63,7 @@ def test_criterion_3_candidates(golden):
     got = {c.point for c in cands}
     assert got == set(GOLDEN_CANDIDATES.values())
     for cand in cands:
-        want = GOLDEN_CANDIDATES[tuple(cand.selector.columns)]
+        want = GOLDEN_CANDIDATES[cand.selector]
         for g, w in zip(cand.point, want):
             assert abs(float(g) - float(w)) <= 1e-12
 

@@ -82,6 +82,13 @@ class TestCheck:
         assert err == "frisolve: error: cannot read /nonexistent/nope.json: no such file\n"
 
     @pytest.mark.parametrize("command", ["check", "solve", "verify"])
+    def test_directory_path_is_an_input_error(self, tmp_path, capsys, command):
+        assert main([command, str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"frisolve: error: cannot read {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("command", ["check", "solve", "verify"])
     def test_non_utf8_file_is_an_input_error_naming_the_path(self, tmp_path, capsys, command):
         path = tmp_path / "utf16.json"
         path.write_bytes(b"\xff\xfe" + '{"A": [[0.5]], "b": [0.2]}'.encode("utf-16-le"))
@@ -227,6 +234,14 @@ class TestVerify:
     def test_grid_limit_exits_3(self, golden_file, capsys):
         assert main(["verify", golden_file, "--limit", "5"]) == 3
         assert "exceeding the limit" in capsys.readouterr().err
+
+    def test_grid_limit_is_checked_before_the_solve(self, golden_file, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("solve ran before the grid limit was checked")
+
+        monkeypatch.setattr("frisolve.cli.solve", fail)
+        assert main(["verify", golden_file, "--limit", "1"]) == 3
+        assert "exceeding the limit of 1" in capsys.readouterr().err
 
     def test_search_cap_applies(self, golden_file, capsys, monkeypatch):
         monkeypatch.setenv("FRI_CAP", "2")

@@ -12,9 +12,7 @@ from frisolve import (
     as_grade,
     as_point,
     compose,
-    compose_row,
     is_member,
-    luk_tnorm,
     ones,
     zeros,
 )
@@ -35,46 +33,6 @@ def small_instances(max_m=4, max_n=4):
             )
         )
     ).map(lambda ab: Instance(A=tuple(map(tuple, ab[0])), b=tuple(ab[1])))
-
-
-class TestLukTnorm:
-    def test_top_point_returns_the_grade(self):
-        assert luk_tnorm("0.8147", 1) == F("0.8147")
-
-    def test_zero_annihilates_below_one(self):
-        for a in ("0.0", "0.3", "0.9999"):
-            assert luk_tnorm(a, 0) == 0
-
-    def test_one_is_the_identity(self):
-        for x in ("0.0", "0.25", "0.7", "1.0"):
-            assert luk_tnorm(1, x) == F(x)
-
-    @given(a=grades, x=grades)
-    def test_range_and_commutativity(self, a, x):
-        v = luk_tnorm(a, x)
-        assert 0 <= v <= 1
-        assert v == luk_tnorm(x, a)
-
-    @given(a=grades, x=grades, y=grades)
-    def test_monotone_in_second_argument(self, a, x, y):
-        lo, hi = min(x, y), max(x, y)
-        assert luk_tnorm(a, lo) <= luk_tnorm(a, hi)
-
-
-class TestComposeRow:
-    def test_golden_second_row_at_top(self, golden):
-        assert compose_row(golden.A[1], ones(7)) == F("0.9705")
-
-    def test_zero_point_with_grades_below_one(self):
-        assert compose_row(fpoint("0.3", "0.99"), zeros(2)) == 0
-
-    def test_two_term_hand_evaluation(self):
-        # max(0.5 + 1 - 1, 0.9 + 0.3 - 1) = max(0.5, 0.2)
-        assert compose_row(fpoint("0.5", "0.9"), fpoint("1", "0.3")) == F("0.5")
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            compose_row(fpoint("0.5", "0.9"), fpoint("1"))
 
 
 class TestCompose:

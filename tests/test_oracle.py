@@ -184,7 +184,7 @@ def test_integer_grid_matches_the_threshold_formula(inst):
 def test_integer_minimality_matches_the_fraction_definition(inst):
     assume(compute_index_sets(inst).feasible)
     seventh = Fraction(1, 7)
-    for cand in enumerate_candidates(inst, cap=None):
+    for cand in enumerate_candidates(inst):
         x = cand.point
         shifted = [x, tuple(v + seventh for v in x), tuple(v - seventh for v in x)]
         for j in range(inst.n):

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frisolve import (
+    DEFAULT_CAP,
     OBJECTIVES,
     Candidate,
     CapExceededError,
     Instance,
-    Selector,
     compute_index_sets,
     enumerate_candidates,
     generate_instance,
@@ -61,7 +61,7 @@ def test_golden_full_report(golden):
     assert report.candidates_enumerated == 2  # leaves of the covered-row search
     assert {c.point for c in report.minimal_solutions} == GOLDEN_MINIMAL
     assert report.optimizer.point == GOLDEN_OPTIMIZER_POINT
-    assert report.optimizer.selector.columns == GOLDEN_OPTIMIZER_SELECTOR
+    assert report.optimizer.selector == GOLDEN_OPTIMIZER_SELECTOR
     assert report.optimal_value == pytest.approx(GOLDEN_OPT_VALUE, abs=5e-4)
     other = next(
         c for c in report.minimal_solutions if c.point != report.optimizer.point
@@ -134,7 +134,7 @@ def test_unpruned_max_tie_reports_the_minimal_point():
     for runner in (solve, solve_unpruned):
         report = runner(inst, max_coordinate)
         assert report.optimizer.point == (0, 1)
-        assert report.optimizer.selector.columns == (1, 1)
+        assert report.optimizer.selector == (1, 1)
         assert report.optimal_value == 1.0
 
 
@@ -171,7 +171,7 @@ def test_objective_ties_break_to_the_smallest_selector():
     assert len(report.minimal_solutions) == 2
     values = {log_sum_exp(c.point) for c in report.minimal_solutions}
     assert len(values) == 1
-    assert report.optimizer.selector.columns == (0,)
+    assert report.optimizer.selector == (0,)
 
 
 def test_cap_propagates_with_the_exact_count(golden):
@@ -198,10 +198,13 @@ def test_generic_objective_lower_bounds_sampled_points(golden):
 
 
 def test_options_validation(golden):
-    with pytest.raises(ValueError):
-        solve(golden, cap=0)
-    with pytest.raises(ValueError):
-        solve_unpruned(golden, cap=0)
+    for cap in (0, None):
+        with pytest.raises(ValueError):
+            solve(golden, cap=cap)
+        with pytest.raises(ValueError):
+            solve_unpruned(golden, cap=cap)
+        with pytest.raises(ValueError):
+            enumerate_candidates(golden, cap=cap)
 
 
 def test_timing_stages_recorded(golden):
@@ -217,7 +220,7 @@ def test_search_matches_pruned_product_enumeration(inst):
     if not report.index_sets.feasible:
         assert not compute_index_sets(inst).feasible
         return
-    reference = prune_to_minimal(enumerate_candidates(inst, cap=None))
+    reference = prune_to_minimal(enumerate_candidates(inst))
     assert report.minimal_solutions == tuple(reference)
     want = min(reference, key=lambda c: (log_sum_exp(c.point), selector_key(c.selector)))
     assert report.optimizer == want
@@ -230,7 +233,7 @@ def test_large_answer_matches_the_pairwise_reference():
     inst, _ = generate_instance(14, 10, seed=7, density=6)
     idx = compute_index_sets(inst)
     report = solve(inst)
-    found = search_leaves(inst, idx)
+    found = search_leaves(inst, idx, DEFAULT_CAP)
     leaves = []
     for leaf in found.points:
         point = tuple(found.values[r] for r in leaf)
@@ -239,7 +242,7 @@ def test_large_answer_matches_the_pairwise_reference():
             else next(j for j in idx.sets[i] if coordinate_threshold(inst, i, j) <= point[j])
             for i in range(inst.m)
         )
-        leaves.append(Candidate(selector=Selector(columns=columns), point=point))
+        leaves.append(Candidate(selector=columns, point=point))
     assert len(report.minimal_solutions) == 350
     assert report.minimal_solutions == tuple(prune_to_minimal(leaves))
     assert all(is_minimal_point(inst, c.point) for c in report.minimal_solutions)

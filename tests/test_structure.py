@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frisolve import (
+    DEFAULT_CAP,
     CapExceededError,
     Instance,
     InfeasibleSystemError,
@@ -36,6 +37,11 @@ from conftest import (
 )
 from test_core import small_instances
 from test_solver import positive_epsilons, with_epsilon
+
+
+def search(inst, cap=DEFAULT_CAP):
+    """search_leaves on the instance's own index sets."""
+    return search_leaves(inst, compute_index_sets(inst), cap)
 
 
 def single_row_points(row, b, epsilon=0):
@@ -73,11 +79,7 @@ class TestRowMinimal:
 
 class TestCandidates:
     def test_golden_candidates_with_selectors(self, golden):
-        idx = compute_index_sets(golden)
-        got = {
-            tuple(c.selector.columns): c.point
-            for c in enumerate_candidates(golden, idx)
-        }
+        got = {c.selector: c.point for c in enumerate_candidates(golden)}
         assert got == GOLDEN_CANDIDATES
 
     def test_golden_enumeration_is_lexicographic(self, golden):
@@ -86,10 +88,7 @@ class TestCandidates:
         assert len(keys) == selector_count(compute_index_sets(golden)) == 4
 
     def test_hand_2x2_candidates(self):
-        got = {
-            tuple(c.selector.columns): c.point
-            for c in enumerate_candidates(HAND_2X2)
-        }
+        got = {c.selector: c.point for c in enumerate_candidates(HAND_2X2)}
         assert got == HAND_2X2_CANDIDATES
 
     def test_single_row_candidate_is_the_row_minimal_point(self):
@@ -104,7 +103,7 @@ class TestCandidates:
         cands = list(enumerate_candidates(inst))
         assert len(cands) == 1
         assert cands[0].point == fpoint("0", "0")
-        assert cands[0].selector.columns == (None,)
+        assert cands[0].selector == (None,)
 
     def test_infeasible_system_raises(self):
         inst = Instance(A=(("0.3", "0.6"),), b=("0.7",))
@@ -126,7 +125,7 @@ class TestCandidates:
         idx = compute_index_sets(inst)
         if not idx.feasible:
             return
-        for cand in enumerate_candidates(inst, idx, cap=2000):
+        for cand in enumerate_candidates(inst, cap=2000):
             assert is_member(inst, cand.point)
 
 
@@ -134,33 +133,28 @@ class TestSearch:
     def test_golden_leaves_and_nodes(self, golden):
         # rows 1, 3 and 5 have one column each, row 5 and row 2 are then
         # covered at x_3, and row 4 branches: 4 nodes, 2 leaves
-        found = search_leaves(golden, cap=4)
+        found = search(golden, cap=4)
         assert found.reached == len(found.points) == 2
         minimal = [c for _, c in prune_leaves(found)]
         assert len(minimal) == 2
         assert {c.point for c in minimal} == GOLDEN_MINIMAL
         for cand in minimal:
-            assert GOLDEN_CANDIDATES[cand.selector.columns] == cand.point
+            assert GOLDEN_CANDIDATES[cand.selector] == cand.point
         with pytest.raises(CapExceededError) as err:
-            search_leaves(golden, cap=3)
+            search(golden, cap=3)
         assert err.value.count == 4
         assert err.value.cap == 3
         assert "exceeding the cap of 3" in str(err.value)
 
     def test_all_vacuous_rows_give_the_zero_leaf(self):
         inst = Instance(A=(("0.4", "0.9"),), b=(0,))
-        found = search_leaves(inst)
+        found = search(inst)
         assert found.reached == 1
         assert found.points == [(0, 0)]
         [(leaf, cand)] = prune_leaves(found)
         assert leaf == (0, 0)
         assert cand.point == fpoint("0", "0")
-        assert cand.selector.columns == (None,)
-
-    def test_infeasible_system_raises(self):
-        inst = Instance(A=(("0.3", "0.6"),), b=("0.7",))
-        with pytest.raises(InfeasibleSystemError):
-            search_leaves(inst)
+        assert cand.selector == (None,)
 
     def test_covered_row_is_not_branched(self):
         # Rows 1 and 2 force [0.8, 0.7]; both columns of row 3 already meet
@@ -170,11 +164,11 @@ class TestSearch:
             A=(("0.8", "0.1"), ("0.2", "0.8"), ("0.8", "0.9")),
             b=("0.6", "0.5", "0.4"),
         )
-        found = search_leaves(inst)
+        found = search(inst)
         assert found.reached == 1
         minimal = [c for _, c in prune_leaves(found)]
         assert [c.point for c in minimal] == [fpoint("0.8", "0.7")]
-        assert minimal[0].selector.columns == (0, 1, 0)
+        assert minimal[0].selector == (0, 1, 0)
 
     @given(inst=small_instances())
     @settings(max_examples=60, deadline=None)
@@ -182,7 +176,7 @@ class TestSearch:
         idx = compute_index_sets(inst)
         if not idx.feasible:
             return
-        found = search_leaves(inst, idx)
+        found = search_leaves(inst, idx, DEFAULT_CAP)
         assert len(found.points) <= found.reached
         for leaf in found.points:
             assert is_member(inst, tuple(found.values[r] for r in leaf))
@@ -190,12 +184,12 @@ class TestSearch:
 
 class TestPruning:
     def test_golden_minimal_set(self, golden):
-        assert {c.point for _, c in prune_leaves(search_leaves(golden))} == GOLDEN_MINIMAL
+        assert {c.point for _, c in prune_leaves(search(golden))} == GOLDEN_MINIMAL
         minimal = prune_to_minimal(enumerate_candidates(golden))
         assert {c.point for c in minimal} == GOLDEN_MINIMAL
 
     def test_hand_2x2_minimal_set(self):
-        assert {c.point for _, c in prune_leaves(search_leaves(HAND_2X2))} == HAND_2X2_MINIMAL
+        assert {c.point for _, c in prune_leaves(search(HAND_2X2))} == HAND_2X2_MINIMAL
         minimal = prune_to_minimal(enumerate_candidates(HAND_2X2))
         assert {c.point for c in minimal} == HAND_2X2_MINIMAL
 
@@ -215,7 +209,7 @@ class TestPruning:
         assert cands[0].point == cands[1].point == fpoint("0.8", "0.7")
         minimal = prune_to_minimal(cands)
         assert len(minimal) == 1
-        assert minimal[0].selector.columns == (0, 1, 0)
+        assert minimal[0].selector == (0, 1, 0)
 
     @given(inst=small_instances())
     @settings(max_examples=50, deadline=None)
@@ -223,7 +217,7 @@ class TestPruning:
         idx = compute_index_sets(inst)
         if not idx.feasible:
             return
-        cands = list(enumerate_candidates(inst, idx, cap=2000))
+        cands = list(enumerate_candidates(inst, cap=2000))
         survivors = prune_to_minimal(cands)
         spoints = [c.point for c in survivors]
         for cand in cands:
@@ -239,7 +233,7 @@ class TestPruning:
         idx = compute_index_sets(inst)
         if not idx.feasible:
             return
-        found = search_leaves(inst, idx)
+        found = search_leaves(inst, idx, DEFAULT_CAP)
         leaves = [tuple(found.values[r] for r in leaf) for leaf in found.points]
         pruned = prune_leaves(found)
         assert all(tuple(found.values[r] for r in leaf) == c.point for leaf, c in pruned)
