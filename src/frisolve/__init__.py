@@ -4,15 +4,15 @@ over the unit cube.
 
 The feasible region of such a system is a finite union of boxes whose
 bottom corners are computable exactly; a monotone objective therefore
-attains its global minimum at one of finitely many candidate points. The
-solver reaches every minimal solution by a covered-row search, a
-depth-first walk over the rows that skips rows the partial point already
-satisfies, and keeps the leaves that pass a per-point row test (each
-nonzero coordinate is the only one meeting some row, at its threshold),
-which on the search's leaves is exactly minimality; solve_unpruned walks the
-same search with the objective as a lower bound and returns the optimizer
-alone; enumerate_candidates still streams the paper's full selector
-product. Each of the three is bounded by an integer work cap of at least
+attains its global minimum at one of finitely many candidate points. One
+module, solver, holds the search. solve reaches every minimal solution by
+a covered-row walk, depth-first over the rows, skipping rows the partial
+point already satisfies, and keeps the leaves that pass a per-point row
+test (each nonzero coordinate is the only one meeting some row, at its
+threshold), which on the walk's leaves is exactly minimality;
+solve_unpruned walks the same tree with the objective as a lower bound
+and returns the optimizer alone; enumerate_candidates still streams the
+paper's full selector product. Each of the three is bounded by an integer work cap of at least
 1 (DEFAULT_CAP unless given), and each candidate carries its selector as a
 tuple of one column per row, None at a vacuous row. A column j reaches
 row i's threshold at x_j = t_ij = 1 + (b_i - epsilon) - a_ij. The
@@ -34,13 +34,6 @@ from .core import (
     zeros,
 )
 from .feasibility import IndexSets, InfeasibleSystemError, compute_index_sets
-from .structure import (
-    DEFAULT_CAP,
-    Candidate,
-    CapExceededError,
-    enumerate_candidates,
-    selector_count,
-)
 from .objective import (
     OBJECTIVES,
     Objective,
@@ -48,7 +41,16 @@ from .objective import (
     log_sum_exp,
     max_coordinate,
 )
-from .solver import SolveReport, solve, solve_unpruned
+from .solver import (
+    DEFAULT_CAP,
+    Candidate,
+    CapExceededError,
+    SolveReport,
+    enumerate_candidates,
+    selector_count,
+    solve,
+    solve_unpruned,
+)
 from .oracle import GridTooLargeError, brute_force
 from .files import (
     InstanceFormatError,

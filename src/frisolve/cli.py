@@ -43,8 +43,14 @@ from .oracle import (
     brute_force,
     is_minimal_point,
 )
-from .solver import SolveReport, solve, solve_unpruned
-from .structure import DEFAULT_CAP, CapExceededError, enumerate_candidates
+from .solver import (
+    DEFAULT_CAP,
+    CapExceededError,
+    SolveReport,
+    enumerate_candidates,
+    solve,
+    solve_unpruned,
+)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -39,8 +39,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
 
 from .core import Instance, Point
-from .solver import SolveReport
-from .structure import Candidate
+from .solver import Candidate, SolveReport
 
 _ALLOWED_KEYS = {"A", "b", "epsilon", "name"}
 # The types the parse hooks return for a number within the bounds.
@@ -169,15 +168,15 @@ def parse_instance_text(text: str) -> tuple[Instance, Optional[str]]:
 
 def load_instance(path: str | Path) -> tuple[Instance, Optional[str]]:
     """Read and parse an instance file; a file that cannot be read, or
-    whose bytes are not UTF-8, fails to parse."""
-    file = Path(path)
+    whose bytes are not UTF-8, fails to parse. Every message names the
+    path as given."""
     try:
-        text = file.read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InstanceFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     except OSError as exc:
         reason = "no such file" if isinstance(exc, FileNotFoundError) else exc.strerror
-        raise InstanceFormatError(f"cannot read {file}: {reason}") from exc
+        raise InstanceFormatError(f"cannot read {path}: {reason}") from exc
     try:
         return parse_instance_text(text)
     except InstanceFormatError as exc:

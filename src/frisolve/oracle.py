@@ -37,9 +37,9 @@ grid holds only integers: only the minimal points and the optimizer are
 built as Fraction points, and any other objective receives every feasible
 point exactly.
 
-None of this shares a path or a formula with solver or structure, which is
-the point: a mistake in the solver's threshold t_ij moves the solver's
-points but not the grid. is_minimal_point checks a reported point from the
+None of this shares a path or a formula with the solver, which is the
+point: a mistake in the solver's threshold t_ij moves the solver's points
+but not the grid. is_minimal_point checks a reported point from the
 row inequality alone, so a point off the grid is judged too.
 """
 

@@ -1,53 +1,286 @@
-"""End-to-end resolution: feasibility gate, covered-row search, pruning,
+"""End-to-end resolution: feasibility gate, covered-row walk, row test,
 and objective comparison.
 
-Both entry points gate on the index sets: the system is feasible iff
-every J(i) is non-empty (IndexSets.feasible), and an infeasible system
-gets a report that carries only its index sets.
+For a constraining row i and an admissible column j, the least value of
+x_j at which column j alone satisfies row i is the threshold
+``t_ij = 1 + (b_i - epsilon) - a_ij`` (``core.coordinate_threshold``). A
+selector picks one admissible column per constraining row; the
+componentwise maximum of the picked single-row points is the candidate
+x(e), feasible by construction. Every minimal solution is a candidate, and
+the feasible region is the union of the boxes [x, ones] over the minimal
+solutions x. That is why a finite scan gives the global optimum over an
+uncountable region: on each box a monotone nondecreasing objective is
+least at the bottom corner, so the global minimum is the best minimal
+solution. The report writer renders the boxes as its cells
+(``files.render_report_json``), so nothing here builds them.
 
-Why a finite scan gives the global optimum over an uncountable region: the
-feasible set is a finite union of boxes [x(e), ones], the objective is
-monotone nondecreasing, so on each box the objective's minimum sits at the
-bottom corner x(e), and the global minimum is the best bottom corner, a
-minimal solution.
+``enumerate_candidates`` streams x(e) for every selector e of the product
+E of the admissible sets, as the paper's algorithm does; |E| grows
+exponentially with the number of rows. ``solve`` and ``solve_unpruned``
+walk the rows depth-first instead (``_walk``): a row the partial point
+already satisfies is skipped rather than branched on, so the work is
+bounded by that search tree rather than by |E|. Every leaf is feasible and
+every minimal solution is a leaf, so ``solve`` keeps exactly the leaves
+that pass the row test (``_minimal_key``): each nonzero x_j is the only
+column meeting some row, and meets it at the threshold, so that lowering
+x_j breaks that row. The test looks at one leaf at a time, never at pairs.
+``solve_unpruned`` walks the same tree with the objective as a lower
+bound: a monotone objective evaluated on a partial point bounds every leaf
+below it, so subtrees that cannot beat the best leaf so far are cut, no
+minimal set is built, and the optimizer is solve's. The cap bounds the
+search nodes of either. Both gate on the index sets first: the system is
+feasible iff every J(i) is non-empty, and an infeasible system gets a
+report that carries only its index sets.
 
-solve finds the minimal solutions by the covered-row search
-(structure.search_leaves), keeps the leaves that pass the row test on
-their integer ranks (structure.prune_leaves): each nonzero x_j is the only
-column meeting some row, at its threshold. Every leaf is feasible and
-every minimal solution is a leaf, so these are exactly the minimal
-solutions; solve minimizes the objective over them, evaluating a built-in
-objective on one float per threshold rank and any other on the exact
-points (structure._ranked_objective). solve_unpruned walks
-the same search with the objective as a lower bound
-(structure.search_optimum) and applies the same row test to its leaves:
-subtrees that cannot beat the best leaf so far are cut, no minimal set is
-built, and the optimizer it returns is solve's for every monotone
-objective. The cap bounds the search nodes of either.
-
-Neither builds the box decomposition: the cells [x, ones] are a view of
-the minimal set, derived from minimal_solutions where the report is
-written (files.render_report_json).
+The walk and the row test run on integers that stand in for the
+thresholds. Every t_ij is computed as the integer D * t_ij over one common
+denominator D of epsilon, the constraining b_i and the admissible a_ij
+(``_scaled_thresholds``), and one sort ranks them: rank order is the
+rational order, so every comparison has the rational outcome, and no
+Fraction is built per pair. Rank r stands for thresholds[r] / D. ``solve``
+builds each rank's Fraction once, for the minimal points it hands back;
+``solve_unpruned`` builds Fractions only for its optimizer's coordinates.
+A rank's float is the integer true division thresholds[r] / D, correctly
+rounded as ``float()`` of its Fraction is: a built-in objective runs its
+float kernel on those per-rank floats (``_ranked_objective``), with the
+bits it gives on the exact point, and any other objective receives exact
+points.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Callable, Iterable, Iterator, Optional
 
-from .core import Instance
-from .feasibility import IndexSets, compute_index_sets
-from .objective import Objective, log_sum_exp
-from .structure import (
-    DEFAULT_CAP,
-    Candidate,
-    _check_cap,
-    _ranked_objective,
-    prune_leaves,
-    search_leaves,
-    search_optimum,
-    selector_count,
-)
+from .core import Instance, Point
+from .feasibility import IndexSets, InfeasibleSystemError, compute_index_sets
+from .objective import Objective, _float_kernel, log_sum_exp
+
+DEFAULT_CAP = 10**6
+
+
+class CapExceededError(RuntimeError):
+    """A run would exceed the configured work cap.
+
+    ``count`` is how far the work got: for the product enumeration, the
+    exact size of the selector set, computed before any candidate is
+    built; for the covered-row search, the node count at which it stopped
+    (one more than the cap). The caller can raise the cap or give up.
+    """
+
+    def __init__(self, count: int, cap: int, progress: str):
+        self.count = count
+        self.cap = cap
+        super().__init__(f"{progress}, exceeding the cap of {cap}; raise the cap to proceed")
+
+
+def _check_cap(cap: int) -> None:
+    """Reject a work cap that is not an integer of at least 1."""
+    if not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"cap must be an integer >= 1, got {cap!r}")
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """A candidate minimal solution x(e) with its originating selector,
+    which builds the point: selector[i] is the column (0-based) picked for
+    row i, and None for a vacuous row."""
+
+    selector: tuple[Optional[int], ...]
+    point: Point
+
+
+def selector_count(idx: IndexSets) -> int:
+    """Exact size of the selector set: the product of |J(i)| over
+    constraining rows (1 when every row is vacuous)."""
+    return math.prod(len(idx.sets[i]) for i in idx.constraining_rows)
+
+
+def _candidate(m: int, rows: Iterable[int], key: Iterable[int], point: Point) -> Candidate:
+    """point with the selector that picks key[k] for rows[k], None elsewhere."""
+    columns: list[Optional[int]] = [None] * m
+    for i, c in zip(rows, key):
+        columns[i] = c
+    return Candidate(selector=tuple(columns), point=point)
+
+
+def enumerate_candidates(inst: Instance, cap: int = DEFAULT_CAP) -> Iterator[Candidate]:
+    """Stream every candidate x(e) in lexicographic selector order.
+
+    The total count, the product of the |J(i)|, is computed up front:
+    a cap that is not an integer of at least 1 raises ValueError, and an
+    infeasible system or a product beyond ``cap`` raises immediately,
+    before any candidate is built.
+    """
+    _check_cap(cap)
+    idx = compute_index_sets(inst)
+    if not idx.feasible:
+        raise InfeasibleSystemError(list(idx.empty_rows))
+    count = selector_count(idx)
+    if count > cap:
+        raise CapExceededError(count, cap, f"enumeration needs {count} candidates")
+    scale, thresholds, options = _ranked_options(inst, idx)
+    values = _fractions(scale, thresholds)
+    n, m = inst.n, inst.m
+
+    def stream() -> Iterator[Candidate]:
+        for choice in itertools.product(*options.values()):
+            x = [0] * n
+            for j, r in choice:
+                if r > x[j]:
+                    x[j] = r
+            key = [j for j, _ in choice]
+            yield _candidate(m, options, key, tuple(values[r] for r in x))
+
+    return stream()
+
+
+# Per constraining row, its admissible columns with the rank of t_ij.
+_Options = dict[int, tuple[tuple[int, int], ...]]
+
+
+def _scaled_thresholds(inst: Instance, i: int, columns: tuple[int, ...], scale: int) -> list[int]:
+    """D * t_ij for each j in columns, as ``D + (D*b_i - D*epsilon) - D*a_ij``;
+    D is scale, a common denominator of epsilon, b_i and every a_ij."""
+    b, eps, row = inst.b[i], inst.epsilon, inst.A[i]
+    top = scale + b.numerator * (scale // b.denominator) - eps.numerator * (scale // eps.denominator)
+    return [top - row[j].numerator * (scale // row[j].denominator) for j in columns]
+
+
+def _ranked_options(inst: Instance, idx: IndexSets) -> tuple[int, list[int], _Options]:
+    """The thresholds as integer ranks, for the covered-row walk.
+
+    A coordinate only ever holds 0 or one of its column's thresholds, so
+    the walk compares integer ranks of the thresholds: the same order,
+    exactly, without rational arithmetic. Returns the common denominator
+    D, the distinct thresholds scaled by D in ascending order (rank r
+    stands for thresholds[r] / D, and rank 0, thresholds[0] = 0, for 0),
+    and the ranked options of the constraining rows, in row order.
+
+    D is the lcm of the denominators of epsilon, the constraining b_i and
+    the admissible a_ij, so every D * t_ij is an integer, and distinct
+    thresholds give distinct integers in the same order.
+    """
+    rows, sets, A = idx.constraining_rows, idx.sets, inst.A
+    scale = math.lcm(
+        inst.epsilon.denominator,
+        *(inst.b[i].denominator for i in rows),
+        *(A[i][j].denominator for i in rows for j in sets[i]),
+    )
+    scaled = {i: _scaled_thresholds(inst, i, sets[i], scale) for i in rows}
+    thresholds = sorted(set().union(*scaled.values()) | {0})
+    rank = {t: r for r, t in enumerate(thresholds)}
+    options = {i: tuple(zip(sets[i], map(rank.__getitem__, scaled[i]))) for i in rows}
+    return scale, thresholds, options
+
+
+def _fractions(scale: int, thresholds: list[int]) -> list[Fraction]:
+    """Each rank's exact value, thresholds[r] / scale."""
+    return [Fraction(t, scale) for t in thresholds]
+
+
+def _ranked_objective(
+    objective: Callable[[Point], float], scale: int, thresholds: list[int]
+) -> Callable[[Iterable[int]], float]:
+    """objective on a point given by its ranks.
+
+    A built-in objective runs its float kernel on one float per rank,
+    thresholds[r] / scale: integer true division is correctly rounded, as
+    ``float()`` of the rank's Fraction is, so the value has the bits the
+    objective gives on the exact point. Any other objective receives the
+    exact point.
+    """
+    kernel = _float_kernel(objective)
+    if kernel is None:
+        values = _fractions(scale, thresholds)
+        return lambda x: objective(tuple([values[r] for r in x]))
+    floats = [t / scale for t in thresholds]
+    return lambda x: kernel([floats[r] for r in x])
+
+
+def _walk(
+    n: int,
+    options: _Options,
+    cap: int,
+    bound: Callable[[tuple[int, ...]], float] | None = None,
+) -> Iterator[tuple[tuple[int, ...], float | None]]:
+    """The covered-row walk over ranked options; yields (leaf, value).
+
+    Rows are taken fewest admissible columns first, from the zero point. A
+    row some column already meets is skipped; otherwise the walk branches
+    on each admissible column, raising it to its threshold. ``cap`` bounds
+    the nodes, one per column assignment tried. The branching depth can
+    reach the row count, so the walk keeps an explicit stack rather than
+    recursing. Each stack entry carries its node's point as a tuple of
+    ranks, so a branch needs no undoing, and a leaf is the tuple itself.
+
+    With ``bound``, each node (the root included) is valued once by
+    ``bound(x)`` on its partial point, and its subtree is cut iff that
+    value is strictly greater than the incumbent, the least value of a
+    leaf reached so far. A leaf's value is its node's value. Without a
+    bound, every value is None.
+    """
+    order = sorted(options.values(), key=len)
+    depth = len(order)
+    incumbent = math.inf
+    nodes = -1  # every pop is a node but the root's
+    # Entries (k, x): walk on from row position k with the point x.
+    stack = [(0, (0,) * n)]
+    while stack:
+        k, x = stack.pop()
+        nodes += 1
+        if nodes > cap:
+            raise CapExceededError(nodes, cap, f"search reached {nodes} nodes")
+        value = None
+        if bound is not None:
+            value = bound(x)
+            if value > incumbent:
+                continue
+        # Skip the rows some column already meets (a for/else loop here is
+        # measurably faster than any() over a generator).
+        while k < depth:
+            for c, t in order[k]:
+                if x[c] >= t:
+                    break
+            else:
+                break
+            k += 1
+        if k == depth:
+            if value is not None and value < incumbent:
+                incumbent = value
+            yield x, value
+            continue
+        for c, t in reversed(order[k]):
+            stack.append((k + 1, x[:c] + (t,) + x[c + 1:]))
+
+
+def _minimal_key(leaf: tuple[int, ...], options: _Options) -> tuple[int, ...] | None:
+    """The canonical selector key of a feasible ranked point if it is
+    minimal, None otherwise; one scan of the rows decides both.
+
+    The key holds, per constraining row, the smallest admissible j with
+    t_ij <= x_j: each row's options are in ascending column order, so it
+    is the first column that meets the row. The point is minimal iff each
+    nonzero x_j is the sole column meeting some row, and meets it at the
+    threshold, so that lowering x_j breaks that row. Lowering one
+    coordinate at a time is enough: the feasible set is upward closed, so
+    a feasible point below x would leave x feasible with one coordinate
+    lowered to it."""
+    key = []
+    tight = set()
+    for row in options.values():
+        met = [(c, t) for c, t in row if leaf[c] >= t]
+        c, t = met[0]
+        key.append(c)
+        if len(met) == 1 and leaf[c] == t:
+            tight.add(c)
+    if all(c in tight for c, r in enumerate(leaf) if r):
+        return tuple(key)
+    return None
 
 
 @dataclass(frozen=True)
@@ -96,9 +329,23 @@ def solve(
     objective: Objective = log_sum_exp,
     cap: int = DEFAULT_CAP,
 ) -> SolveReport:
-    """Full resolution: decide feasibility, search the candidates that can
-    be minimal, keep those that pass the row test (the exact
-    minimal-solution set), and minimize the objective over it.
+    """Full resolution: decide feasibility, walk the covered-row search,
+    keep the leaves that pass the row test (the exact minimal-solution
+    set), and minimize the objective over them.
+
+    Every leaf of the walk is feasible, since each row was met when passed
+    and coordinates only rise. Every minimal solution x* is a leaf:
+    following, at each branched row, a column with t_ij <= x*_j keeps the
+    partial point below x*, and a feasible point below x* equals x*. The
+    feasible set is upward closed, so a leaf is minimal iff it passes the
+    row test (``_minimal_key``), and each distinct leaf is tested once.
+
+    Each minimal solution carries its canonical selector: per constraining
+    row, the smallest admissible j with t_ij <= x_j. That selector builds
+    the point and is the lexicographically smallest selector that does:
+    any selector e with x(e) = x* picks, per row, a column with
+    t_ij <= x*_j, and the canonical columns give a feasible point below
+    x*, hence x* itself. minimal_solutions come in selector order.
 
     The returned optimizer is the global minimum of the objective over the
     entire feasible region, provided the objective is monotone
@@ -118,13 +365,23 @@ def solve(
     if not idx.feasible:
         return _infeasible_report(idx, t0)
 
-    found = search_leaves(inst, idx, cap)
+    scale, thresholds, options = _ranked_options(inst, idx)
+    leaves = [leaf for leaf, _ in _walk(inst.n, options, cap)]
     t_search = time.perf_counter()
-    pruned = prune_leaves(found)
-    minimal = tuple(c for _, c in pruned)
+    keyed = []
+    for leaf in dict.fromkeys(leaves):
+        key = _minimal_key(leaf, options)
+        if key is not None:
+            keyed.append((key, leaf))
+    keyed.sort()
+    fractions = _fractions(scale, thresholds)
+    minimal = tuple(
+        _candidate(inst.m, options, key, tuple([fractions[r] for r in leaf]))
+        for key, leaf in keyed
+    )
     t_prune = time.perf_counter()
-    rated = _ranked_objective(objective, found.scale, found.thresholds)
-    values = tuple(rated(leaf) for leaf, _ in pruned)
+    rated = _ranked_objective(objective, scale, thresholds)
+    values = tuple(rated(leaf) for _, leaf in keyed)
     # minimal is in canonical selector order, and distinct minimal points
     # have distinct canonical selectors, so the first least value is the
     # least (value, selector key).
@@ -135,7 +392,7 @@ def solve(
     return SolveReport(
         index_sets=idx,
         selector_count=selector_count(idx),
-        candidates_enumerated=found.reached,
+        candidates_enumerated=len(leaves),
         minimal_solutions=minimal,
         minimal_values=values,
         optimizer=optimizer,
@@ -156,13 +413,26 @@ def solve_unpruned(
     cap: int = DEFAULT_CAP,
 ) -> SolveReport:
     """Resolution without the minimal-solution set: a bound-pruned
-    covered-row search for the optimizer alone.
+    covered-row walk for the optimizer alone.
 
-    The objective is evaluated once per search node, on the partial
-    point; a subtree whose value is strictly greater than the best leaf
-    value so far is cut. The optimizer, its selector and optimal_value
-    equal solve's for every monotone objective; the report just carries
-    no minimal-solution set. ``cap`` is solve's.
+    The walk is solve's, with the objective evaluated once per search
+    node on the partial point (``_ranked_objective``). For a
+    nondecreasing objective that value is a lower bound on every leaf
+    below the node, so a subtree whose value is strictly greater than the
+    least leaf value so far is cut. The cut is strict, so every minimal
+    solution of optimal value is still reached.
+
+    Every leaf is feasible and can lower that incumbent, but only a leaf
+    that passes solve's row test can be returned: among those, the least
+    (value, canonical selector key), which is solve's optimizer with its
+    selector and value. No leaf is worse than the best minimal leaf before
+    it, so none is skipped by value ahead of the row test: the walk yields
+    a leaf only when its value is at or below the incumbent, and the
+    incumbent is the least value of all leaves reached before, minimal or
+    not. Fractions are built only for the optimizer's coordinates.
+
+    candidates_enumerated counts the leaves reached; the report carries no
+    minimal-solution set. ``cap`` is solve's.
     """
     _check_cap(cap)
     t0 = time.perf_counter()
@@ -171,7 +441,18 @@ def solve_unpruned(
     if not idx.feasible:
         return _infeasible_report(idx, t0)
 
-    optimizer, value, leaves = search_optimum(inst, objective, idx, cap)
+    scale, thresholds, options = _ranked_options(inst, idx)
+    bound = _ranked_objective(objective, scale, thresholds)
+    best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None
+    leaves = 0
+    for leaf, value in _walk(inst.n, options, cap, bound):
+        leaves += 1
+        key = _minimal_key(leaf, options)
+        if key is not None and (best is None or (value, key) < best[:2]):
+            best = (value, key, leaf)
+    value, key, leaf = best
+    point = tuple([Fraction(thresholds[r], scale) for r in leaf])
+    optimizer = _candidate(inst.m, options, key, point)
     t_end = time.perf_counter()
 
     return SolveReport(

@@ -1,7 +1,8 @@
 """Shared fixtures: the golden 5x7 instance with its hand-checked values,
-random-instance streams, the product-then-dominance reference, the
-oracle's Fraction references, the generic JSON writer with the instance and
-report references it renders, and the acceptance-criteria summary hook."""
+random-instance streams, every leaf of the covered-row walk, the
+product-then-dominance reference, the oracle's Fraction references, the
+generic JSON writer with the instance and report references it renders,
+and the acceptance-criteria summary hook."""
 
 from __future__ import annotations
 
@@ -17,16 +18,19 @@ from typing import Any, Iterable, Optional
 import pytest
 
 from frisolve import (
+    DEFAULT_CAP,
     Candidate,
     Instance,
     Point,
     SolveReport,
+    compute_index_sets,
     generate_instance,
     is_member,
 )
 from frisolve.core import coordinate_threshold
 from frisolve.files import grade_number
 from frisolve.oracle import LatticeGrid
+from frisolve.solver import _ranked_options, _walk
 
 # The worked 5x7 system. Every expected value below was recomputed by hand
 # or by an independent brute-force script before the solver existed.
@@ -122,6 +126,16 @@ def selector_key(selector: tuple[Optional[int], ...]) -> tuple[int, ...]:
     only. Vacuous positions are the same in every selector of an instance,
     so dropping them keeps the lexicographic order."""
     return tuple(c for c in selector if c is not None)
+
+
+def walk_leaves(inst: Instance) -> list[Point]:
+    """Every leaf the covered-row walk of a feasible instance reaches, as
+    an exact point, duplicates included, in the order reached."""
+    scale, thresholds, options = _ranked_options(inst, compute_index_sets(inst))
+    return [
+        tuple(Fraction(thresholds[r], scale) for r in leaf)
+        for leaf, _ in _walk(inst.n, options, DEFAULT_CAP)
+    ]
 
 
 def _undominated(points: Iterable[tuple]) -> list[tuple]:

@@ -82,6 +82,16 @@ class TestCheck:
         assert err == "frisolve: error: cannot read /nonexistent/nope.json: no such file\n"
 
     @pytest.mark.parametrize("command", ["check", "solve", "verify"])
+    def test_missing_file_is_named_as_given(self, tmp_path, capsys, command):
+        # Path() would print this as <tmp>/missing/y.json; a parse error
+        # names the path as given, so a read error does too.
+        path = f"{tmp_path}/./missing//y.json"
+        assert main([command, path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"frisolve: error: cannot read {path}: no such file\n"
+
+    @pytest.mark.parametrize("command", ["check", "solve", "verify"])
     def test_directory_path_is_an_input_error(self, tmp_path, capsys, command):
         assert main([command, str(tmp_path)]) == 1
         out, err = capsys.readouterr()

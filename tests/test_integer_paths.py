@@ -21,7 +21,7 @@ from frisolve.files import (
     parse_instance_text,
 )
 from frisolve.objective import coordinate_sum, log_sum_exp, max_coordinate
-from frisolve.structure import _ranked_options
+from frisolve.solver import _ranked_options
 
 digits = st.text("0123456789", min_size=1, max_size=MAX_DIGITS)
 

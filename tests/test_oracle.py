@@ -140,7 +140,7 @@ def test_verify_catches_a_threshold_mistake_shared_with_the_grid(tmp_path, capsy
     def scaled_without_epsilon(inst, i, columns, scale):
         return [int(scale * (1 + inst.b[i] - inst.A[i][j])) for j in columns]
 
-    monkeypatch.setattr("frisolve.structure._scaled_thresholds", scaled_without_epsilon)
+    monkeypatch.setattr("frisolve.solver._scaled_thresholds", scaled_without_epsilon)
     path = tmp_path / "eps.json"
     path.write_text('{"A": [[0.9]], "b": [0.6], "epsilon": 0.1}', encoding="utf-8")
     assert main(["verify", str(path)]) == 4

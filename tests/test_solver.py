@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frisolve import (
-    DEFAULT_CAP,
     OBJECTIVES,
     Candidate,
     CapExceededError,
@@ -28,7 +27,6 @@ from frisolve import (
 from frisolve.core import coordinate_threshold
 from frisolve.files import render_report_json
 from frisolve.oracle import is_minimal_point
-from frisolve.structure import search_leaves
 
 from conftest import (
     GOLDEN_MINIMAL,
@@ -39,6 +37,7 @@ from conftest import (
     prune_to_minimal,
     random_instances,
     selector_key,
+    walk_leaves,
 )
 from test_core import small_instances
 
@@ -233,10 +232,8 @@ def test_large_answer_matches_the_pairwise_reference():
     inst, _ = generate_instance(14, 10, seed=7, density=6)
     idx = compute_index_sets(inst)
     report = solve(inst)
-    found = search_leaves(inst, idx, DEFAULT_CAP)
     leaves = []
-    for leaf in found.points:
-        point = tuple(found.values[r] for r in leaf)
+    for point in dict.fromkeys(walk_leaves(inst)):
         columns = tuple(
             None if idx.vacuous[i]
             else next(j for j in idx.sets[i] if coordinate_threshold(inst, i, j) <= point[j])

@@ -10,18 +10,20 @@ from hypothesis import strategies as st
 
 from frisolve import (
     DEFAULT_CAP,
+    OBJECTIVES,
     CapExceededError,
     Instance,
     InfeasibleSystemError,
     compute_index_sets,
     enumerate_candidates,
     is_member,
+    log_sum_exp,
     ones,
     selector_count,
     solve,
 )
 from frisolve.files import grade_number, render_report_json
-from frisolve.structure import prune_leaves, search_leaves
+from frisolve.solver import _ranked_objective, _ranked_options, _walk
 
 from conftest import (
     GOLDEN_CANDIDATES,
@@ -34,14 +36,10 @@ from conftest import (
     prune_to_minimal,
     random_instances,
     selector_key,
+    walk_leaves,
 )
 from test_core import small_instances
 from test_solver import positive_epsilons, with_epsilon
-
-
-def search(inst, cap=DEFAULT_CAP):
-    """search_leaves on the instance's own index sets."""
-    return search_leaves(inst, compute_index_sets(inst), cap)
 
 
 def single_row_points(row, b, epsilon=0):
@@ -133,26 +131,25 @@ class TestSearch:
     def test_golden_leaves_and_nodes(self, golden):
         # rows 1, 3 and 5 have one column each, row 5 and row 2 are then
         # covered at x_3, and row 4 branches: 4 nodes, 2 leaves
-        found = search(golden, cap=4)
-        assert found.reached == len(found.points) == 2
-        minimal = [c for _, c in prune_leaves(found)]
+        report = solve(golden, cap=4)
+        assert report.candidates_enumerated == len(set(walk_leaves(golden))) == 2
+        minimal = report.minimal_solutions
         assert len(minimal) == 2
         assert {c.point for c in minimal} == GOLDEN_MINIMAL
         for cand in minimal:
             assert GOLDEN_CANDIDATES[cand.selector] == cand.point
         with pytest.raises(CapExceededError) as err:
-            search(golden, cap=3)
+            solve(golden, cap=3)
         assert err.value.count == 4
         assert err.value.cap == 3
         assert "exceeding the cap of 3" in str(err.value)
 
     def test_all_vacuous_rows_give_the_zero_leaf(self):
         inst = Instance(A=(("0.4", "0.9"),), b=(0,))
-        found = search(inst)
-        assert found.reached == 1
-        assert found.points == [(0, 0)]
-        [(leaf, cand)] = prune_leaves(found)
-        assert leaf == (0, 0)
+        report = solve(inst)
+        assert report.candidates_enumerated == 1
+        assert walk_leaves(inst) == [fpoint("0", "0")]
+        [cand] = report.minimal_solutions
         assert cand.point == fpoint("0", "0")
         assert cand.selector == (None,)
 
@@ -164,9 +161,9 @@ class TestSearch:
             A=(("0.8", "0.1"), ("0.2", "0.8"), ("0.8", "0.9")),
             b=("0.6", "0.5", "0.4"),
         )
-        found = search(inst)
-        assert found.reached == 1
-        minimal = [c for _, c in prune_leaves(found)]
+        report = solve(inst)
+        assert report.candidates_enumerated == 1
+        minimal = report.minimal_solutions
         assert [c.point for c in minimal] == [fpoint("0.8", "0.7")]
         assert minimal[0].selector == (0, 1, 0)
 
@@ -176,20 +173,35 @@ class TestSearch:
         idx = compute_index_sets(inst)
         if not idx.feasible:
             return
-        found = search_leaves(inst, idx, DEFAULT_CAP)
-        assert len(found.points) <= found.reached
-        for leaf in found.points:
-            assert is_member(inst, tuple(found.values[r] for r in leaf))
+        leaves = walk_leaves(inst)
+        assert len(set(leaves)) <= len(leaves) == solve(inst).candidates_enumerated
+        for leaf in leaves:
+            assert is_member(inst, leaf)
+
+    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    @given(inst=with_epsilon(st.one_of(st.just(Fraction(0)), positive_epsilons)))
+    @settings(max_examples=100, deadline=None)
+    def test_bound_walk_yields_leaf_values_that_never_increase(self, name, inst):
+        # A leaf is yielded only at or below the least value reached so
+        # far, so solve_unpruned never meets a leaf worse than its best
+        # minimal one and needs no skip by value before the row test.
+        idx = compute_index_sets(inst)
+        if not idx.feasible:
+            return
+        scale, thresholds, options = _ranked_options(inst, idx)
+        bound = _ranked_objective(OBJECTIVES[name], scale, thresholds)
+        values = [value for _, value in _walk(inst.n, options, DEFAULT_CAP, bound)]
+        assert values == sorted(values, reverse=True)
 
 
 class TestPruning:
     def test_golden_minimal_set(self, golden):
-        assert {c.point for _, c in prune_leaves(search(golden))} == GOLDEN_MINIMAL
+        assert {c.point for c in solve(golden).minimal_solutions} == GOLDEN_MINIMAL
         minimal = prune_to_minimal(enumerate_candidates(golden))
         assert {c.point for c in minimal} == GOLDEN_MINIMAL
 
     def test_hand_2x2_minimal_set(self):
-        assert {c.point for _, c in prune_leaves(search(HAND_2X2))} == HAND_2X2_MINIMAL
+        assert {c.point for c in solve(HAND_2X2).minimal_solutions} == HAND_2X2_MINIMAL
         minimal = prune_to_minimal(enumerate_candidates(HAND_2X2))
         assert {c.point for c in minimal} == HAND_2X2_MINIMAL
 
@@ -233,11 +245,13 @@ class TestPruning:
         idx = compute_index_sets(inst)
         if not idx.feasible:
             return
-        found = search_leaves(inst, idx, DEFAULT_CAP)
-        leaves = [tuple(found.values[r] for r in leaf) for leaf in found.points]
-        pruned = prune_leaves(found)
-        assert all(tuple(found.values[r] for r in leaf) == c.point for leaf, c in pruned)
-        minimal = [c for _, c in pruned]
+        leaves = walk_leaves(inst)
+        report = solve(inst)
+        minimal = report.minimal_solutions
+        # Each minimal point is a leaf, and solve rated each on its own
+        # leaf's ranks.
+        assert {c.point for c in minimal} <= set(leaves)
+        assert report.minimal_values == tuple(log_sum_exp(c.point) for c in minimal)
 
         def below(p, q):
             return p != q and all(pj <= qj for pj, qj in zip(p, q))
