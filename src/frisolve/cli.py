@@ -23,13 +23,14 @@ import functools
 import json
 import os
 import sys
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import __version__
-from .core import Instance, Point
-from .feasibility import InfeasibleSystemError, compute_index_sets
+from .core import Point
+from .feasibility import InfeasibleSystemError, _index_sets
 from .files import (
     InstanceFormatError,
+    _load,
     grade_number,
     load_instance,
     render_report_json,
@@ -47,9 +48,9 @@ from .solver import (
     DEFAULT_CAP,
     CapExceededError,
     SolveReport,
+    _solve,
+    _solve_unpruned,
     enumerate_candidates,
-    solve,
-    solve_unpruned,
 )
 
 
@@ -111,21 +112,22 @@ def _print_infeasible(idx) -> None:
     print(f"feasible: no (no admissible columns for row(s) {rows})")
 
 
-def _print_header(name: Optional[str], inst: Instance) -> None:
-    """The instance line. A name with a character that print would not
-    show as itself (a newline, a control or format character) is written
-    JSON-escaped, so that it can neither split the line nor forge one."""
+def _print_header(name: Optional[str], A: Sequence[Sequence]) -> None:
+    """The instance line, with the shape of the matrix A. A name with a
+    character that print would not show as itself (a newline, a control
+    or format character) is written JSON-escaped, so that it can neither
+    split the line nor forge one."""
     if name is None:
         shown = "(unnamed)"
     else:
         shown = name if name.isprintable() else json.dumps(name)
-    print(f"instance: {shown} (m={inst.m}, n={inst.n})")
+    print(f"instance: {shown} (m={len(A)}, n={len(A[0])})")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    inst, name = load_instance(args.path)
-    idx = compute_index_sets(inst)
-    _print_header(name, inst)
+    grades, name = _load(args.path)
+    idx = _index_sets(grades)
+    _print_header(name, grades.A)
     _print_index_sets(idx)
     if idx.feasible:
         print("feasible: yes (the all-ones point is the maximum solution)")
@@ -135,9 +137,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _print_text_report(
-    report: SolveReport, name: Optional[str], inst: Instance, timings: bool
+    report: SolveReport, name: Optional[str], A: Sequence[Sequence], timings: bool
 ) -> None:
-    _print_header(name, inst)
+    _print_header(name, A)
     if not report.index_sets.feasible:
         _print_infeasible(report.index_sets)
         return
@@ -163,15 +165,15 @@ def _print_text_report(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    inst, name = load_instance(args.path)
+    grades, name = _load(args.path)
     objective = OBJECTIVES[args.objective]
     cap = args.cap if args.cap is not None else _default_cap()
-    runner = solve_unpruned if args.no_prune else solve
-    report = runner(inst, objective, cap)
+    runner = _solve_unpruned if args.no_prune else _solve
+    report = runner(grades, objective, cap)
     if args.format == "structured":
         sys.stdout.write(render_report_json(report, name, include_timings=args.timings))
     else:
-        _print_text_report(report, name, inst, args.timings)
+        _print_text_report(report, name, grades.A, args.timings)
     return 0 if report.index_sets.feasible else 2
 
 
@@ -187,11 +189,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    inst, name = load_instance(args.path)
-    _print_header(name, inst)
+    grades, name = _load(args.path)
+    _print_header(name, grades.A)
     objective = OBJECTIVES[args.objective]
+    # The oracle reads the Instance's Fractions with formulas of its own.
+    inst = grades.instance()
     oracle_minimal, oracle_optimum = brute_force(inst, objective, limit=args.limit)
-    report = solve(inst, objective, _default_cap())
+    report = _solve(grades, objective, _default_cap())
 
     if not report.index_sets.feasible:
         rows = ", ".join(str(i + 1) for i in report.index_sets.empty_rows)

@@ -8,6 +8,12 @@ dominance ties between candidates must be genuine ties. Binary floats break
 both (the identity fails by one ulp about half the time), rationals never do.
 Floats convert losslessly on input; decimal strings keep their printed value.
 
+The search itself needs only comparisons and differences of grades, so it
+runs on a private integer form of the instance, ``_Scaled``: one common
+denominator D and every grade times D. An instance file is read straight
+into that form (``files``), with the checks and messages of ``Instance``;
+the public functions convert an ``Instance`` to it once, at their boundary.
+
 Everything in this module is immutable after construction and safe to share
 across threads; the operations are pure functions.
 """
@@ -18,7 +24,8 @@ import math
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Union
 
 GradeLike = Union[int, float, str, Fraction]
 Point = tuple[Fraction, ...]
@@ -48,10 +55,14 @@ def _short_decimal(value: Fraction) -> str:
     return f"{d:f}" if -20 < d.adjusted() < 20 else str(d)
 
 
+def _out_of_range(label: str, grade: Fraction) -> ValueError:
+    return ValueError(f"{label} out of [0,1]: {_short_decimal(grade)}")
+
+
 def _to_grade(value: GradeLike, label: Callable[[], str]) -> Fraction:
     grade = _to_fraction(value, label)
     if not 0 <= grade.numerator <= grade.denominator:
-        raise ValueError(f"{label()} out of [0,1]: {_short_decimal(grade)}")
+        raise _out_of_range(label(), grade)
     return grade
 
 
@@ -103,6 +114,18 @@ def zeros(n: int) -> Point:
     return (ZERO,) * n
 
 
+def _width_error(i: int, got: int, width: int) -> ValueError:
+    return ValueError(f"A[{i + 1}] has {got} columns, expected {width}")
+
+
+def _length_error(got: int, m: int) -> ValueError:
+    return ValueError(f"b has {got} entries, expected {m}")
+
+
+def _epsilon_error(value: object) -> ValueError:
+    return ValueError(f"epsilon must be >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Instance:
     """One inequality system: grade matrix ``A`` (m rows, n columns), row
@@ -130,14 +153,14 @@ class Instance:
             if width is None:
                 width = len(entries)
             elif len(entries) != width:
-                raise ValueError(f"A[{i + 1}] has {len(entries)} columns, expected {width}")
+                raise _width_error(i, len(entries), width)
             matrix.append(entries)
         thresholds = _grades(self.b, lambda i: f"b[{i + 1}]")
         if len(thresholds) != len(matrix):
-            raise ValueError(f"b has {len(thresholds)} entries, expected {len(matrix)}")
+            raise _length_error(len(thresholds), len(matrix))
         eps = _to_fraction(self.epsilon, lambda: "epsilon")
         if eps.numerator < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon!r}")
+            raise _epsilon_error(self.epsilon)
         object.__setattr__(self, "A", tuple(matrix))
         object.__setattr__(self, "b", thresholds)
         object.__setattr__(self, "epsilon", eps)
@@ -149,6 +172,80 @@ class Instance:
     @property
     def n(self) -> int:
         return len(self.A[0])
+
+
+_Pair = tuple[int, int]  # a rational p/q as its integers, q > 0
+_denominator = itemgetter(1)
+
+
+class _Scaled(NamedTuple):
+    """An instance in integers: ``scale`` is a common denominator D of
+    every grade and epsilon, and ``A``, ``b`` and ``eps`` hold D * a_ij,
+    D * b_i and D * epsilon. D > 0, so every comparison and difference of
+    grades is the same one of these integers: the index sets and the
+    thresholds ``D * t_ij = D + (D*b_i - D*eps) - D*a_ij`` need no
+    Fraction. Build it with ``_scale`` (as the file reader does) or
+    ``of``; ``instance`` gives back the Instance it stands for."""
+
+    scale: int
+    A: tuple[tuple[int, ...], ...]
+    b: tuple[int, ...]
+    eps: int
+
+    @classmethod
+    def of(cls, inst: Instance) -> _Scaled:
+        def pairs(grades: Iterable[Fraction]) -> list[_Pair]:
+            return [(g.numerator, g.denominator) for g in grades]
+
+        eps = inst.epsilon
+        return _scale([pairs(row) for row in inst.A], pairs(inst.b), (eps.numerator, eps.denominator))
+
+    def instance(self) -> Instance:
+        d = self.scale
+        return Instance(
+            A=tuple(tuple([Fraction(a, d) for a in row]) for row in self.A),
+            b=tuple([Fraction(v, d) for v in self.b]),
+            epsilon=Fraction(self.eps, d),
+        )
+
+
+def _scale(rows: list[list[_Pair]], b: list[_Pair], epsilon: int | _Pair) -> _Scaled:
+    """The instance with these grades, as pairs, in integers.
+
+    rows and b must be non-empty, and so must each row. epsilon is an int
+    or a pair. The checks are Instance's, in its order and with its
+    messages: each row in range and as wide as the first, b in range and
+    one entry a row, epsilon at least 0 (worded with the value as given).
+    A Fraction is built only to word an error. The range test runs on
+    the scaled integers: 0 <= p/q <= 1 holds exactly when
+    0 <= D * p/q <= D.
+    """
+    ep, eq = (epsilon, 1) if type(epsilon) is int else epsilon
+    denominators = {eq, *map(_denominator, b)}
+    for row in rows:
+        denominators.update(map(_denominator, row))
+    d = math.lcm(*denominators)
+    factor = {q: d // q for q in denominators}
+
+    def scaled(pairs: list[_Pair], label: Callable[[int], str]) -> tuple[int, ...]:
+        values = tuple([p * factor[q] for p, q in pairs])
+        if min(values) < 0 or max(values) > d:
+            k = next(k for k, v in enumerate(values) if not 0 <= v <= d)
+            raise _out_of_range(label(k), Fraction(*pairs[k]))
+        return values
+
+    width = len(rows[0])
+    A = []
+    for i, row in enumerate(rows):
+        A.append(scaled(row, lambda j: f"A[{i + 1}][{j + 1}]"))
+        if len(row) != width:
+            raise _width_error(i, len(row), width)
+    thresholds = scaled(b, lambda i: f"b[{i + 1}]")
+    if len(thresholds) != len(A):
+        raise _length_error(len(thresholds), len(A))
+    if ep < 0:
+        raise _epsilon_error(epsilon if type(epsilon) is int else Fraction(ep, eq))
+    return _Scaled(d, tuple(A), thresholds, ep * factor[eq])
 
 
 def compose(inst: Instance, x: Iterable[GradeLike]) -> tuple[Fraction, ...]:

@@ -9,6 +9,12 @@ names the rows whose J(i) is empty), and then ``ones(n)`` is the maximum
 solution: the feasible set is upward closed, so the all-ones point is a
 member and dominates every other.
 
+The tests run on the integer form of the instance (``core._Scaled``):
+with every grade scaled by one common denominator D, ``a_ij >= b_i -
+epsilon`` is ``D*a_ij >= D*b_i - D*epsilon``, the same comparison of
+integers, with no Fraction per grade. ``compute_index_sets`` converts its
+Instance once; the command line reads the integer form from the file.
+
 Indices are 0-based throughout the library; human-facing output (reports,
 error messages) converts to 1-based.
 """
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance
+from .core import Instance, _Scaled
 
 
 class InfeasibleSystemError(ValueError):
@@ -63,17 +69,19 @@ class IndexSets:
 
 def compute_index_sets(inst: Instance) -> IndexSets:
     """Build J(i) = {j : a_ij >= b_i - epsilon} for every row, plus the
-    vacuous mask (b_i <= epsilon).
+    vacuous mask (b_i <= epsilon)."""
+    return _index_sets(_Scaled.of(inst))
 
-    The tests run on integers: with b_i - epsilon = p/q and a_ij = r/s
-    (q, s > 0), a_ij >= b_i - epsilon holds exactly when r * q >= p * s.
-    """
-    en, ed = inst.epsilon.numerator, inst.epsilon.denominator
+
+def _index_sets(grades: _Scaled) -> IndexSets:
+    """compute_index_sets on the integer form: with need_i = D*b_i -
+    D*epsilon, J(i) holds the j with D*a_ij >= need_i, and row i is
+    vacuous iff need_i <= 0."""
+    eps = grades.eps
     sets = []
     vacuous = []
-    for row, bi in zip(inst.A, inst.b):
-        p = bi.numerator * ed - en * bi.denominator
-        q = bi.denominator * ed
-        sets.append(tuple(j for j, a in enumerate(row) if a.numerator * q >= p * a.denominator))
-        vacuous.append(p <= 0)
+    for row, bi in zip(grades.A, grades.b):
+        need = bi - eps
+        sets.append(tuple([j for j, a in enumerate(row) if a >= need]))
+        vacuous.append(need <= 0)
     return IndexSets(sets=tuple(sets), vacuous=tuple(vacuous))

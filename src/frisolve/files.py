@@ -2,21 +2,28 @@
 
 An instance file is a single JSON document: required members "A" (array of
 m arrays of n numbers) and "b" (array of m numbers), optional "epsilon"
-(number, default 0) and "name" (string). Grades are parsed with an exact
-decimal hook, so a literal like 0.9463 becomes the rational 9463/10000
-rather than the nearest binary float; solver arithmetic then reproduces
-pencil-and-paper results exactly. A literal without an exponent is built
-from integers, the digits over a power of ten, which is the same rational
-Fraction(literal) finds by its regex. A numeric literal may carry at most
-50 mantissa digits and a decimal exponent within +-400, so that parsing
-stays cheap; every float repr fits. A longer literal is rejected with the
-member that holds it named.
+(number, default 0) and "name" (string). Grades are read exactly, as
+integers: a literal like 0.9463 becomes the pair (9463, 10000), the
+integers of the rational 9463/10000 rather than the nearest binary float,
+so that solver arithmetic reproduces pencil-and-paper results exactly. A
+literal without an exponent is the integer of its digits over a power of
+ten, which is the rational Fraction(literal) finds by its regex; a literal
+with an exponent becomes the pair of that Fraction, reduced; an integer
+literal stays an int. A numeric literal may carry at most 50 mantissa
+digits and a decimal exponent within +-400, so that parsing stays cheap;
+every float repr fits. A longer literal is rejected with the member that
+holds it named.
 
-Each value is validated once. The parser checks only that a grade slot
-holds a number within the bounds; Instance then checks the range, and
-keeps a parsed Fraction in [0, 1] as it is rather than converting it
-again. The label that names a value in an error ("A[2][3]", "b[1]") is
-built only for the value that fails, so a valid file builds none.
+Each value is validated once. The parser checks the document's shape and
+that each grade slot holds a number within the bounds; core._scale then
+checks ranges and lengths on integers, with Instance's checks, order and
+messages, and scales every grade by one common denominator D into the
+instance's integer form (core._Scaled), which the command line's check,
+solve and verify search directly. No Fraction is built per grade on that
+path; one is built only to word an error. parse_instance_text and
+load_instance return the Instance the integer form stands for. The label
+that names a value in an error ("A[2][3]", "b[1]") is built only for the
+value that fails, so a valid file builds none.
 
 On output, grades are emitted as their float value, whose shortest repr
 round-trips to the same rational for any grade with at most 15 significant
@@ -38,12 +45,15 @@ from math import isfinite
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
 
-from .core import Instance, Point
+from .core import Instance, Point, _Pair, _scale, _Scaled
 from .solver import Candidate, SolveReport
 
 _ALLOWED_KEYS = {"A", "b", "epsilon", "name"}
-# The types the parse hooks return for a number within the bounds.
-_NUMBER_TYPES = frozenset((int, Fraction))
+# The types the parse hooks return for a number within the bounds: an int,
+# or a float literal's (numerator, denominator) pair. JSON arrays decode
+# to lists, so a tuple can only come from the float hook.
+_NUMBER_TYPES = frozenset((int, tuple))
+_PAIR_TYPE = frozenset((tuple,))
 # What json.dumps(value) calls with its default arguments.
 _encode = json.JSONEncoder().encode
 MAX_DIGITS = 50
@@ -76,17 +86,38 @@ def _within_bounds(literal: str) -> bool:
     return len(exponent) <= len(str(MAX_EXPONENT)) and int(exponent or 0) <= MAX_EXPONENT
 
 
-def _parse_float(literal: str) -> Fraction | _OutOfBounds:
-    if len(literal) <= MAX_DIGITS and "e" not in literal and "E" not in literal:
-        # A JSON float literal without an exponent is [-]digits.digits:
-        # exactly the integer of its digits over 10 to the fraction length.
-        whole, _, fraction = literal.partition(".")
-        return Fraction(int(whole + fraction), 10 ** len(fraction))
-    return Fraction(literal) if _within_bounds(literal) else _OutOfBounds(literal)
+def _parse_float(literal: str) -> _Pair | _OutOfBounds:
+    whole, _, fraction = literal.partition(".")
+    plain = fraction.isdigit()  # [-]digits.digits, with no exponent
+    if not (plain and len(literal) <= MAX_DIGITS or _within_bounds(literal)):
+        return _OutOfBounds(literal)
+    if plain:
+        return int(whole + fraction), 10 ** len(fraction)
+    value = Fraction(literal)
+    return value.numerator, value.denominator
 
 
 def _parse_int(literal: str) -> int | _OutOfBounds:
     return int(literal) if _within_bounds(literal) else _OutOfBounds(literal)
+
+
+def _worded(value: Any) -> Any:
+    """A parsed value as an error message shows it: each pair the float
+    hook made, in any array or object, as the Fraction it stands for.
+    Arrays and objects are rewritten in place, with a stack rather than
+    recursion: they may nest as deep as the decoder allows, and repr
+    still reaches the bottom."""
+    top = [value]
+    stack = [top]
+    while stack:
+        container = stack.pop()
+        for k in range(len(container)) if type(container) is list else list(container):
+            v = container[k]
+            if type(v) is tuple:
+                container[k] = Fraction(*v)
+            elif type(v) is list or type(v) is dict:
+                stack.append(v)
+    return top[0]
 
 
 def _number_error(value: Any, label: str) -> InstanceFormatError:
@@ -95,16 +126,19 @@ def _number_error(value: Any, label: str) -> InstanceFormatError:
             f"{label} is out of the parse bounds (at most {MAX_DIGITS} digits and a "
             f"decimal exponent within +-{MAX_EXPONENT}): {value!r}"
         )
-    return InstanceFormatError(f"{label} is not a number: {value!r}")
+    return InstanceFormatError(f"{label} is not a number: {_worded(value)!r}")
 
 
-def _numbers(values: list, label: Callable[[int], str]) -> tuple:
-    """The parsed values as a tuple, when each is an int or a Fraction.
-    Otherwise raises for the first that is not, named by label(k); the
-    label is built only then. bool is an int subclass, but true/false in
-    a grade slot is a mistake, so its exact type is tested."""
+def _pairs(values: list, label: Callable[[int], str]) -> list[_Pair]:
+    """The parsed values as pairs (an int v as (v, 1)), when each is an
+    int or a pair. Otherwise raises for the first that is not, named by
+    label(k); the label is built only then. bool is an int subclass, but
+    true/false in a grade slot is a mistake, so its exact type is
+    tested."""
+    if _PAIR_TYPE.issuperset(map(type, values)):
+        return values
     if _NUMBER_TYPES.issuperset(map(type, values)):
-        return tuple(values)
+        return [(v, 1) if type(v) is int else v for v in values]
     k = next(k for k, v in enumerate(values) if type(v) not in _NUMBER_TYPES)
     raise _number_error(values[k], label(k))
 
@@ -114,9 +148,8 @@ def _numbers(values: list, label: Callable[[int], str]) -> tuple:
 _DECODER = json.JSONDecoder(parse_float=_parse_float, parse_int=_parse_int)
 
 
-def parse_instance_text(text: str) -> tuple[Instance, Optional[str]]:
-    """Parse an instance document; returns the instance and its optional
-    name. Raises InstanceFormatError with the offending field named."""
+def _parse(text: str) -> tuple[_Scaled, Optional[str]]:
+    """parse_instance_text's checks, returning the instance's integer form."""
     try:
         if text.startswith("\ufeff"):
             # json.loads's own check, with its message.
@@ -144,12 +177,12 @@ def parse_instance_text(text: str) -> tuple[Instance, Optional[str]]:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or not row:
             raise InstanceFormatError(f"A[{i + 1}] must be a non-empty array of numbers")
-        matrix.append(_numbers(row, lambda j: f"A[{i + 1}][{j + 1}]"))
+        matrix.append(_pairs(row, lambda j: f"A[{i + 1}][{j + 1}]"))
 
     b = data["b"]
     if not isinstance(b, list) or not b:
         raise InstanceFormatError("b must be a non-empty array of numbers")
-    thresholds = _numbers(b, lambda i: f"b[{i + 1}]")
+    thresholds = _pairs(b, lambda i: f"b[{i + 1}]")
 
     epsilon = data.get("epsilon", 0)
     if type(epsilon) not in _NUMBER_TYPES:
@@ -157,30 +190,49 @@ def parse_instance_text(text: str) -> tuple[Instance, Optional[str]]:
 
     name = data.get("name")
     if name is not None and not isinstance(name, str):
-        raise InstanceFormatError(f"name must be a string: {name!r}")
+        raise InstanceFormatError(f"name must be a string: {_worded(name)!r}")
 
     try:
-        inst = Instance(A=tuple(matrix), b=thresholds, epsilon=epsilon)
+        grades = _scale(matrix, thresholds, epsilon)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
-    return inst, name
+    return grades, name
+
+
+def parse_instance_text(text: str) -> tuple[Instance, Optional[str]]:
+    """Parse an instance document; returns the instance and its optional
+    name. Raises InstanceFormatError with the offending field named."""
+    grades, name = _parse(text)
+    return grades.instance(), name
+
+
+def _load(path: str | Path) -> tuple[_Scaled, Optional[str]]:
+    """load_instance's reading and checks, returning the instance's
+    integer form. The bytes are decoded once, and CRLF and CR line ends
+    become LF, as text-mode reading makes them, so that the offsets in a
+    JSON error are the same."""
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        reason = "no such file" if isinstance(exc, FileNotFoundError) else exc.strerror
+        raise InstanceFormatError(f"cannot read {path}: {reason}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return _parse(text)
+    except InstanceFormatError as exc:
+        raise InstanceFormatError(f"{path}: {exc}") from exc
 
 
 def load_instance(path: str | Path) -> tuple[Instance, Optional[str]]:
     """Read and parse an instance file; a file that cannot be read, or
     whose bytes are not UTF-8, fails to parse. Every message names the
     path as given."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise InstanceFormatError(f"{path}: not UTF-8 text: {exc}") from exc
-    except OSError as exc:
-        reason = "no such file" if isinstance(exc, FileNotFoundError) else exc.strerror
-        raise InstanceFormatError(f"cannot read {path}: {reason}") from exc
-    try:
-        return parse_instance_text(text)
-    except InstanceFormatError as exc:
-        raise InstanceFormatError(f"{path}: {exc}") from exc
+    grades, name = _load(path)
+    return grades.instance(), name
 
 
 def grade_number(value: Fraction) -> float:
@@ -256,13 +308,24 @@ def render_report_json(
     minimal solutions x, one cell each. Each point's text is built once:
     a minimal point's text serves its entry, the optimizer's and its
     cell's lower corner, and one all-ones text serves every upper corner.
+    The points share one Fraction per distinct coordinate value (the
+    solver's one per threshold rank), and each one's float text is
+    written once too. Both tables are keyed by id, which is safe while
+    the report holds the objects.
     """
     texts: dict[int, str] = {}  # id of a point in report -> its text
+    grade_texts: dict[int, str] = {}  # id of a coordinate -> its text
+    grade_text = grade_texts.get
+
+    def new_grade_text(v: Fraction) -> str:
+        text = grade_texts[id(v)] = repr(v.numerator / v.denominator)
+        return text
 
     def point_text(point: Point) -> str:
         text = texts.get(id(point))
         if text is None:
-            text = texts[id(point)] = _grades(point)
+            grades = [grade_text(id(v)) or new_grade_text(v) for v in point]
+            text = texts[id(point)] = "[" + ", ".join(grades) + "]"
         return text
 
     idx = report.index_sets

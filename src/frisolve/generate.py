@@ -38,24 +38,26 @@ def generate_instance(
     if not (math.isfinite(density) and density > 0):
         raise ValueError(f"density must be a finite number > 0, got {density}")
     rng = random.Random(seed)
-    A = [[Fraction(rng.randrange(GRID + 1), GRID) for _ in range(n)] for _ in range(m)]
+    # Grades are drawn and compared as integer ticks, k for k/GRID.
+    A = [[rng.randrange(GRID + 1) for _ in range(n)] for _ in range(m)]
 
     bad_row = rng.randrange(m) if not feasible else None
     if bad_row is not None:
         # a threshold strictly above the row maximum needs headroom
-        A[bad_row] = [min(a, Fraction(GRID - 1, GRID)) for a in A[bad_row]]
+        A[bad_row] = [min(a, GRID - 1) for a in A[bad_row]]
 
     b = []
     for i in range(m):
         amax = max(A[i])
         if i == bad_row:
-            ticks = amax.numerator * (GRID // amax.denominator)
-            b.append(Fraction(ticks + 1 + rng.randrange(GRID - ticks), GRID))
+            b.append(amax + 1 + rng.randrange(GRID - amax))
         else:
             u = rng.random() ** density
-            bi = Fraction(int(u * float(amax) * GRID), GRID)
-            b.append(min(bi, amax))
+            b.append(min(int(u * (amax / GRID) * GRID), amax))
 
     mode = "feasible" if feasible else "infeasible"
     name = f"random-{m}x{n}-seed{seed}-{mode}"
-    return Instance(A=tuple(tuple(row) for row in A), b=tuple(b)), name
+    return Instance(
+        A=tuple(tuple([Fraction(a, GRID) for a in row]) for row in A),
+        b=tuple([Fraction(t, GRID) for t in b]),
+    ), name

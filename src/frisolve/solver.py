@@ -33,11 +33,14 @@ feasible iff every J(i) is non-empty, and an infeasible system gets a
 report that carries only its index sets.
 
 The walk and the row test run on integers that stand in for the
-thresholds. Every t_ij is computed as the integer D * t_ij over one common
-denominator D of epsilon, the constraining b_i and the admissible a_ij
-(``_scaled_thresholds``), and one sort ranks them: rank order is the
-rational order, so every comparison has the rational outcome, and no
-Fraction is built per pair. Rank r stands for thresholds[r] / D. ``solve``
+thresholds. The search starts from the instance's integer form
+(``core._Scaled``: one common denominator D, every grade times D), which
+the command line reads straight from the file and the public functions
+build once from their Instance. Every t_ij is then the integer
+``D * t_ij = D + need_i - D*a_ij``, with ``need_i = D*b_i - D*epsilon``,
+and one sort ranks them: rank order is the rational order, so every
+comparison has the rational outcome, and no Fraction is built per grade
+or per pair. Rank r stands for thresholds[r] / D. ``solve``
 builds each rank's Fraction once, for the minimal points it hands back;
 ``solve_unpruned`` builds Fractions only for its optimizer's coordinates.
 A rank's float is the integer true division thresholds[r] / D, correctly
@@ -56,8 +59,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
-from .core import Instance, Point
-from .feasibility import IndexSets, InfeasibleSystemError, compute_index_sets
+from .core import Instance, Point, _Scaled
+from .feasibility import IndexSets, InfeasibleSystemError, _index_sets
 from .objective import Objective, _float_kernel, log_sum_exp
 
 DEFAULT_CAP = 10**6
@@ -117,13 +120,14 @@ def enumerate_candidates(inst: Instance, cap: int = DEFAULT_CAP) -> Iterator[Can
     before any candidate is built.
     """
     _check_cap(cap)
-    idx = compute_index_sets(inst)
+    grades = _Scaled.of(inst)
+    idx = _index_sets(grades)
     if not idx.feasible:
         raise InfeasibleSystemError(list(idx.empty_rows))
     count = selector_count(idx)
     if count > cap:
         raise CapExceededError(count, cap, f"enumeration needs {count} candidates")
-    scale, thresholds, options = _ranked_options(inst, idx)
+    scale, thresholds, options = _ranked_options(grades, idx)
     values = _fractions(scale, thresholds)
     n, m = inst.n, inst.m
 
@@ -143,38 +147,27 @@ def enumerate_candidates(inst: Instance, cap: int = DEFAULT_CAP) -> Iterator[Can
 _Options = dict[int, tuple[tuple[int, int], ...]]
 
 
-def _scaled_thresholds(inst: Instance, i: int, columns: tuple[int, ...], scale: int) -> list[int]:
-    """D * t_ij for each j in columns, as ``D + (D*b_i - D*epsilon) - D*a_ij``;
-    D is scale, a common denominator of epsilon, b_i and every a_ij."""
-    b, eps, row = inst.b[i], inst.epsilon, inst.A[i]
-    top = scale + b.numerator * (scale // b.denominator) - eps.numerator * (scale // eps.denominator)
-    return [top - row[j].numerator * (scale // row[j].denominator) for j in columns]
-
-
-def _ranked_options(inst: Instance, idx: IndexSets) -> tuple[int, list[int], _Options]:
+def _ranked_options(grades: _Scaled, idx: IndexSets) -> tuple[int, list[int], _Options]:
     """The thresholds as integer ranks, for the covered-row walk.
 
     A coordinate only ever holds 0 or one of its column's thresholds, so
     the walk compares integer ranks of the thresholds: the same order,
     exactly, without rational arithmetic. Returns the common denominator
-    D, the distinct thresholds scaled by D in ascending order (rank r
-    stands for thresholds[r] / D, and rank 0, thresholds[0] = 0, for 0),
-    and the ranked options of the constraining rows, in row order.
-
-    D is the lcm of the denominators of epsilon, the constraining b_i and
-    the admissible a_ij, so every D * t_ij is an integer, and distinct
+    D of grades, the distinct thresholds scaled by D in ascending order
+    (rank r stands for thresholds[r] / D, and rank 0, thresholds[0] = 0,
+    for 0), and the ranked options of the constraining rows, in row
+    order. D * t_ij is ``D + need_i - D*a_ij``: an integer, and distinct
     thresholds give distinct integers in the same order.
     """
-    rows, sets, A = idx.constraining_rows, idx.sets, inst.A
-    scale = math.lcm(
-        inst.epsilon.denominator,
-        *(inst.b[i].denominator for i in rows),
-        *(A[i][j].denominator for i in rows for j in sets[i]),
-    )
-    scaled = {i: _scaled_thresholds(inst, i, sets[i], scale) for i in rows}
+    scale, A, b, eps = grades
+    sets = idx.sets
+    scaled = {}
+    for i in idx.constraining_rows:
+        top, row = scale + b[i] - eps, A[i]
+        scaled[i] = [top - row[j] for j in sets[i]]
     thresholds = sorted(set().union(*scaled.values()) | {0})
     rank = {t: r for r, t in enumerate(thresholds)}
-    options = {i: tuple(zip(sets[i], map(rank.__getitem__, scaled[i]))) for i in rows}
+    options = {i: tuple(zip(sets[i], map(rank.__getitem__, t))) for i, t in scaled.items()}
     return scale, thresholds, options
 
 
@@ -358,15 +351,21 @@ def solve(
     CapExceededError. A cap that is not an integer of at least 1 raises
     ValueError.
     """
+    return _solve(_Scaled.of(inst), objective, cap)
+
+
+def _solve(grades: _Scaled, objective: Objective, cap: int) -> SolveReport:
+    """solve on the integer form of an instance."""
     _check_cap(cap)
     t0 = time.perf_counter()
-    idx = compute_index_sets(inst)
+    idx = _index_sets(grades)
     t_idx = time.perf_counter()
     if not idx.feasible:
         return _infeasible_report(idx, t0)
 
-    scale, thresholds, options = _ranked_options(inst, idx)
-    leaves = [leaf for leaf, _ in _walk(inst.n, options, cap)]
+    m, n = len(grades.A), len(grades.A[0])
+    scale, thresholds, options = _ranked_options(grades, idx)
+    leaves = [leaf for leaf, _ in _walk(n, options, cap)]
     t_search = time.perf_counter()
     keyed = []
     for leaf in dict.fromkeys(leaves):
@@ -376,7 +375,7 @@ def solve(
     keyed.sort()
     fractions = _fractions(scale, thresholds)
     minimal = tuple(
-        _candidate(inst.m, options, key, tuple([fractions[r] for r in leaf]))
+        _candidate(m, options, key, tuple([fractions[r] for r in leaf]))
         for key, leaf in keyed
     )
     t_prune = time.perf_counter()
@@ -434,25 +433,30 @@ def solve_unpruned(
     candidates_enumerated counts the leaves reached; the report carries no
     minimal-solution set. ``cap`` is solve's.
     """
+    return _solve_unpruned(_Scaled.of(inst), objective, cap)
+
+
+def _solve_unpruned(grades: _Scaled, objective: Objective, cap: int) -> SolveReport:
+    """solve_unpruned on the integer form of an instance."""
     _check_cap(cap)
     t0 = time.perf_counter()
-    idx = compute_index_sets(inst)
+    idx = _index_sets(grades)
     t_idx = time.perf_counter()
     if not idx.feasible:
         return _infeasible_report(idx, t0)
 
-    scale, thresholds, options = _ranked_options(inst, idx)
+    scale, thresholds, options = _ranked_options(grades, idx)
     bound = _ranked_objective(objective, scale, thresholds)
     best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None
     leaves = 0
-    for leaf, value in _walk(inst.n, options, cap, bound):
+    for leaf, value in _walk(len(grades.A[0]), options, cap, bound):
         leaves += 1
         key = _minimal_key(leaf, options)
         if key is not None and (best is None or (value, key) < best[:2]):
             best = (value, key, leaf)
     value, key, leaf = best
     point = tuple([Fraction(thresholds[r], scale) for r in leaf])
-    optimizer = _candidate(inst.m, options, key, point)
+    optimizer = _candidate(len(grades.A), options, key, point)
     t_end = time.perf_counter()
 
     return SolveReport(

@@ -1,8 +1,9 @@
 """Shared fixtures: the golden 5x7 instance with its hand-checked values,
 random-instance streams, every leaf of the covered-row walk, the
 product-then-dominance reference, the oracle's Fraction references, the
-generic JSON writer with the instance and report references it renders,
-and the acceptance-criteria summary hook."""
+Fraction reference of the instance reader, the generic JSON writer with
+the instance and report references it renders, and the
+acceptance-criteria summary hook."""
 
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from frisolve import (
     generate_instance,
     is_member,
 )
-from frisolve.core import coordinate_threshold
+from frisolve.core import _Scaled, coordinate_threshold
 from frisolve.files import grade_number
 from frisolve.oracle import LatticeGrid
 from frisolve.solver import _ranked_options, _walk
@@ -131,7 +132,7 @@ def selector_key(selector: tuple[Optional[int], ...]) -> tuple[int, ...]:
 def walk_leaves(inst: Instance) -> list[Point]:
     """Every leaf the covered-row walk of a feasible instance reaches, as
     an exact point, duplicates included, in the order reached."""
-    scale, thresholds, options = _ranked_options(inst, compute_index_sets(inst))
+    scale, thresholds, options = _ranked_options(_Scaled.of(inst), compute_index_sets(inst))
     return [
         tuple(Fraction(thresholds[r], scale) for r in leaf)
         for leaf, _ in _walk(inst.n, options, DEFAULT_CAP)
@@ -225,6 +226,31 @@ def fraction_is_minimal_point(inst: Instance, x: Point) -> bool:
         if len(meeting) == 1 and row[meeting[0]] + x[meeting[0]] - 1 == threshold:
             tight.add(meeting[0])
     return tight.issuperset(nonzero)
+
+
+def reference_parse(text: str) -> tuple[Instance, Optional[str]]:
+    """The instance reader on Fractions, for documents of the right shape
+    (A a non-empty array of non-empty arrays, b a non-empty array) whose
+    literals lie within the parse bounds: json.loads with a Fraction per
+    float literal and an int per integer literal, the reader's test that
+    each grade slot holds a number and the name is a string, then
+    Instance(...), whose checks word every range and shape error. Raises ValueError with the message the
+    reader must give."""
+    data = json.loads(text, parse_float=Fraction)
+
+    def numbers(values: list, label) -> list:
+        for k, v in enumerate(values):
+            if type(v) not in (int, Fraction):
+                raise ValueError(f"{label(k)} is not a number: {v!r}")
+        return values
+
+    A = [numbers(row, lambda j, i=i: f"A[{i + 1}][{j + 1}]") for i, row in enumerate(data["A"])]
+    b = numbers(data["b"], lambda i: f"b[{i + 1}]")
+    epsilon = numbers([data.get("epsilon", 0)], lambda _: "epsilon")[0]
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ValueError(f"name must be a string: {name!r}")
+    return Instance(A=A, b=b, epsilon=epsilon), name
 
 
 # What json.dumps(value) calls with its default arguments.

@@ -249,7 +249,7 @@ class TestVerify:
         def fail(*args):
             raise AssertionError("solve ran before the grid limit was checked")
 
-        monkeypatch.setattr("frisolve.cli.solve", fail)
+        monkeypatch.setattr("frisolve.cli._solve", fail)
         assert main(["verify", golden_file, "--limit", "1"]) == 3
         assert "exceeding the limit of 1" in capsys.readouterr().err
 
@@ -500,6 +500,21 @@ class TestPinnedOutput:
     )
     def test_text_report(self, capsys, argv, expected):
         assert main(["solve", *map(str, argv)]) == 0
+        out, err = capsys.readouterr()
+        assert out == (EXPECTED / expected).read_text(encoding="utf-8")
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "instance, expected",
+        [
+            (SAMPLE, "check_sample.txt"),
+            # A vacuous row, marked, and mixed denominators.
+            (INSTANCES / "epsilon.json", "check_epsilon.txt"),
+        ],
+        ids=["sample", "epsilon"],
+    )
+    def test_feasible_check_report(self, capsys, instance, expected):
+        assert main(["check", str(instance)]) == 0
         out, err = capsys.readouterr()
         assert out == (EXPECTED / expected).read_text(encoding="utf-8")
         assert err == ""

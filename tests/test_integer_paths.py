@@ -1,20 +1,24 @@
-"""Integer stand-ins for Fraction arithmetic: literal parsing, the grade
-range test, index sets, threshold ranks and float conversion all give
-exactly what the Fraction definitions give."""
+"""Integer stand-ins for Fraction arithmetic: literal parsing, the
+instance reader's integer form, the grade range test, index sets,
+threshold ranks and float conversion all give exactly what the Fraction
+definitions give."""
 
+import itertools
 import json
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frisolve import Instance, as_grade, compute_index_sets
-from frisolve.core import coordinate_threshold
+from frisolve.core import _Scaled, coordinate_threshold
 from frisolve.files import (
     MAX_DIGITS,
     MAX_EXPONENT,
     InstanceFormatError,
+    _parse,
     _parse_float,
     _parse_int,
     grade_number,
@@ -22,6 +26,8 @@ from frisolve.files import (
 )
 from frisolve.objective import coordinate_sum, log_sum_exp, max_coordinate
 from frisolve.solver import _ranked_options
+
+from conftest import reference_parse
 
 digits = st.text("0123456789", min_size=1, max_size=MAX_DIGITS)
 
@@ -56,9 +62,9 @@ class TestParseFloat:
     @given(literal=float_literals())
     @settings(max_examples=400)
     def test_equals_the_fraction_of_the_literal(self, literal):
-        value = _parse_float(literal)
-        assert type(value) is Fraction
-        assert value == Fraction(literal)
+        p, q = value = _parse_float(literal)
+        assert type(p) is int and type(q) is int and q > 0
+        assert Fraction(p, q) == Fraction(literal)
         assert json.loads(literal, parse_float=_parse_float, parse_int=_parse_int) == value
 
     @pytest.mark.parametrize(
@@ -72,7 +78,126 @@ class TestParseFloat:
         ],
     )
     def test_edge_literals(self, literal):
-        assert _parse_float(literal) == Fraction(literal)
+        assert Fraction(*_parse_float(literal)) == Fraction(literal)
+
+
+@st.composite
+def grade_literals(draw, top: int = 1) -> str:
+    """A JSON number literal for a rational in [0, top]: an integer
+    literal, a decimal with 1 to 12 digits and maybe trailing zeros, or a
+    literal with an exponent, its mantissa with or without a point."""
+    k = draw(st.integers(0, 12))
+    p = draw(st.integers(0, top * 10**k))
+    whole, fraction = divmod(p, 10**k)
+    form = draw(st.sampled_from(["int", "plain", "exponent", "point exponent"]))
+    if form == "int" and fraction == 0:
+        return str(whole)
+    if form == "exponent":
+        return f"{p}{draw(st.sampled_from('eE'))}-{k}"
+    if form == "point exponent":
+        r = draw(st.integers(1, 3))
+        head, tail = divmod(p, 10**r)
+        return f"{head}.{tail:0{r}d}e{r - k:+d}"
+    digits = f"{fraction:0{k}d}" if k else "0"
+    return f"{whole}.{digits}{'0' * draw(st.integers(0, 3))}"
+
+
+@st.composite
+def documents(draw) -> tuple[list[list[str]], list[str], Optional[str]]:
+    """The literals of an instance document: A, b, and epsilon (None for
+    no member), which may exceed 1."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    A = [[draw(grade_literals()) for _ in range(n)] for _ in range(m)]
+    b = [draw(grade_literals()) for _ in range(m)]
+    return A, b, draw(st.one_of(st.none(), grade_literals(top=3)))
+
+
+def document_text(
+    A: list[list[str]], b: list[str], epsilon: Optional[str], name: str = '"x"'
+) -> str:
+    members = [
+        f'"name": {name}',
+        '"A": [' + ", ".join("[" + ", ".join(row) + "]" for row in A) + "]",
+        '"b": [' + ", ".join(b) + "]",
+    ]
+    if epsilon is not None:
+        members.append(f'"epsilon": {epsilon}')
+    return "{" + ", ".join(members) + "}"
+
+
+OUT_OF_RANGE = ["-0.5", "1.0001", "2", "-1", "11e-1", "-1e-3", "1.5E0", "-0.0001e1"]
+NEGATIVE = ["-1", "-1.0", "-1e0", "-0.5", "-25E-2", "-3"]
+NOT_NUMBERS = ["true", "false", "null", '"0.5"', "[0.5]", "{}", '{"x": [1e-1, 0.25]}']
+NOT_STRINGS = ["true", "3", "0.5", "[0.5]", '{"x": [1e-1, 0.25]}']
+
+
+@st.composite
+def defective_documents(draw) -> str:
+    """A document with one defect: a grade or threshold out of [0, 1], a
+    row of another width, a b of another length, a negative epsilon, a
+    slot that holds no number, or a name that is no string."""
+    A, b, epsilon = draw(documents())
+    defect = draw(
+        st.sampled_from(["grade", "threshold", "width", "length", "epsilon", "type", "name"])
+    )
+    if defect == "name":
+        return document_text(A, b, epsilon, draw(st.sampled_from(NOT_STRINGS)))
+    if defect == "grade":
+        row = draw(st.sampled_from(A))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(OUT_OF_RANGE))
+    elif defect == "threshold":
+        b[draw(st.integers(0, len(b) - 1))] = draw(st.sampled_from(OUT_OF_RANGE))
+    elif defect == "width":
+        A.insert(draw(st.integers(1, len(A))), A[0] + [draw(grade_literals())])
+    elif defect == "length":
+        if len(b) > 1 and draw(st.booleans()):
+            b.pop()
+        else:
+            b.append(draw(grade_literals()))
+    elif defect == "epsilon":
+        epsilon = draw(st.sampled_from(NEGATIVE))
+    else:
+        slots = [(row, j) for row in A for j in range(len(row))] + [(b, i) for i in range(len(b))]
+        values, k = draw(st.sampled_from(slots))
+        values[k] = draw(st.sampled_from(NOT_NUMBERS))
+    return document_text(A, b, epsilon)
+
+
+class TestReader:
+    """The reader's integer form against the Fraction reference in
+    conftest: json.loads with Fraction hooks, then Instance(...)."""
+
+    @given(doc=documents())
+    @settings(max_examples=300)
+    def test_integer_form_denotes_the_reference_instance(self, doc):
+        text = document_text(*doc)
+        grades, _ = _parse(text)
+        values = [grades.scale, grades.eps, *grades.b, *itertools.chain(*grades.A)]
+        assert all(type(v) is int for v in values)  # no Fraction, no bool
+        reference, _ = reference_parse(text)
+        d = grades.scale
+        assert tuple(tuple(Fraction(a, d) for a in row) for row in grades.A) == reference.A
+        assert tuple(Fraction(v, d) for v in grades.b) == reference.b
+        assert Fraction(grades.eps, d) == reference.epsilon
+        assert parse_instance_text(text)[0] == reference
+
+    def test_a_deeply_nested_slot_is_worded_to_the_bottom(self):
+        depth = 700
+        text = '{"A": [[%s]], "b": [0]}' % ("[" * depth + "0.5" + "]" * depth)
+        with pytest.raises(InstanceFormatError) as got:
+            _parse(text)
+        nested = "[" * depth + "Fraction(1, 2)" + "]" * depth
+        assert str(got.value) == "A[1][1] is not a number: " + nested
+
+    @given(text=defective_documents())
+    @settings(max_examples=300)
+    def test_a_defect_gets_the_reference_message(self, text):
+        with pytest.raises(ValueError) as want:
+            reference_parse(text)
+        with pytest.raises(InstanceFormatError) as got:
+            _parse(text)
+        assert str(got.value) == str(want.value)
 
 
 class TestGradeRange:
@@ -144,7 +269,7 @@ def test_index_sets_match_the_fraction_definition(inst):
 @settings(max_examples=200)
 def test_threshold_ranks_match_the_fraction_order(inst):
     idx = compute_index_sets(inst)
-    scale, scaled, options = _ranked_options(inst, idx)
+    scale, scaled, options = _ranked_options(_Scaled.of(inst), idx)
     assert all(type(t) is int for t in scaled)
     values = [Fraction(t, scale) for t in scaled]
     thresholds = {

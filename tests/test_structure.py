@@ -22,6 +22,7 @@ from frisolve import (
     selector_count,
     solve,
 )
+from frisolve.core import _Scaled
 from frisolve.files import grade_number, render_report_json
 from frisolve.solver import _ranked_objective, _ranked_options, _walk
 
@@ -188,7 +189,7 @@ class TestSearch:
         idx = compute_index_sets(inst)
         if not idx.feasible:
             return
-        scale, thresholds, options = _ranked_options(inst, idx)
+        scale, thresholds, options = _ranked_options(_Scaled.of(inst), idx)
         bound = _ranked_objective(OBJECTIVES[name], scale, thresholds)
         values = [value for _, value in _walk(inst.n, options, DEFAULT_CAP, bound)]
         assert values == sorted(values, reverse=True)
