@@ -32,7 +32,6 @@ from .files import (
     InstanceFormatError,
     _load,
     grade_number,
-    load_instance,
     render_report_json,
     serialize_instance,
 )
@@ -48,9 +47,9 @@ from .solver import (
     DEFAULT_CAP,
     CapExceededError,
     SolveReport,
+    _enumerate,
     _solve,
     _solve_unpruned,
-    enumerate_candidates,
 )
 
 
@@ -178,10 +177,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    inst, name = load_instance(args.path)
+    grades, _ = _load(args.path)
     cap = args.cap if args.cap is not None else _default_cap()
     count = 0
-    for cand in enumerate_candidates(inst, cap=cap):
+    for cand in _enumerate(grades, cap):
         print(f"e = {_fmt_selector(cand.selector)}  x(e) = {_fmt_point(cand.point)}")
         count += 1
     print(f"|E| = {count}")

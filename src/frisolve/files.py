@@ -19,7 +19,7 @@ that each grade slot holds a number within the bounds; core._scale then
 checks ranges and lengths on integers, with Instance's checks, order and
 messages, and scales every grade by one common denominator D into the
 instance's integer form (core._Scaled), which the command line's check,
-solve and verify search directly. No Fraction is built per grade on that
+solve, enumerate and verify search directly. No Fraction is built per grade on that
 path; one is built only to word an error. parse_instance_text and
 load_instance return the Instance the integer form stands for. The label
 that names a value in an error ("A[2][3]", "b[1]") is built only for the
@@ -53,7 +53,6 @@ _ALLOWED_KEYS = {"A", "b", "epsilon", "name"}
 # or a float literal's (numerator, denominator) pair. JSON arrays decode
 # to lists, so a tuple can only come from the float hook.
 _NUMBER_TYPES = frozenset((int, tuple))
-_PAIR_TYPE = frozenset((tuple,))
 # What json.dumps(value) calls with its default arguments.
 _encode = json.JSONEncoder().encode
 MAX_DIGITS = 50
@@ -135,8 +134,6 @@ def _pairs(values: list, label: Callable[[int], str]) -> list[_Pair]:
     label(k); the label is built only then. bool is an int subclass, but
     true/false in a grade slot is a mistake, so its exact type is
     tested."""
-    if _PAIR_TYPE.issuperset(map(type, values)):
-        return values
     if _NUMBER_TYPES.issuperset(map(type, values)):
         return [(v, 1) if type(v) is int else v for v in values]
     k = next(k for k, v in enumerate(values) if type(v) not in _NUMBER_TYPES)
@@ -308,24 +305,13 @@ def render_report_json(
     minimal solutions x, one cell each. Each point's text is built once:
     a minimal point's text serves its entry, the optimizer's and its
     cell's lower corner, and one all-ones text serves every upper corner.
-    The points share one Fraction per distinct coordinate value (the
-    solver's one per threshold rank), and each one's float text is
-    written once too. Both tables are keyed by id, which is safe while
-    the report holds the objects.
     """
     texts: dict[int, str] = {}  # id of a point in report -> its text
-    grade_texts: dict[int, str] = {}  # id of a coordinate -> its text
-    grade_text = grade_texts.get
-
-    def new_grade_text(v: Fraction) -> str:
-        text = grade_texts[id(v)] = repr(v.numerator / v.denominator)
-        return text
 
     def point_text(point: Point) -> str:
         text = texts.get(id(point))
         if text is None:
-            grades = [grade_text(id(v)) or new_grade_text(v) for v in point]
-            text = texts[id(point)] = "[" + ", ".join(grades) + "]"
+            text = texts[id(point)] = _grades(point)
         return text
 
     idx = report.index_sets

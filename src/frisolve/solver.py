@@ -119,8 +119,12 @@ def enumerate_candidates(inst: Instance, cap: int = DEFAULT_CAP) -> Iterator[Can
     infeasible system or a product beyond ``cap`` raises immediately,
     before any candidate is built.
     """
+    return _enumerate(_Scaled.of(inst), cap)
+
+
+def _enumerate(grades: _Scaled, cap: int) -> Iterator[Candidate]:
+    """enumerate_candidates on the integer form of an instance."""
     _check_cap(cap)
-    grades = _Scaled.of(inst)
     idx = _index_sets(grades)
     if not idx.feasible:
         raise InfeasibleSystemError(list(idx.empty_rows))
@@ -129,7 +133,7 @@ def enumerate_candidates(inst: Instance, cap: int = DEFAULT_CAP) -> Iterator[Can
         raise CapExceededError(count, cap, f"enumeration needs {count} candidates")
     scale, thresholds, options = _ranked_options(grades, idx)
     values = _fractions(scale, thresholds)
-    n, m = inst.n, inst.m
+    n, m = len(grades.A[0]), len(grades.A)
 
     def stream() -> Iterator[Candidate]:
         for choice in itertools.product(*options.values()):
