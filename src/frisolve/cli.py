@@ -10,10 +10,16 @@ grid limit exceeded, 4 solver/oracle disagreement. The work cap (default
 from --cap or FRI_CAP, and for verify, which reads FRI_CAP only; for
 enumerate (--cap or FRI_CAP) it bounds the selector count |E|. verify checks
 the grid limit before it solves, so an instance over both limits is refused
-for its grid. Reports go to stdout, diagnostics to stderr. All row/column
+for its grid; a malformed FRI_CAP it refuses before either, and before it
+prints anything. Reports go to stdout, diagnostics to stderr. All row/column
 indices in output are 1-based; text mode rounds values to 4 decimals,
 structured mode emits full precision. Both formats are byte-identical from
 run to run unless --timings adds wall-clock stage times.
+
+An argv whose first word names a command is parsed by that command's
+subparser alone, so argparse reads each argument once; any other argv
+(-h, --version, no or an unknown command) goes through the top-level
+parser.
 """
 
 from __future__ import annotations
@@ -189,12 +195,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     grades, name = _load(args.path)
+    cap = _default_cap()
     _print_header(name, grades.A)
     objective = OBJECTIVES[args.objective]
     # The oracle reads the Instance's Fractions with formulas of its own.
     inst = grades.instance()
     oracle_minimal, oracle_optimum = brute_force(inst, objective, limit=args.limit)
-    report = _solve(grades, objective, _default_cap())
+    report = _solve(grades, objective, cap)
 
     if not report.index_sets.feasible:
         rows = ", ".join(str(i + 1) for i in report.index_sets.empty_rows)
@@ -254,10 +261,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused after it.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its subparsers by command name, built on
+    the first call and reused after it.
 
-    It holds no per-call state: parse_args returns a fresh namespace, the
+    They hold no per-call state: parse_args returns a fresh namespace, the
     cap default (FRI_CAP) is read in the cmd_* functions, and usage errors
     print to the sys.stderr of the moment.
     """
@@ -326,13 +334,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("-o", "--output", default=None, help="write here instead of stdout")
     p_gen.set_defaults(func=cmd_generate)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """parse_args of the top-level parser, with a command's arguments
+    parsed by its subparser alone. The top-level parser hands a command
+    every word after it, and reports the words its subparser leaves over
+    as unrecognized; so does this."""
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -32,22 +32,22 @@ search nodes of either. Both gate on the index sets first: the system is
 feasible iff every J(i) is non-empty, and an infeasible system gets a
 report that carries only its index sets.
 
-The walk and the row test run on integers that stand in for the
-thresholds. The search starts from the instance's integer form
+The walk, the row test and the objective run on the thresholds scaled
+to integers. The search starts from the instance's integer form
 (``core._Scaled``: one common denominator D, every grade times D), which
 the command line reads straight from the file and the public functions
 build once from their Instance. Every t_ij is then the integer
-``D * t_ij = D + need_i - D*a_ij``, with ``need_i = D*b_i - D*epsilon``,
-and one sort ranks them: rank order is the rational order, so every
-comparison has the rational outcome, and no Fraction is built per grade
-or per pair. Rank r stands for thresholds[r] / D. ``solve``
-builds each rank's Fraction once, for the minimal points it hands back;
-``solve_unpruned`` builds Fractions only for its optimizer's coordinates.
-A rank's float is the integer true division thresholds[r] / D, correctly
-rounded as ``float()`` of its Fraction is: a built-in objective runs its
-float kernel on those per-rank floats (``_ranked_objective``), with the
-bits it gives on the exact point, and any other objective receives exact
-points.
+``D * t_ij = D + need_i - D*a_ij``, with ``need_i = D*b_i - D*epsilon``
+(``_options``), and a point's coordinates are those integers, 0
+included: D > 0, so every comparison has the rational outcome, and no
+Fraction is built per grade or per pair. The exact value of a scaled
+coordinate t is t / D, and its float is the integer true division
+t / D, correctly rounded as ``float()`` of its Fraction is. Each is
+built at most once per distinct threshold, on first use (``_Values``):
+``solve`` builds the Fractions of its minimal points, ``solve_unpruned``
+only those of its optimizer's coordinates. A built-in objective runs its
+float kernel on the floats (``_scaled_objective``), with the bits it
+gives on the exact point, and any other objective receives exact points.
 """
 
 from __future__ import annotations
@@ -131,81 +131,82 @@ def _enumerate(grades: _Scaled, cap: int) -> Iterator[Candidate]:
     count = selector_count(idx)
     if count > cap:
         raise CapExceededError(count, cap, f"enumeration needs {count} candidates")
-    scale, thresholds, options = _ranked_options(grades, idx)
-    values = _fractions(scale, thresholds)
+    options = _options(grades, idx)
+    values = _Values(lambda t: Fraction(t, grades.scale))
     n, m = len(grades.A[0]), len(grades.A)
 
     def stream() -> Iterator[Candidate]:
         for choice in itertools.product(*options.values()):
             x = [0] * n
-            for j, r in choice:
-                if r > x[j]:
-                    x[j] = r
+            for j, t in choice:
+                if t > x[j]:
+                    x[j] = t
             key = [j for j, _ in choice]
-            yield _candidate(m, options, key, tuple(values[r] for r in x))
+            yield _candidate(m, options, key, tuple(values[t] for t in x))
 
     return stream()
 
 
-# Per constraining row, its admissible columns with the rank of t_ij.
+# Per constraining row, its admissible columns with the integer D * t_ij.
 _Options = dict[int, tuple[tuple[int, int], ...]]
 
 
-def _ranked_options(grades: _Scaled, idx: IndexSets) -> tuple[int, list[int], _Options]:
-    """The thresholds as integer ranks, for the covered-row walk.
-
-    A coordinate only ever holds 0 or one of its column's thresholds, so
-    the walk compares integer ranks of the thresholds: the same order,
-    exactly, without rational arithmetic. Returns the common denominator
-    D of grades, the distinct thresholds scaled by D in ascending order
-    (rank r stands for thresholds[r] / D, and rank 0, thresholds[0] = 0,
-    for 0), and the ranked options of the constraining rows, in row
-    order. D * t_ij is ``D + need_i - D*a_ij``: an integer, and distinct
-    thresholds give distinct integers in the same order.
-    """
+def _options(grades: _Scaled, idx: IndexSets) -> _Options:
+    """The options of the constraining rows, in row order: per row, its
+    admissible columns in ascending order, each with its threshold scaled
+    by the common denominator D of grades. D * t_ij is
+    ``D + need_i - D*a_ij``, an integer, and D > 0, so the scaled
+    thresholds compare as the thresholds do."""
     scale, A, b, eps = grades
     sets = idx.sets
-    scaled = {}
+    options = {}
     for i in idx.constraining_rows:
         top, row = scale + b[i] - eps, A[i]
-        scaled[i] = [top - row[j] for j in sets[i]]
-    thresholds = sorted(set().union(*scaled.values()) | {0})
-    rank = {t: r for r, t in enumerate(thresholds)}
-    options = {i: tuple(zip(sets[i], map(rank.__getitem__, t))) for i, t in scaled.items()}
-    return scale, thresholds, options
+        options[i] = tuple([(j, top - row[j]) for j in sets[i]])
+    return options
 
 
-def _fractions(scale: int, thresholds: list[int]) -> list[Fraction]:
-    """Each rank's exact value, thresholds[r] / scale."""
-    return [Fraction(t, scale) for t in thresholds]
+class _Values(dict):
+    """A scaled coordinate's value, ``of(t)``, built on its first lookup
+    and kept, so that each distinct threshold builds it once."""
+
+    def __init__(self, of: Callable[[int], object]):
+        super().__init__()
+        self.of = of
+
+    def __missing__(self, t: int):
+        value = self[t] = self.of(t)
+        return value
 
 
-def _ranked_objective(
-    objective: Callable[[Point], float], scale: int, thresholds: list[int]
-) -> Callable[[Iterable[int]], float]:
-    """objective on a point given by its ranks.
+# An objective on scaled points: values[t] is the value the objective
+# reads for a coordinate t, and rate(v) is the objective on the tuple v of
+# those values.
+_Rated = tuple[_Values, Callable[[tuple], float]]
 
-    A built-in objective runs its float kernel on one float per rank,
-    thresholds[r] / scale: integer true division is correctly rounded, as
-    ``float()`` of the rank's Fraction is, so the value has the bits the
-    objective gives on the exact point. Any other objective receives the
-    exact point.
+
+def _scaled_objective(objective: Objective, scale: int, fractions: _Values) -> _Rated:
+    """objective on points given by their scaled coordinates.
+
+    A built-in objective runs its float kernel on each coordinate's float
+    t / scale: integer true division is correctly rounded, as ``float()``
+    of the Fraction is, so the value has the bits the objective gives on
+    the exact point. Any other objective receives the exact point, from
+    ``fractions``.
     """
     kernel = _float_kernel(objective)
     if kernel is None:
-        values = _fractions(scale, thresholds)
-        return lambda x: objective(tuple([values[r] for r in x]))
-    floats = [t / scale for t in thresholds]
-    return lambda x: kernel([floats[r] for r in x])
+        return fractions, objective
+    return _Values(lambda t: t / scale), kernel
 
 
 def _walk(
     n: int,
     options: _Options,
     cap: int,
-    bound: Callable[[tuple[int, ...]], float] | None = None,
+    bound: _Rated | None = None,
 ) -> Iterator[tuple[tuple[int, ...], float | None]]:
-    """The covered-row walk over ranked options; yields (leaf, value).
+    """The covered-row walk over the options; yields (leaf, value).
 
     Rows are taken fewest admissible columns first, from the zero point. A
     row some column already meets is skipped; otherwise the walk branches
@@ -213,28 +214,32 @@ def _walk(
     the nodes, one per column assignment tried. The branching depth can
     reach the row count, so the walk keeps an explicit stack rather than
     recursing. Each stack entry carries its node's point as a tuple of
-    ranks, so a branch needs no undoing, and a leaf is the tuple itself.
+    scaled coordinates, so a branch needs no undoing, and a leaf is the
+    tuple itself.
 
-    With ``bound``, each node (the root included) is valued once by
-    ``bound(x)`` on its partial point, and its subtree is cut iff that
-    value is strictly greater than the incumbent, the least value of a
-    leaf reached so far. A leaf's value is its node's value. Without a
-    bound, every value is None.
+    With ``bound``, each node (the root included) is valued once on its
+    partial point, and its subtree is cut iff that value is strictly
+    greater than the incumbent, the least value of a leaf reached so far.
+    A leaf's value is its node's value. The entries then also carry the
+    point's objective values, so a child looks up the one coordinate it
+    raises. Without a bound, every value is None.
     """
     order = sorted(options.values(), key=len)
     depth = len(order)
     incumbent = math.inf
     nodes = -1  # every pop is a node but the root's
-    # Entries (k, x): walk on from row position k with the point x.
-    stack = [(0, (0,) * n)]
+    values, rate = bound or (None, None)
+    # Entries (k, x, v): walk on from row position k with the point x, whose
+    # objective values are v (None without a bound).
+    stack = [(0, (0,) * n, None if bound is None else (values[0],) * n)]
     while stack:
-        k, x = stack.pop()
+        k, x, v = stack.pop()
         nodes += 1
         if nodes > cap:
             raise CapExceededError(nodes, cap, f"search reached {nodes} nodes")
         value = None
-        if bound is not None:
-            value = bound(x)
+        if v is not None:
+            value = rate(v)
             if value > incumbent:
                 continue
         # Skip the rows some column already meets (a for/else loop here is
@@ -251,12 +256,16 @@ def _walk(
                 incumbent = value
             yield x, value
             continue
-        for c, t in reversed(order[k]):
-            stack.append((k + 1, x[:c] + (t,) + x[c + 1:]))
+        if v is None:
+            for c, t in reversed(order[k]):
+                stack.append((k + 1, x[:c] + (t,) + x[c + 1:], None))
+        else:
+            for c, t in reversed(order[k]):
+                stack.append((k + 1, x[:c] + (t,) + x[c + 1:], v[:c] + (values[t],) + v[c + 1:]))
 
 
 def _minimal_key(leaf: tuple[int, ...], options: _Options) -> tuple[int, ...] | None:
-    """The canonical selector key of a feasible ranked point if it is
+    """The canonical selector key of a feasible scaled point if it is
     minimal, None otherwise; one scan of the rows decides both.
 
     The key holds, per constraining row, the smallest admissible j with
@@ -266,18 +275,26 @@ def _minimal_key(leaf: tuple[int, ...], options: _Options) -> tuple[int, ...] | 
     threshold, so that lowering x_j breaks that row. Lowering one
     coordinate at a time is enough: the feasible set is upward closed, so
     a feasible point below x would leave x feasible with one coordinate
-    lowered to it."""
+    lowered to it. A row's scan stops at its second meeting column, which
+    makes the row tight for none; the last check stops at the first
+    nonzero column that is tight for no row."""
     key = []
     tight = set()
     for row in options.values():
-        met = [(c, t) for c, t in row if leaf[c] >= t]
-        c, t = met[0]
-        key.append(c)
-        if len(met) == 1 and leaf[c] == t:
-            tight.add(c)
-    if all(c in tight for c, r in enumerate(leaf) if r):
-        return tuple(key)
-    return None
+        first = -1
+        for c, t in row:
+            if leaf[c] >= t:
+                if first >= 0:
+                    break
+                first, at = c, t
+        else:
+            if leaf[first] == at:
+                tight.add(first)
+        key.append(first)
+    for c, v in enumerate(leaf):
+        if v and c not in tight:
+            return None
+    return tuple(key)
 
 
 @dataclass(frozen=True)
@@ -368,7 +385,7 @@ def _solve(grades: _Scaled, objective: Objective, cap: int) -> SolveReport:
         return _infeasible_report(idx, t0)
 
     m, n = len(grades.A), len(grades.A[0])
-    scale, thresholds, options = _ranked_options(grades, idx)
+    options = _options(grades, idx)
     leaves = [leaf for leaf, _ in _walk(n, options, cap)]
     t_search = time.perf_counter()
     keyed = []
@@ -377,14 +394,14 @@ def _solve(grades: _Scaled, objective: Objective, cap: int) -> SolveReport:
         if key is not None:
             keyed.append((key, leaf))
     keyed.sort()
-    fractions = _fractions(scale, thresholds)
+    fractions = _Values(lambda t: Fraction(t, grades.scale))
     minimal = tuple(
-        _candidate(m, options, key, tuple([fractions[r] for r in leaf]))
+        _candidate(m, options, key, tuple([fractions[t] for t in leaf]))
         for key, leaf in keyed
     )
     t_prune = time.perf_counter()
-    rated = _ranked_objective(objective, scale, thresholds)
-    values = tuple(rated(leaf) for _, leaf in keyed)
+    point_values, rate = _scaled_objective(objective, grades.scale, fractions)
+    values = tuple(rate(tuple([point_values[t] for t in leaf])) for _, leaf in keyed)
     # minimal is in canonical selector order, and distinct minimal points
     # have distinct canonical selectors, so the first least value is the
     # least (value, selector key).
@@ -419,7 +436,7 @@ def solve_unpruned(
     covered-row walk for the optimizer alone.
 
     The walk is solve's, with the objective evaluated once per search
-    node on the partial point (``_ranked_objective``). For a
+    node on the partial point (``_scaled_objective``). For a
     nondecreasing objective that value is a lower bound on every leaf
     below the node, so a subtree whose value is strictly greater than the
     least leaf value so far is cut. The cut is strict, so every minimal
@@ -449,8 +466,9 @@ def _solve_unpruned(grades: _Scaled, objective: Objective, cap: int) -> SolveRep
     if not idx.feasible:
         return _infeasible_report(idx, t0)
 
-    scale, thresholds, options = _ranked_options(grades, idx)
-    bound = _ranked_objective(objective, scale, thresholds)
+    options = _options(grades, idx)
+    fractions = _Values(lambda t: Fraction(t, grades.scale))
+    bound = _scaled_objective(objective, grades.scale, fractions)
     best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None
     leaves = 0
     for leaf, value in _walk(len(grades.A[0]), options, cap, bound):
@@ -459,7 +477,7 @@ def _solve_unpruned(grades: _Scaled, objective: Objective, cap: int) -> SolveRep
         if key is not None and (best is None or (value, key) < best[:2]):
             best = (value, key, leaf)
     value, key, leaf = best
-    point = tuple([Fraction(thresholds[r], scale) for r in leaf])
+    point = tuple([fractions[t] for t in leaf])
     optimizer = _candidate(len(grades.A), options, key, point)
     t_end = time.perf_counter()
 

@@ -1,6 +1,7 @@
 """Shared fixtures: the golden 5x7 instance with its hand-checked values,
 random-instance streams, every leaf of the covered-row walk, the
-product-then-dominance reference, the oracle's Fraction references, the
+list-based reference of the row test, the product-then-dominance
+reference, the oracle's Fraction references, the
 Fraction reference of the instance reader, the generic JSON writer with
 the instance and report references it renders, and the
 acceptance-criteria summary hook."""
@@ -31,7 +32,7 @@ from frisolve import (
 from frisolve.core import _Scaled, coordinate_threshold
 from frisolve.files import grade_number
 from frisolve.oracle import LatticeGrid
-from frisolve.solver import _ranked_options, _walk
+from frisolve.solver import _Options, _options, _walk
 
 # The worked 5x7 system. Every expected value below was recomputed by hand
 # or by an independent brute-force script before the solver existed.
@@ -132,11 +133,30 @@ def selector_key(selector: tuple[Optional[int], ...]) -> tuple[int, ...]:
 def walk_leaves(inst: Instance) -> list[Point]:
     """Every leaf the covered-row walk of a feasible instance reaches, as
     an exact point, duplicates included, in the order reached."""
-    scale, thresholds, options = _ranked_options(_Scaled.of(inst), compute_index_sets(inst))
+    grades = _Scaled.of(inst)
+    options = _options(grades, compute_index_sets(inst))
     return [
-        tuple(Fraction(thresholds[r], scale) for r in leaf)
+        tuple(Fraction(t, grades.scale) for t in leaf)
         for leaf, _ in _walk(inst.n, options, DEFAULT_CAP)
     ]
+
+
+def reference_minimal_key(leaf: tuple[int, ...], options: _Options) -> tuple[int, ...] | None:
+    """solver._minimal_key by its definition: per row, the list of every
+    column that meets it; the first is the row's key entry, and a lone
+    column that meets the row at its threshold is tight. The point is
+    minimal iff every nonzero coordinate is tight for some row."""
+    key = []
+    tight = set()
+    for row in options.values():
+        met = [(c, t) for c, t in row if leaf[c] >= t]
+        c, t = met[0]
+        key.append(c)
+        if len(met) == 1 and leaf[c] == t:
+            tight.add(c)
+    if all(c in tight for c, v in enumerate(leaf) if v):
+        return tuple(key)
+    return None
 
 
 def _undominated(points: Iterable[tuple]) -> list[tuple]:

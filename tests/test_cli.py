@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from frisolve import parse_instance_text, serialize_instance
+from frisolve import cli, parse_instance_text, serialize_instance
 from frisolve.cli import main
 from frisolve.files import InstanceFormatError
 from frisolve.oracle import LatticeGrid, build_grid
@@ -258,6 +258,19 @@ class TestVerify:
         assert main(["verify", golden_file]) == 3
         assert "exceeding the cap" in capsys.readouterr().err
 
+    def test_bad_env_cap_fails_before_the_oracle_and_the_header(
+        self, golden_file, capsys, monkeypatch
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("the oracle ran before FRI_CAP was read")
+
+        monkeypatch.setattr("frisolve.cli.brute_force", fail)
+        monkeypatch.setenv("FRI_CAP", "abc")
+        assert main(["verify", golden_file, "--limit", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "frisolve: error: FRI_CAP must be an integer, got 'abc'\n"
+
     def test_epsilon_agreement(self, tmp_path, capsys):
         path = tmp_path / "eps.json"
         path.write_text('{"A": [[0.9, 0.5]], "b": [0.6], "epsilon": 0.1}', encoding="utf-8")
@@ -402,6 +415,23 @@ class TestParseBounds:
             parse_instance_text('{"A": [[0.5]], "b": [0.2], "epsilon": 1e-500}')
         with pytest.raises(InstanceFormatError, match="name must be a string"):
             parse_instance_text('{"A": [[0.5]], "b": [0.2], "name": %s}' % ("1" * 60))
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ('{"A": [[0.5]], "b": [0.2], "name": 0.5}', "name must be a string: Fraction(1, 2)"),
+            (
+                '{"A": [[0.5]], "b": [0.2], "name": 1e999999999}',
+                "name must be a string: 1e999999999",
+            ),
+            ('{"A": [[[1e999999999]]], "b": [0.2]}', "A[1][1] is not a number: [1e999999999]"),
+        ],
+        ids=["decimal-name", "huge-exponent-name", "huge-exponent-in-a-list"],
+    )
+    def test_literals_outside_grade_slots_are_worded_as_read(self, document, message):
+        with pytest.raises(InstanceFormatError) as raised:
+            parse_instance_text(document)
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize("command", ["check", "solve", "verify"])
     def test_deeply_nested_document_is_an_input_error(self, tmp_path, capsys, command):
@@ -594,6 +624,45 @@ class TestParserReuse:
 
 
 class TestUsage:
+    # Each argv, with PATH for an instance file. A command word first goes
+    # straight to its subparser; every outcome must be the full parse's.
+    DISPATCH_ARGVS = [
+        [],
+        ["-h"],
+        ["--version"],
+        ["frobnicate", "PATH"],
+        ["so", "PATH"],
+        ["solve"],
+        ["solve", "-h"],
+        ["solve", "PATH", "-h"],
+        ["solve", "PATH", "--bogus"],
+        ["solve", "PATH", "extra", "more"],
+        ["solve", "PATH", "--form", "structured"],
+        ["solve", "PATH", "--format=structured", "--cap=0"],
+        ["solve", "PATH", "--objective", "nope"],
+        ["solve", "PATH", "--version"],
+        ["solve", "PATH", "--ver"],
+        ["check", "PATH", "--", "x"],
+        ["solve", "--", "PATH", "--cap", "5"],
+        ["verify"],
+        ["generate", "2", "3"],
+        ["solve", "PATH", "--no-prune", "--objective", "sum"],
+        ["check", "PATH"],
+        ["verify", "PATH"],
+        ["generate", "2", "3", "--seed", "4"],
+    ]
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
+    def test_dispatch_matches_the_full_parse(self, golden_file, capsys, monkeypatch, argv):
+        argv = [golden_file if word == "PATH" else word for word in argv]
+        rc = main(argv)
+        dispatched = (rc, *capsys.readouterr())
+        # The reference runs the top-level parse_args on every argv, then
+        # args.func, with main's exit codes.
+        monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser()[0].parse_args(argv))
+        rc = main(argv)
+        assert dispatched == (rc, *capsys.readouterr())
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["solve"]) == 1
         assert main(["frobnicate"]) == 1

@@ -1,6 +1,6 @@
 """Integer stand-ins for Fraction arithmetic: literal parsing, the
 instance reader's integer form, the grade range test, index sets,
-threshold ranks and float conversion all give exactly what the Fraction
+scaled thresholds and float conversion all give exactly what the Fraction
 definitions give."""
 
 import itertools
@@ -25,7 +25,7 @@ from frisolve.files import (
     parse_instance_text,
 )
 from frisolve.objective import coordinate_sum, log_sum_exp, max_coordinate
-from frisolve.solver import _ranked_options
+from frisolve.solver import _options
 
 from conftest import reference_parse
 
@@ -267,22 +267,19 @@ def test_index_sets_match_the_fraction_definition(inst):
 
 @given(inst=mixed_instances())
 @settings(max_examples=200)
-def test_threshold_ranks_match_the_fraction_order(inst):
+def test_scaled_thresholds_match_the_fraction_values(inst):
     idx = compute_index_sets(inst)
-    scale, scaled, options = _ranked_options(_Scaled.of(inst), idx)
-    assert all(type(t) is int for t in scaled)
-    values = [Fraction(t, scale) for t in scaled]
-    thresholds = {
-        (i, j): 1 + (inst.b[i] - inst.epsilon) - inst.A[i][j]
-        for i in idx.constraining_rows
-        for j in idx.sets[i]
-    }
-    assert values == sorted(set(thresholds.values()) | {Fraction(0)})
+    grades = _Scaled.of(inst)
+    scale = grades.scale
+    options = _options(grades, idx)
+    assert list(options) == list(idx.constraining_rows)
     for i, row in options.items():
         assert [j for j, _ in row] == list(idx.sets[i])
-        for j, r in row:
-            assert values[r] == thresholds[i, j] == coordinate_threshold(inst, i, j)
-            assert scaled[r] / scale == float(coordinate_threshold(inst, i, j))
+        for j, t in row:
+            assert type(t) is int
+            threshold = 1 + (inst.b[i] - inst.epsilon) - inst.A[i][j]
+            assert Fraction(t, scale) == threshold == coordinate_threshold(inst, i, j)
+            assert t / scale == float(coordinate_threshold(inst, i, j))
 
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=10**30)

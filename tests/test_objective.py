@@ -137,7 +137,7 @@ def _oracle_outcome(answer):
 @given(inst=mixed_instances())
 @settings(max_examples=150, deadline=None)
 def test_float_kernels_match_the_exact_point_path(inst):
-    # A built-in objective runs its float kernel on per-rank (solver) or
+    # A built-in objective runs its float kernel on per-threshold (solver) or
     # per-column (oracle) floats; a wrapper around it is another objective
     # and receives exact points. Both paths must give the same bits.
     for f in OBJECTIVES.values():

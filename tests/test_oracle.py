@@ -25,7 +25,7 @@ from frisolve import (
 
 from frisolve.cli import main
 from frisolve.oracle import _feasible_indices, build_grid, is_minimal_point
-from frisolve.solver import _ranked_options as ranked_options
+from frisolve.solver import _options as scaled_options
 
 from conftest import (
     GOLDEN_CANDIDATES,
@@ -138,10 +138,10 @@ def test_verify_catches_a_threshold_mistake_shared_with_the_grid(tmp_path, capsy
     # The scaled threshold without epsilon moves the solver's point to 0.7.
     # The oracle places its grid by its own formula, so it still finds 0.6,
     # and the row inequality does not hold with equality at 0.7.
-    def ranked_without_epsilon(grades, idx):
-        return ranked_options(grades._replace(eps=0), idx)
+    def options_without_epsilon(grades, idx):
+        return scaled_options(grades._replace(eps=0), idx)
 
-    monkeypatch.setattr("frisolve.solver._ranked_options", ranked_without_epsilon)
+    monkeypatch.setattr("frisolve.solver._options", options_without_epsilon)
     path = tmp_path / "eps.json"
     path.write_text('{"A": [[0.9]], "b": [0.6], "epsilon": 0.1}', encoding="utf-8")
     assert main(["verify", str(path)]) == 4

@@ -24,7 +24,7 @@ from frisolve import (
 )
 from frisolve.core import _Scaled
 from frisolve.files import grade_number, render_report_json
-from frisolve.solver import _ranked_objective, _ranked_options, _walk
+from frisolve.solver import _minimal_key, _options, _scaled_objective, _Values, _walk
 
 from conftest import (
     GOLDEN_CANDIDATES,
@@ -36,6 +36,7 @@ from conftest import (
     fpoint,
     prune_to_minimal,
     random_instances,
+    reference_minimal_key,
     selector_key,
     walk_leaves,
 )
@@ -189,10 +190,25 @@ class TestSearch:
         idx = compute_index_sets(inst)
         if not idx.feasible:
             return
-        scale, thresholds, options = _ranked_options(_Scaled.of(inst), idx)
-        bound = _ranked_objective(OBJECTIVES[name], scale, thresholds)
+        grades = _Scaled.of(inst)
+        options = _options(grades, idx)
+        fractions = _Values(lambda t: Fraction(t, grades.scale))
+        bound = _scaled_objective(OBJECTIVES[name], grades.scale, fractions)
         values = [value for _, value in _walk(inst.n, options, DEFAULT_CAP, bound)]
         assert values == sorted(values, reverse=True)
+
+    @given(inst=with_epsilon(st.one_of(st.just(Fraction(0)), positive_epsilons)))
+    @settings(max_examples=150, deadline=None)
+    def test_row_test_matches_the_list_based_reference(self, inst):
+        # The row scan that stops at a row's second meeting column, and the
+        # column check that stops at the first column tight for no row,
+        # give the key and the verdict of the scan that lists every column.
+        idx = compute_index_sets(inst)
+        if not idx.feasible:
+            return
+        options = _options(_Scaled.of(inst), idx)
+        for leaf, _ in dict.fromkeys(_walk(inst.n, options, DEFAULT_CAP)):
+            assert _minimal_key(leaf, options) == reference_minimal_key(leaf, options)
 
 
 class TestPruning:
@@ -250,7 +266,7 @@ class TestPruning:
         report = solve(inst)
         minimal = report.minimal_solutions
         # Each minimal point is a leaf, and solve rated each on its own
-        # leaf's ranks.
+        # leaf's scaled coordinates.
         assert {c.point for c in minimal} <= set(leaves)
         assert report.minimal_values == tuple(log_sum_exp(c.point) for c in minimal)
 
