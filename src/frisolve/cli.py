@@ -32,12 +32,12 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .core import Point
-from .feasibility import InfeasibleSystemError, _index_sets
+from .core import Instance, Point
+from .feasibility import InfeasibleSystemError, compute_index_sets
 from .files import (
     InstanceFormatError,
-    _load,
     grade_number,
+    load_instance,
     render_report_json,
     serialize_instance,
 )
@@ -53,9 +53,9 @@ from .solver import (
     DEFAULT_CAP,
     CapExceededError,
     SolveReport,
-    _enumerate,
-    _solve,
-    _solve_unpruned,
+    enumerate_candidates,
+    solve,
+    solve_unpruned,
 )
 
 
@@ -117,8 +117,8 @@ def _print_infeasible(idx) -> None:
     print(f"feasible: no (no admissible columns for row(s) {rows})")
 
 
-def _print_header(name: Optional[str], A: Sequence[Sequence]) -> None:
-    """The instance line, with the shape of the matrix A. A name with a
+def _print_header(name: Optional[str], inst: Instance) -> None:
+    """The instance line, with the shape of the instance. A name with a
     character that print would not show as itself (a newline, a control
     or format character) is written JSON-escaped, so that it can neither
     split the line nor forge one."""
@@ -126,13 +126,13 @@ def _print_header(name: Optional[str], A: Sequence[Sequence]) -> None:
         shown = "(unnamed)"
     else:
         shown = name if name.isprintable() else json.dumps(name)
-    print(f"instance: {shown} (m={len(A)}, n={len(A[0])})")
+    print(f"instance: {shown} (m={inst.m}, n={inst.n})")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    grades, name = _load(args.path)
-    idx = _index_sets(grades)
-    _print_header(name, grades.A)
+    inst, name = load_instance(args.path)
+    idx = compute_index_sets(inst)
+    _print_header(name, inst)
     _print_index_sets(idx)
     if idx.feasible:
         print("feasible: yes (the all-ones point is the maximum solution)")
@@ -142,9 +142,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _print_text_report(
-    report: SolveReport, name: Optional[str], A: Sequence[Sequence], timings: bool
+    report: SolveReport, name: Optional[str], inst: Instance, timings: bool
 ) -> None:
-    _print_header(name, A)
+    _print_header(name, inst)
     if not report.index_sets.feasible:
         _print_infeasible(report.index_sets)
         return
@@ -170,23 +170,23 @@ def _print_text_report(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    grades, name = _load(args.path)
+    inst, name = load_instance(args.path)
     objective = OBJECTIVES[args.objective]
     cap = args.cap if args.cap is not None else _default_cap()
-    runner = _solve_unpruned if args.no_prune else _solve
-    report = runner(grades, objective, cap)
+    runner = solve_unpruned if args.no_prune else solve
+    report = runner(inst, objective, cap)
     if args.format == "structured":
         sys.stdout.write(render_report_json(report, name, include_timings=args.timings))
     else:
-        _print_text_report(report, name, grades.A, args.timings)
+        _print_text_report(report, name, inst, args.timings)
     return 0 if report.index_sets.feasible else 2
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    grades, _ = _load(args.path)
+    inst, _ = load_instance(args.path)
     cap = args.cap if args.cap is not None else _default_cap()
     count = 0
-    for cand in _enumerate(grades, cap):
+    for cand in enumerate_candidates(inst, cap):
         print(f"e = {_fmt_selector(cand.selector)}  x(e) = {_fmt_point(cand.point)}")
         count += 1
     print(f"|E| = {count}")
@@ -194,14 +194,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    grades, name = _load(args.path)
+    inst, name = load_instance(args.path)
     cap = _default_cap()
-    _print_header(name, grades.A)
+    _print_header(name, inst)
     objective = OBJECTIVES[args.objective]
-    # The oracle reads the Instance's Fractions with formulas of its own.
-    inst = grades.instance()
+    # The oracle reads the instance's Fractions, with formulas of its own.
     oracle_minimal, oracle_optimum = brute_force(inst, objective, limit=args.limit)
-    report = _solve(grades, objective, cap)
+    report = solve(inst, objective, cap)
 
     if not report.index_sets.feasible:
         rows = ", ".join(str(i + 1) for i in report.index_sets.empty_rows)

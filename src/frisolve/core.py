@@ -1,38 +1,40 @@
 """Domain model: membership-graded matrices, points, and the max-Lukasiewicz
 composition.
 
-All grades are stored as exact rationals (`fractions.Fraction`). The solver's
+All grades are exact rationals (`fractions.Fraction`). The solver's
 correctness hinges on exact comparisons: a candidate point built from the
 expression ``1 + b - a`` must satisfy ``a + x - 1 >= b`` *identically*, and
 dominance ties between candidates must be genuine ties. Binary floats break
 both (the identity fails by one ulp about half the time), rationals never do.
 Floats convert losslessly on input; decimal strings keep their printed value.
 
-The search itself needs only comparisons and differences of grades, so it
-runs on a private integer form of the instance, ``_Scaled``: one common
-denominator D and every grade times D. An instance file is read straight
-into that form (``files``), with the checks and messages of ``Instance``;
-the public functions convert an ``Instance`` to it once, at their boundary.
+The search itself needs only comparisons and differences of grades, so
+an ``Instance`` also holds its grades as integers: one least common
+denominator D and every grade times D. The file reader and the generator
+build an instance straight from integers (``_scale``), with Instance's
+checks and messages and no Fraction per grade; its Fractions ``A`` and
+``b`` are then built only when read.
 
 Everything in this module is immutable after construction and safe to share
-across threads; the operations are pure functions.
+across threads (an instance's Fraction views, kept once built, are the same
+whichever thread builds them); the operations are pure functions.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Context, Decimal
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Callable, Iterable, Union
 
 GradeLike = Union[int, float, str, Fraction]
 Point = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-_FRACTION = frozenset((Fraction,))
 
 
 def _to_fraction(value: GradeLike, label: Callable[[], str]) -> Fraction:
@@ -79,15 +81,14 @@ def as_grade(value: GradeLike, label: str = "value") -> Fraction:
 
 def _grades(values: Iterable[GradeLike], label: Callable[[int], str]) -> tuple[Fraction, ...]:
     """The values converted as as_grade converts them; label(k) names
-    value k in the error for a bad one, and is built only then. Values
-    that are already Fractions in [0, 1], as a parsed file's are, are
-    kept as they are."""
-    grades = tuple(values)
-    if _FRACTION.issuperset(map(type, grades)) and all(
-        0 <= g.numerator <= g.denominator for g in grades
-    ):
-        return grades
-    return tuple(_to_grade(v, lambda: label(k)) for k, v in enumerate(grades))
+    value k in the error for a bad one, and is built only then."""
+    return tuple([_to_grade(v, lambda: label(k)) for k, v in enumerate(values)])
+
+
+def _fractions(values: Iterable[GradeLike], label: Callable[[int], str]) -> tuple[Fraction, ...]:
+    """The values as exact rationals, with no range test; label(k) names
+    value k in the error for one that is not a number."""
+    return tuple([_to_fraction(v, lambda: label(k)) for k, v in enumerate(values)])
 
 
 def as_point(values: Iterable[GradeLike], n: int | None = None) -> Point:
@@ -126,6 +127,14 @@ def _epsilon_error(value: object) -> ValueError:
     return ValueError(f"epsilon must be >= 0, got {value!r}")
 
 
+_Pair = tuple[int, int]  # a rational p/q as its integers, q > 0
+_denominator = itemgetter(1)
+
+
+def _pairs_of(grades: Iterable[Fraction]) -> list[_Pair]:
+    return [(g.numerator, g.denominator) for g in grades]
+
+
 @dataclass(frozen=True)
 class Instance:
     """One inequality system: grade matrix ``A`` (m rows, n columns), row
@@ -134,93 +143,88 @@ class Instance:
     ``epsilon`` defaults to 0 (exact comparison, the intended mode for exact
     data); a positive value widens every ``>=`` threshold test for noisy
     inputs. Entries outside [0, 1] are rejected on construction.
+
+    The instance also holds its grades in integers: ``_D`` is the least
+    common denominator of every grade and epsilon, and ``_A``, ``_b`` and
+    ``_eps`` hold D * a_ij, D * b_i and D * epsilon. D > 0, so every
+    comparison and difference of grades is the same one of these
+    integers: the index sets and the thresholds
+    ``D * t_ij = D + (D*b_i - D*eps) - D*a_ij`` need no Fraction.
+    Equality and hash read only the integers, which D being the least
+    common denominator makes the same for equal instances. ``A`` and
+    ``b`` are the Fractions given, converted; for an instance built from
+    integers (``_scale``, as the file reader and the generator build one)
+    they are built on first read and kept.
     """
 
-    A: tuple[tuple[Fraction, ...], ...]
-    b: tuple[Fraction, ...]
-    epsilon: Fraction = ZERO
+    A: tuple[tuple[Fraction, ...], ...] = field(compare=False)
+    b: tuple[Fraction, ...] = field(compare=False)
+    epsilon: Fraction = field(default=ZERO, compare=False)
+    _D: int = field(init=False, repr=False)
+    _A: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    _b: tuple[int, ...] = field(init=False, repr=False)
+    _eps: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         rows = tuple(self.A)
         if not rows:
             raise ValueError("A must have at least one row")
         matrix = []
-        width = None
         for i, row in enumerate(rows):
-            entries = _grades(row, lambda j: f"A[{i + 1}][{j + 1}]")
+            entries = _fractions(row, lambda j: f"A[{i + 1}][{j + 1}]")
             if not entries:
                 raise ValueError(f"A[{i + 1}] must have at least one column")
-            if width is None:
-                width = len(entries)
-            elif len(entries) != width:
-                raise _width_error(i, len(entries), width)
             matrix.append(entries)
-        thresholds = _grades(self.b, lambda i: f"b[{i + 1}]")
-        if len(thresholds) != len(matrix):
-            raise _length_error(len(thresholds), len(matrix))
+        thresholds = _fractions(self.b, lambda i: f"b[{i + 1}]")
         eps = _to_fraction(self.epsilon, lambda: "epsilon")
-        if eps.numerator < 0:
-            raise _epsilon_error(self.epsilon)
         object.__setattr__(self, "A", tuple(matrix))
         object.__setattr__(self, "b", thresholds)
-        object.__setattr__(self, "epsilon", eps)
+        _scale([_pairs_of(row) for row in matrix], _pairs_of(thresholds), eps, self.epsilon, self)
+
+    def __getattr__(self, name: str):
+        """A or b of an instance built from integers, on its first read:
+        the Fractions, kept. Python calls this only for a name the
+        instance does not hold."""
+        if name == "A":
+            d = self._D
+            value = tuple([tuple([Fraction(a, d) for a in row]) for row in self._A])
+        elif name == "b":
+            d = self._D
+            value = tuple([Fraction(v, d) for v in self._b])
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
 
     @property
     def m(self) -> int:
-        return len(self.A)
+        return len(self._A)
 
     @property
     def n(self) -> int:
-        return len(self.A[0])
+        return len(self._A[0])
 
 
-_Pair = tuple[int, int]  # a rational p/q as its integers, q > 0
-_denominator = itemgetter(1)
+def _scale(
+    rows: list[list[_Pair]],
+    b: list[_Pair],
+    epsilon: Fraction,
+    shown: object,
+    inst: Instance | None = None,
+) -> Instance:
+    """inst, or a new Instance, holding these grades, given as pairs, in
+    integers; a new Instance builds A and b on first read.
 
-
-class _Scaled(NamedTuple):
-    """An instance in integers: ``scale`` is a common denominator D of
-    every grade and epsilon, and ``A``, ``b`` and ``eps`` hold D * a_ij,
-    D * b_i and D * epsilon. D > 0, so every comparison and difference of
-    grades is the same one of these integers: the index sets and the
-    thresholds ``D * t_ij = D + (D*b_i - D*eps) - D*a_ij`` need no
-    Fraction. Build it with ``_scale`` (as the file reader does) or
-    ``of``; ``instance`` gives back the Instance it stands for."""
-
-    scale: int
-    A: tuple[tuple[int, ...], ...]
-    b: tuple[int, ...]
-    eps: int
-
-    @classmethod
-    def of(cls, inst: Instance) -> _Scaled:
-        def pairs(grades: Iterable[Fraction]) -> list[_Pair]:
-            return [(g.numerator, g.denominator) for g in grades]
-
-        eps = inst.epsilon
-        return _scale([pairs(row) for row in inst.A], pairs(inst.b), (eps.numerator, eps.denominator))
-
-    def instance(self) -> Instance:
-        d = self.scale
-        return Instance(
-            A=tuple(tuple([Fraction(a, d) for a in row]) for row in self.A),
-            b=tuple([Fraction(v, d) for v in self.b]),
-            epsilon=Fraction(self.eps, d),
-        )
-
-
-def _scale(rows: list[list[_Pair]], b: list[_Pair], epsilon: int | _Pair) -> _Scaled:
-    """The instance with these grades, as pairs, in integers.
-
-    rows and b must be non-empty, and so must each row. epsilon is an int
-    or a pair. The checks are Instance's, in its order and with its
-    messages: each row in range and as wide as the first, b in range and
-    one entry a row, epsilon at least 0 (worded with the value as given).
-    A Fraction is built only to word an error. The range test runs on
-    the scaled integers: 0 <= p/q <= 1 holds exactly when
-    0 <= D * p/q <= D.
+    rows must be non-empty, and so must each row. The checks are in this
+    order: each row in range and as wide as the first, b in range and one
+    entry a row, epsilon at least 0 (worded with ``shown``, the value as
+    given). A Fraction is built only to word an error. The range test runs
+    on the scaled integers: 0 <= p/q <= 1 holds exactly when
+    0 <= D * p/q <= D. The lcm of the denominators is divided by its gcd
+    with every scaled value, which leaves the least common denominator of
+    the reduced rationals.
     """
-    ep, eq = (epsilon, 1) if type(epsilon) is int else epsilon
+    ep, eq = epsilon.numerator, epsilon.denominator
     denominators = {eq, *map(_denominator, b)}
     for row in rows:
         denominators.update(map(_denominator, row))
@@ -229,7 +233,7 @@ def _scale(rows: list[list[_Pair]], b: list[_Pair], epsilon: int | _Pair) -> _Sc
 
     def scaled(pairs: list[_Pair], label: Callable[[int], str]) -> tuple[int, ...]:
         values = tuple([p * factor[q] for p, q in pairs])
-        if min(values) < 0 or max(values) > d:
+        if values and (min(values) < 0 or max(values) > d):
             k = next(k for k, v in enumerate(values) if not 0 <= v <= d)
             raise _out_of_range(label(k), Fraction(*pairs[k]))
         return values
@@ -244,8 +248,21 @@ def _scale(rows: list[list[_Pair]], b: list[_Pair], epsilon: int | _Pair) -> _Sc
     if len(thresholds) != len(A):
         raise _length_error(len(thresholds), len(A))
     if ep < 0:
-        raise _epsilon_error(epsilon if type(epsilon) is int else Fraction(ep, eq))
-    return _Scaled(d, tuple(A), thresholds, ep * factor[eq])
+        raise _epsilon_error(shown)
+    eps = ep * factor[eq]
+    g = math.gcd(d, eps, *thresholds, *itertools.chain.from_iterable(A))
+    if g > 1:
+        d, eps, thresholds = d // g, eps // g, tuple([v // g for v in thresholds])
+        A = [tuple([a // g for a in row]) for row in A]
+    if inst is None:
+        inst = object.__new__(Instance)
+    # object.__setattr__ keeps the attributes inline: an update of
+    # vars(inst) would give every instance a dict of its own, about 160
+    # bytes more on a small instance.
+    attributes = (("epsilon", epsilon), ("_D", d), ("_A", tuple(A)), ("_b", thresholds), ("_eps", eps))
+    for name, value in attributes:
+        object.__setattr__(inst, name, value)
+    return inst
 
 
 def compose(inst: Instance, x: Iterable[GradeLike]) -> tuple[Fraction, ...]:

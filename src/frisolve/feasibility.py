@@ -1,19 +1,18 @@
 """Feasibility test and admissible index sets.
 
-A row inequality ``max_j max(a_ij + x_j - 1, 0) >= b_i`` is satisfiable iff
-some column grade reaches the threshold at ``x_j = 1``, i.e. iff
-``a_ij >= b_i`` for some j. Collecting those columns per row gives the index
-sets J(i) that drive candidate enumeration. The system is feasible iff
-every J(i) is non-empty (``IndexSets.feasible``; ``IndexSets.empty_rows``
-names the rows whose J(i) is empty), and then ``ones(n)`` is the maximum
-solution: the feasible set is upward closed, so the all-ones point is a
-member and dominates every other.
+A row inequality ``max_j max(a_ij + x_j - 1, 0) >= b_i - epsilon`` is
+satisfiable iff some column grade reaches the threshold at ``x_j = 1``,
+i.e. iff ``a_ij >= b_i - epsilon`` for some j. Collecting those columns
+per row gives the index sets J(i) that drive candidate enumeration. The
+system is feasible iff every J(i) is non-empty (``IndexSets.feasible``;
+``IndexSets.empty_rows`` names the rows whose J(i) is empty), and then
+``ones(n)`` is the maximum solution: the feasible set is upward closed, so
+the all-ones point is a member and dominates every other.
 
-The tests run on the integer form of the instance (``core._Scaled``):
-with every grade scaled by one common denominator D, ``a_ij >= b_i -
-epsilon`` is ``D*a_ij >= D*b_i - D*epsilon``, the same comparison of
-integers, with no Fraction per grade. ``compute_index_sets`` converts its
-Instance once; the command line reads the integer form from the file.
+The tests run on the integers the instance holds: with every grade
+scaled by its common denominator D, ``a_ij >= b_i - epsilon`` is
+``D*a_ij >= D*b_i - D*epsilon``, the same comparison of integers, with no
+Fraction per grade.
 
 Indices are 0-based throughout the library; human-facing output (reports,
 error messages) converts to 1-based.
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, _Scaled
+from .core import Instance
 
 
 class InfeasibleSystemError(ValueError):
@@ -69,18 +68,13 @@ class IndexSets:
 
 def compute_index_sets(inst: Instance) -> IndexSets:
     """Build J(i) = {j : a_ij >= b_i - epsilon} for every row, plus the
-    vacuous mask (b_i <= epsilon)."""
-    return _index_sets(_Scaled.of(inst))
-
-
-def _index_sets(grades: _Scaled) -> IndexSets:
-    """compute_index_sets on the integer form: with need_i = D*b_i -
-    D*epsilon, J(i) holds the j with D*a_ij >= need_i, and row i is
-    vacuous iff need_i <= 0."""
-    eps = grades.eps
+    vacuous mask (b_i <= epsilon). On the instance's integers: with
+    need_i = D*b_i - D*epsilon, J(i) holds the j with D*a_ij >= need_i,
+    and row i is vacuous iff need_i <= 0."""
+    eps = inst._eps
     sets = []
     vacuous = []
-    for row, bi in zip(grades.A, grades.b):
+    for row, bi in zip(inst._A, inst._b):
         need = bi - eps
         sets.append(tuple([j for j, a in enumerate(row) if a >= need]))
         vacuous.append(need <= 0)

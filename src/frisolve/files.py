@@ -16,12 +16,11 @@ holds it named.
 
 Each value is validated once. The parser checks the document's shape and
 that each grade slot holds a number within the bounds; core._scale then
-checks ranges and lengths on integers, with Instance's checks, order and
-messages, and scales every grade by one common denominator D into the
-instance's integer form (core._Scaled), which the command line's check,
-solve, enumerate and verify search directly. No Fraction is built per grade on that
-path; one is built only to word an error. parse_instance_text and
-load_instance return the Instance the integer form stands for. The label
+checks ranges and lengths on integers, with the order and messages of
+Instance(...), which validates through the same function, and builds the
+Instance: every grade scaled by its least common denominator D, with no
+Fraction per grade; one is built only to word an error, and the Instance
+builds its Fraction views of A and b only when they are read. The label
 that names a value in an error ("A[2][3]", "b[1]") is built only for the
 value that fails, so a valid file builds none.
 
@@ -45,7 +44,7 @@ from math import isfinite
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
 
-from .core import Instance, Point, _Pair, _scale, _Scaled
+from .core import Instance, Point, _Pair, _scale
 from .solver import Candidate, SolveReport
 
 _ALLOWED_KEYS = {"A", "b", "epsilon", "name"}
@@ -145,8 +144,9 @@ def _pairs(values: list, label: Callable[[int], str]) -> list[_Pair]:
 _DECODER = json.JSONDecoder(parse_float=_parse_float, parse_int=_parse_int)
 
 
-def _parse(text: str) -> tuple[_Scaled, Optional[str]]:
-    """parse_instance_text's checks, returning the instance's integer form."""
+def parse_instance_text(text: str) -> tuple[Instance, Optional[str]]:
+    """Parse an instance document; returns the instance and its optional
+    name. Raises InstanceFormatError with the offending field named."""
     try:
         if text.startswith("\ufeff"):
             # json.loads's own check, with its message.
@@ -189,23 +189,19 @@ def _parse(text: str) -> tuple[_Scaled, Optional[str]]:
     if name is not None and not isinstance(name, str):
         raise InstanceFormatError(f"name must be a string: {_worded(name)!r}")
 
+    # An error words a negative epsilon as parsed: an int, or the Fraction
+    # of the float hook's pair.
+    shown = Fraction(*epsilon) if type(epsilon) is tuple else epsilon
     try:
-        grades = _scale(matrix, thresholds, epsilon)
+        return _scale(matrix, thresholds, Fraction(shown), shown), name
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
-    return grades, name
 
 
-def parse_instance_text(text: str) -> tuple[Instance, Optional[str]]:
-    """Parse an instance document; returns the instance and its optional
-    name. Raises InstanceFormatError with the offending field named."""
-    grades, name = _parse(text)
-    return grades.instance(), name
-
-
-def _load(path: str | Path) -> tuple[_Scaled, Optional[str]]:
-    """load_instance's reading and checks, returning the instance's
-    integer form. The bytes are decoded once, and CRLF and CR line ends
+def load_instance(path: str | Path) -> tuple[Instance, Optional[str]]:
+    """Read and parse an instance file; a file that cannot be read, or
+    whose bytes are not UTF-8, fails to parse. Every message names the
+    path as given. The bytes are decoded once, and CRLF and CR line ends
     become LF, as text-mode reading makes them, so that the offsets in a
     JSON error are the same."""
     try:
@@ -219,17 +215,9 @@ def _load(path: str | Path) -> tuple[_Scaled, Optional[str]]:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        return _parse(text)
+        return parse_instance_text(text)
     except InstanceFormatError as exc:
         raise InstanceFormatError(f"{path}: {exc}") from exc
-
-
-def load_instance(path: str | Path) -> tuple[Instance, Optional[str]]:
-    """Read and parse an instance file; a file that cannot be read, or
-    whose bytes are not UTF-8, fails to parse. Every message names the
-    path as given."""
-    grades, name = _load(path)
-    return grades.instance(), name
 
 
 def grade_number(value: Fraction) -> float:
@@ -270,12 +258,19 @@ def _grades(values: Iterable[Fraction]) -> str:
 
 def serialize_instance(inst: Instance, name: Optional[str] = None) -> str:
     """Render an instance back to its file form; parsing the result yields
-    an equal instance for decimal-valued grades."""
+    an equal instance for decimal-valued grades. Each grade's float is the
+    true division D*a / D of the instance's integers, the same correctly
+    rounded float as its Fraction's, so no Fraction is read."""
+    d = inst._D
+
+    def grades(values: tuple[int, ...]) -> str:
+        return "[" + ", ".join([repr(v / d) for v in values]) + "]"
+
     members = []
     if name is not None:
         members.append('"name": ' + _encode_key(name))
-    members.append('"A": ' + _array([_grades(row) for row in inst.A], "  "))
-    members.append('"b": ' + _grades(inst.b))
+    members.append('"A": ' + _array([grades(row) for row in inst._A], "  "))
+    members.append('"b": ' + grades(inst._b))
     if inst.epsilon != 0:
         members.append('"epsilon": ' + repr(grade_number(inst.epsilon)))
     return "{\n  " + ",\n  ".join(members) + "\n}\n"

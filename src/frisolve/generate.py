@@ -6,16 +6,16 @@ Feasible mode draws each threshold at or below its row's largest grade, so
 every admissible set is non-empty by construction; infeasible mode pushes
 at least one threshold strictly above its row's largest grade. The same
 seed always reproduces the same instance, byte for byte after
-serialization.
+serialization. The instance is built from the ticks over GRID, as the
+file reader builds one, with no Fraction per grade.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
-from .core import Instance
+from .core import ZERO, Instance, _scale
 
 GRID = 10_000
 
@@ -57,7 +57,5 @@ def generate_instance(
 
     mode = "feasible" if feasible else "infeasible"
     name = f"random-{m}x{n}-seed{seed}-{mode}"
-    return Instance(
-        A=tuple(tuple([Fraction(a, GRID) for a in row]) for row in A),
-        b=tuple([Fraction(t, GRID) for t in b]),
-    ), name
+    rows = [[(a, GRID) for a in row] for row in A]
+    return _scale(rows, [(t, GRID) for t in b], ZERO, ZERO), name

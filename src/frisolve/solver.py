@@ -33,10 +33,9 @@ feasible iff every J(i) is non-empty, and an infeasible system gets a
 report that carries only its index sets.
 
 The walk, the row test and the objective run on the thresholds scaled
-to integers. The search starts from the instance's integer form
-(``core._Scaled``: one common denominator D, every grade times D), which
-the command line reads straight from the file and the public functions
-build once from their Instance. Every t_ij is then the integer
+to integers. The search starts from the integers the instance holds (one
+common denominator D, every grade times D), which the file reader builds
+without a Fraction per grade. Every t_ij is then the integer
 ``D * t_ij = D + need_i - D*a_ij``, with ``need_i = D*b_i - D*epsilon``
 (``_options``), and a point's coordinates are those integers, 0
 included: D > 0, so every comparison has the rational outcome, and no
@@ -59,8 +58,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
-from .core import Instance, Point, _Scaled
-from .feasibility import IndexSets, InfeasibleSystemError, _index_sets
+from .core import Instance, Point
+from .feasibility import IndexSets, InfeasibleSystemError, compute_index_sets
 from .objective import Objective, _float_kernel, log_sum_exp
 
 DEFAULT_CAP = 10**6
@@ -119,21 +118,16 @@ def enumerate_candidates(inst: Instance, cap: int = DEFAULT_CAP) -> Iterator[Can
     infeasible system or a product beyond ``cap`` raises immediately,
     before any candidate is built.
     """
-    return _enumerate(_Scaled.of(inst), cap)
-
-
-def _enumerate(grades: _Scaled, cap: int) -> Iterator[Candidate]:
-    """enumerate_candidates on the integer form of an instance."""
     _check_cap(cap)
-    idx = _index_sets(grades)
+    idx = compute_index_sets(inst)
     if not idx.feasible:
         raise InfeasibleSystemError(list(idx.empty_rows))
     count = selector_count(idx)
     if count > cap:
         raise CapExceededError(count, cap, f"enumeration needs {count} candidates")
-    options = _options(grades, idx)
-    values = _Values(lambda t: Fraction(t, grades.scale))
-    n, m = len(grades.A[0]), len(grades.A)
+    options = _options(inst, idx)
+    d, n, m = inst._D, inst.n, inst.m
+    values = _Values(lambda t: Fraction(t, d))
 
     def stream() -> Iterator[Candidate]:
         for choice in itertools.product(*options.values()):
@@ -151,17 +145,17 @@ def _enumerate(grades: _Scaled, cap: int) -> Iterator[Candidate]:
 _Options = dict[int, tuple[tuple[int, int], ...]]
 
 
-def _options(grades: _Scaled, idx: IndexSets) -> _Options:
+def _options(inst: Instance, idx: IndexSets) -> _Options:
     """The options of the constraining rows, in row order: per row, its
     admissible columns in ascending order, each with its threshold scaled
-    by the common denominator D of grades. D * t_ij is
+    by the common denominator D of the instance. D * t_ij is
     ``D + need_i - D*a_ij``, an integer, and D > 0, so the scaled
     thresholds compare as the thresholds do."""
-    scale, A, b, eps = grades
+    A, b, base = inst._A, inst._b, inst._D - inst._eps
     sets = idx.sets
     options = {}
     for i in idx.constraining_rows:
-        top, row = scale + b[i] - eps, A[i]
+        top, row = base + b[i], A[i]
         options[i] = tuple([(j, top - row[j]) for j in sets[i]])
     return options
 
@@ -372,21 +366,16 @@ def solve(
     CapExceededError. A cap that is not an integer of at least 1 raises
     ValueError.
     """
-    return _solve(_Scaled.of(inst), objective, cap)
-
-
-def _solve(grades: _Scaled, objective: Objective, cap: int) -> SolveReport:
-    """solve on the integer form of an instance."""
     _check_cap(cap)
     t0 = time.perf_counter()
-    idx = _index_sets(grades)
+    idx = compute_index_sets(inst)
     t_idx = time.perf_counter()
     if not idx.feasible:
         return _infeasible_report(idx, t0)
 
-    m, n = len(grades.A), len(grades.A[0])
-    options = _options(grades, idx)
-    leaves = [leaf for leaf, _ in _walk(n, options, cap)]
+    options = _options(inst, idx)
+    d, m = inst._D, inst.m
+    leaves = [leaf for leaf, _ in _walk(inst.n, options, cap)]
     t_search = time.perf_counter()
     keyed = []
     for leaf in dict.fromkeys(leaves):
@@ -394,13 +383,13 @@ def _solve(grades: _Scaled, objective: Objective, cap: int) -> SolveReport:
         if key is not None:
             keyed.append((key, leaf))
     keyed.sort()
-    fractions = _Values(lambda t: Fraction(t, grades.scale))
+    fractions = _Values(lambda t: Fraction(t, d))
     minimal = tuple(
         _candidate(m, options, key, tuple([fractions[t] for t in leaf]))
         for key, leaf in keyed
     )
     t_prune = time.perf_counter()
-    point_values, rate = _scaled_objective(objective, grades.scale, fractions)
+    point_values, rate = _scaled_objective(objective, d, fractions)
     values = tuple(rate(tuple([point_values[t] for t in leaf])) for _, leaf in keyed)
     # minimal is in canonical selector order, and distinct minimal points
     # have distinct canonical selectors, so the first least value is the
@@ -454,31 +443,27 @@ def solve_unpruned(
     candidates_enumerated counts the leaves reached; the report carries no
     minimal-solution set. ``cap`` is solve's.
     """
-    return _solve_unpruned(_Scaled.of(inst), objective, cap)
-
-
-def _solve_unpruned(grades: _Scaled, objective: Objective, cap: int) -> SolveReport:
-    """solve_unpruned on the integer form of an instance."""
     _check_cap(cap)
     t0 = time.perf_counter()
-    idx = _index_sets(grades)
+    idx = compute_index_sets(inst)
     t_idx = time.perf_counter()
     if not idx.feasible:
         return _infeasible_report(idx, t0)
 
-    options = _options(grades, idx)
-    fractions = _Values(lambda t: Fraction(t, grades.scale))
-    bound = _scaled_objective(objective, grades.scale, fractions)
+    options = _options(inst, idx)
+    d = inst._D
+    fractions = _Values(lambda t: Fraction(t, d))
+    bound = _scaled_objective(objective, d, fractions)
     best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None
     leaves = 0
-    for leaf, value in _walk(len(grades.A[0]), options, cap, bound):
+    for leaf, value in _walk(inst.n, options, cap, bound):
         leaves += 1
         key = _minimal_key(leaf, options)
         if key is not None and (best is None or (value, key) < best[:2]):
             best = (value, key, leaf)
     value, key, leaf = best
     point = tuple([fractions[t] for t in leaf])
-    optimizer = _candidate(len(grades.A), options, key, point)
+    optimizer = _candidate(inst.m, options, key, point)
     t_end = time.perf_counter()
 
     return SolveReport(

@@ -1,8 +1,8 @@
 """Shared fixtures: the golden 5x7 instance with its hand-checked values,
 random-instance streams, every leaf of the covered-row walk, the
 list-based reference of the row test, the product-then-dominance
-reference, the oracle's Fraction references, the
-Fraction reference of the instance reader, the generic JSON writer with
+reference, the oracle's Fraction references, the Fraction references
+of Instance's checks and of the instance reader, the generic JSON writer with
 the instance and report references it renders, and the
 acceptance-criteria summary hook."""
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from fractions import Fraction
 from itertools import repeat
@@ -29,7 +30,7 @@ from frisolve import (
     generate_instance,
     is_member,
 )
-from frisolve.core import _Scaled, coordinate_threshold
+from frisolve.core import _short_decimal, coordinate_threshold
 from frisolve.files import grade_number
 from frisolve.oracle import LatticeGrid
 from frisolve.solver import _Options, _options, _walk
@@ -133,10 +134,9 @@ def selector_key(selector: tuple[Optional[int], ...]) -> tuple[int, ...]:
 def walk_leaves(inst: Instance) -> list[Point]:
     """Every leaf the covered-row walk of a feasible instance reaches, as
     an exact point, duplicates included, in the order reached."""
-    grades = _Scaled.of(inst)
-    options = _options(grades, compute_index_sets(inst))
+    options = _options(inst, compute_index_sets(inst))
     return [
-        tuple(Fraction(t, grades.scale) for t in leaf)
+        tuple(Fraction(t, inst._D) for t in leaf)
         for leaf, _ in _walk(inst.n, options, DEFAULT_CAP)
     ]
 
@@ -248,14 +248,64 @@ def fraction_is_minimal_point(inst: Instance, x: Point) -> bool:
     return tight.issuperset(nonzero)
 
 
+def reference_fraction(value: Any, label: str) -> Fraction:
+    """value as an exact rational, or the ValueError Instance(...) words
+    for a value that is not one."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{label} is not finite: {value!r}")
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{label} is not a number: {value!r}") from exc
+
+
+def reference_instance(
+    A: Iterable[Iterable[Any]], b: Iterable[Any], epsilon: Any = 0
+) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...], Fraction]:
+    """Instance(...)'s checks on Fractions, in the order they ran before
+    the instance held integers: per row, each entry converted and tested
+    against [0, 1] on its Fraction, then the row's emptiness and width;
+    then b likewise, its length, and epsilon, converted and at least 0.
+    Returns A, b and epsilon as Fractions, or raises ValueError with the
+    message Instance(...) must give for an input with one defect."""
+
+    def grades(values: Iterable[Any], label) -> tuple[Fraction, ...]:
+        out = []
+        for k, v in enumerate(values):
+            grade = reference_fraction(v, label(k))
+            if not 0 <= grade <= 1:
+                raise ValueError(f"{label(k)} out of [0,1]: {_short_decimal(grade)}")
+            out.append(grade)
+        return tuple(out)
+
+    rows = tuple(A)
+    if not rows:
+        raise ValueError("A must have at least one row")
+    matrix = []
+    for i, row in enumerate(rows):
+        entries = grades(row, lambda j: f"A[{i + 1}][{j + 1}]")
+        if not entries:
+            raise ValueError(f"A[{i + 1}] must have at least one column")
+        if matrix and len(entries) != len(matrix[0]):
+            raise ValueError(f"A[{i + 1}] has {len(entries)} columns, expected {len(matrix[0])}")
+        matrix.append(entries)
+    thresholds = grades(b, lambda i: f"b[{i + 1}]")
+    if len(thresholds) != len(matrix):
+        raise ValueError(f"b has {len(thresholds)} entries, expected {len(matrix)}")
+    eps = reference_fraction(epsilon, "epsilon")
+    if eps < 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
+    return tuple(matrix), thresholds, eps
+
+
 def reference_parse(text: str) -> tuple[Instance, Optional[str]]:
     """The instance reader on Fractions, for documents of the right shape
     (A a non-empty array of non-empty arrays, b a non-empty array) whose
     literals lie within the parse bounds: json.loads with a Fraction per
     float literal and an int per integer literal, the reader's test that
     each grade slot holds a number and the name is a string, then
-    Instance(...), whose checks word every range and shape error. Raises ValueError with the message the
-    reader must give."""
+    reference_instance, whose checks word every range and shape error.
+    Raises ValueError with the message the reader must give."""
     data = json.loads(text, parse_float=Fraction)
 
     def numbers(values: list, label) -> list:
@@ -270,6 +320,7 @@ def reference_parse(text: str) -> tuple[Instance, Optional[str]]:
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise ValueError(f"name must be a string: {name!r}")
+    A, b, epsilon = reference_instance(A, b, epsilon)
     return Instance(A=A, b=b, epsilon=epsilon), name
 
 

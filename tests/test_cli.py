@@ -249,7 +249,7 @@ class TestVerify:
         def fail(*args):
             raise AssertionError("solve ran before the grid limit was checked")
 
-        monkeypatch.setattr("frisolve.cli._solve", fail)
+        monkeypatch.setattr("frisolve.cli.solve", fail)
         assert main(["verify", golden_file, "--limit", "1"]) == 3
         assert "exceeding the limit of 1" in capsys.readouterr().err
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frisolve import OBJECTIVES, Instance, solve, solve_unpruned
+from frisolve import OBJECTIVES, Instance, generate_instance, solve, solve_unpruned
 from frisolve.cli import main
 from frisolve.files import (
     InstanceFormatError,
@@ -294,3 +294,39 @@ class TestParseFailures:
         assert inst.A == ((1, 0, Fraction(1, 4)), (half, Fraction(3, 4), Fraction(1, 3)))
         assert all(type(v) is Fraction for row in inst.A for v in row)
         assert inst.A[1][0] is half and inst.b[1] is half
+
+
+class TestInstanceType:
+    """What Instance keeps now that it holds its grades as integers over
+    their least common denominator."""
+
+    REPR = "Instance(A=((Fraction(1, 2),),), b=(Fraction(1, 4),), epsilon=Fraction(0, 1))"
+
+    def test_read_and_built_instances_are_equal(self):
+        read = parse_instance_text('{"A": [[0.50]], "b": [0.250]}')[0]
+        built = Instance(A=((Fraction(1, 2),),), b=(Fraction(1, 4),))
+        assert read == built
+        assert hash(read) == hash(built)
+
+    def test_replace_on_a_generated_instance(self):
+        inst, _ = generate_instance(4, 5, seed=11)
+        assert "A" not in vars(inst)  # the generator builds no Fraction per grade
+        replaced = dataclasses.replace(inst, epsilon=Fraction(1, 100))
+        from_fractions = Instance(A=inst.A, b=inst.b, epsilon=Fraction(1, 100))
+        assert replaced == from_fractions and hash(replaced) == hash(from_fractions)
+        assert replaced.epsilon == Fraction(1, 100) and replaced.A == inst.A
+        assert dataclasses.replace(inst) == inst
+
+    @pytest.mark.parametrize(
+        "member, epsilon",
+        [("", Fraction(0)), (', "epsilon": 0.05', Fraction(1, 20)), (', "epsilon": 1', Fraction(1))],
+        ids=["absent", "float", "int"],
+    )
+    def test_read_instance_epsilon(self, member, epsilon):
+        inst, _ = parse_instance_text('{"A": [[0.5]], "b": [0.25]%s}' % member)
+        assert type(inst.epsilon) is Fraction and inst.epsilon == epsilon
+        assert inst == Instance(A=((Fraction(1, 2),),), b=(Fraction(1, 4),), epsilon=epsilon)
+
+    def test_repr(self):
+        assert repr(parse_instance_text('{"A": [[0.50]], "b": [0.250]}')[0]) == self.REPR
+        assert repr(Instance(A=(("0.5",),), b=(0.25,))) == self.REPR

@@ -5,6 +5,7 @@ definitions give."""
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -13,12 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frisolve import Instance, as_grade, compute_index_sets
-from frisolve.core import _Scaled, coordinate_threshold
+from frisolve.core import coordinate_threshold
 from frisolve.files import (
     MAX_DIGITS,
     MAX_EXPONENT,
     InstanceFormatError,
-    _parse,
     _parse_float,
     _parse_int,
     grade_number,
@@ -27,7 +27,7 @@ from frisolve.files import (
 from frisolve.objective import coordinate_sum, log_sum_exp, max_coordinate
 from frisolve.solver import _options
 
-from conftest import reference_parse
+from conftest import reference_instance, reference_parse
 
 digits = st.text("0123456789", min_size=1, max_size=MAX_DIGITS)
 
@@ -165,28 +165,31 @@ def defective_documents(draw) -> str:
 
 
 class TestReader:
-    """The reader's integer form against the Fraction reference in
-    conftest: json.loads with Fraction hooks, then Instance(...)."""
+    """The reader's integers against the Fraction reference in conftest:
+    json.loads with Fraction hooks, then the Fraction checks of
+    Instance(...)."""
 
     @given(doc=documents())
     @settings(max_examples=300)
     def test_integer_form_denotes_the_reference_instance(self, doc):
         text = document_text(*doc)
-        grades, _ = _parse(text)
-        values = [grades.scale, grades.eps, *grades.b, *itertools.chain(*grades.A)]
+        inst, _ = parse_instance_text(text)
+        values = [inst._D, inst._eps, *inst._b, *itertools.chain(*inst._A)]
         assert all(type(v) is int for v in values)  # no Fraction, no bool
+        assert "A" not in vars(inst) and "b" not in vars(inst)  # no view built yet
         reference, _ = reference_parse(text)
-        d = grades.scale
-        assert tuple(tuple(Fraction(a, d) for a in row) for row in grades.A) == reference.A
-        assert tuple(Fraction(v, d) for v in grades.b) == reference.b
-        assert Fraction(grades.eps, d) == reference.epsilon
-        assert parse_instance_text(text)[0] == reference
+        d = inst._D
+        assert tuple(tuple(Fraction(a, d) for a in row) for row in inst._A) == reference.A
+        assert tuple(Fraction(v, d) for v in inst._b) == reference.b
+        assert Fraction(inst._eps, d) == inst.epsilon == reference.epsilon
+        assert inst == reference and hash(inst) == hash(reference)
+        assert (inst.A, inst.b) == (reference.A, reference.b)
 
     def test_a_deeply_nested_slot_is_worded_to_the_bottom(self):
         depth = 700
         text = '{"A": [[%s]], "b": [0]}' % ("[" * depth + "0.5" + "]" * depth)
         with pytest.raises(InstanceFormatError) as got:
-            _parse(text)
+            parse_instance_text(text)
         nested = "[" * depth + "Fraction(1, 2)" + "]" * depth
         assert str(got.value) == "A[1][1] is not a number: " + nested
 
@@ -196,7 +199,96 @@ class TestReader:
         with pytest.raises(ValueError) as want:
             reference_parse(text)
         with pytest.raises(InstanceFormatError) as got:
-            _parse(text)
+            parse_instance_text(text)
+        assert str(got.value) == str(want.value)
+
+
+@st.composite
+def grade_likes(draw, top: int = 1):
+    """A value in [0, top] as one of the GradeLike types: a Fraction, an
+    int, a bool, a decimal or ratio string, or a float."""
+    q = draw(st.sampled_from([1, 3, 4, 10, 10_000]))
+    value = Fraction(draw(st.integers(0, top * q)), q)
+    form = draw(st.sampled_from(["fraction", "int", "bool", "str", "float"]))
+    if form in ("int", "bool") and value.denominator == 1 and value <= 1:
+        return bool(value) if form == "bool" else int(value)
+    if form == "str":
+        return draw(st.sampled_from([str(value), f"{float(value)!r}"]))
+    if form == "float":
+        return float(value)
+    return value
+
+
+GRADE_OUT_OF_RANGE = [-1, 2, "1.5", "-1/3", 1.0000001, -0.25, Fraction(3, 2), Fraction(-1, 10**9)]
+GRADE_NOT_NUMBERS = [None, "x", "", math.nan, math.inf, -math.inf, [0.5], "nan", "1/0", object]
+NEGATIVE_EPSILONS = [-1, -0.5, "-1/3", Fraction(-1, 7), "-0.0001"]
+
+
+@st.composite
+def defective_library_inputs(draw):
+    """A, b and epsilon for Instance(...) in mixed GradeLike types, with
+    one defect: a grade or threshold out of [0, 1] or not a number, a row
+    of another width, an empty row, a b of another length, or an epsilon
+    that is negative or not a number."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    A = [[draw(grade_likes()) for _ in range(n)] for _ in range(m)]
+    b = [draw(grade_likes()) for _ in range(m)]
+    epsilon = draw(grade_likes(top=2))
+    defect = draw(
+        st.sampled_from(["grade", "threshold", "width", "empty", "length", "epsilon", "type"])
+    )
+    bad = draw(st.sampled_from(GRADE_OUT_OF_RANGE))
+    if defect == "grade":
+        row = draw(st.sampled_from(A))
+        row[draw(st.integers(0, n - 1))] = bad
+    elif defect == "threshold":
+        b[draw(st.integers(0, m - 1))] = bad
+    elif defect == "width":
+        A.insert(draw(st.integers(1, m)), A[0] + [draw(grade_likes())])
+        b.append(draw(grade_likes()))
+    elif defect == "empty":
+        A[draw(st.integers(0, m - 1))] = []
+    elif defect == "length":
+        if m > 1 and draw(st.booleans()):
+            b.pop()
+        else:
+            b.append(draw(grade_likes()))
+    elif defect == "epsilon":
+        epsilon = draw(st.sampled_from(NEGATIVE_EPSILONS + GRADE_NOT_NUMBERS))
+    else:
+        slots = [(row, j) for row in A for j in range(n)] + [(b, i) for i in range(m)]
+        values, k = draw(st.sampled_from(slots))
+        values[k] = draw(st.sampled_from(GRADE_NOT_NUMBERS))
+    return A, b, epsilon
+
+
+class TestLibraryInstance:
+    """Instance(...) validates through the integer checks the reader uses;
+    the Fraction checks in conftest are the reference."""
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_mixed_input_denotes_the_reference_instance(self, data):
+        m = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(1, 4))
+        A = [[data.draw(grade_likes()) for _ in range(n)] for _ in range(m)]
+        b = [data.draw(grade_likes()) for _ in range(m)]
+        epsilon = data.draw(grade_likes(top=2))
+        inst = Instance(A=A, b=b, epsilon=epsilon)
+        want_A, want_b, want_epsilon = reference_instance(A, b, epsilon)
+        assert (inst.A, inst.b, inst.epsilon) == (want_A, want_b, want_epsilon)
+        reference = Instance(A=want_A, b=want_b, epsilon=want_epsilon)
+        assert inst == reference and hash(inst) == hash(reference)
+
+    @given(inputs=defective_library_inputs())
+    @settings(max_examples=400)
+    def test_a_defect_gets_the_reference_message(self, inputs):
+        A, b, epsilon = inputs
+        with pytest.raises(ValueError) as want:
+            reference_instance(A, b, epsilon)
+        with pytest.raises(ValueError) as got:
+            Instance(A=A, b=b, epsilon=epsilon)
         assert str(got.value) == str(want.value)
 
 
@@ -269,9 +361,8 @@ def test_index_sets_match_the_fraction_definition(inst):
 @settings(max_examples=200)
 def test_scaled_thresholds_match_the_fraction_values(inst):
     idx = compute_index_sets(inst)
-    grades = _Scaled.of(inst)
-    scale = grades.scale
-    options = _options(grades, idx)
+    scale = inst._D
+    options = _options(inst, idx)
     assert list(options) == list(idx.constraining_rows)
     for i, row in options.items():
         assert [j for j, _ in row] == list(idx.sets[i])

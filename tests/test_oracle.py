@@ -1,5 +1,6 @@
 """The brute-force referee: grid soundness and agreement with the solver."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -138,8 +139,8 @@ def test_verify_catches_a_threshold_mistake_shared_with_the_grid(tmp_path, capsy
     # The scaled threshold without epsilon moves the solver's point to 0.7.
     # The oracle places its grid by its own formula, so it still finds 0.6,
     # and the row inequality does not hold with equality at 0.7.
-    def options_without_epsilon(grades, idx):
-        return scaled_options(grades._replace(eps=0), idx)
+    def options_without_epsilon(inst, idx):
+        return scaled_options(dataclasses.replace(inst, epsilon=0), idx)
 
     monkeypatch.setattr("frisolve.solver._options", options_without_epsilon)
     path = tmp_path / "eps.json"

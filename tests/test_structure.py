@@ -22,7 +22,6 @@ from frisolve import (
     selector_count,
     solve,
 )
-from frisolve.core import _Scaled
 from frisolve.files import grade_number, render_report_json
 from frisolve.solver import _minimal_key, _options, _scaled_objective, _Values, _walk
 
@@ -190,10 +189,9 @@ class TestSearch:
         idx = compute_index_sets(inst)
         if not idx.feasible:
             return
-        grades = _Scaled.of(inst)
-        options = _options(grades, idx)
-        fractions = _Values(lambda t: Fraction(t, grades.scale))
-        bound = _scaled_objective(OBJECTIVES[name], grades.scale, fractions)
+        options = _options(inst, idx)
+        fractions = _Values(lambda t: Fraction(t, inst._D))
+        bound = _scaled_objective(OBJECTIVES[name], inst._D, fractions)
         values = [value for _, value in _walk(inst.n, options, DEFAULT_CAP, bound)]
         assert values == sorted(values, reverse=True)
 
@@ -206,7 +204,7 @@ class TestSearch:
         idx = compute_index_sets(inst)
         if not idx.feasible:
             return
-        options = _options(_Scaled.of(inst), idx)
+        options = _options(inst, idx)
         for leaf, _ in dict.fromkeys(_walk(inst.n, options, DEFAULT_CAP)):
             assert _minimal_key(leaf, options) == reference_minimal_key(leaf, options)
 
