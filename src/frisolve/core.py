@@ -22,7 +22,6 @@ whichever thread builds them); the operations are pure functions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from decimal import Context, Decimal
@@ -222,7 +221,8 @@ def _scale(
     on the scaled integers: 0 <= p/q <= 1 holds exactly when
     0 <= D * p/q <= D. The lcm of the denominators is divided by its gcd
     with every scaled value, which leaves the least common denominator of
-    the reduced rationals.
+    the reduced rationals. That gcd is taken over D, epsilon and b first,
+    then row by row, and stops once it reaches 1.
     """
     ep, eq = epsilon.numerator, epsilon.denominator
     denominators = {eq, *map(_denominator, b)}
@@ -250,7 +250,11 @@ def _scale(
     if ep < 0:
         raise _epsilon_error(shown)
     eps = ep * factor[eq]
-    g = math.gcd(d, eps, *thresholds, *itertools.chain.from_iterable(A))
+    g = math.gcd(d, eps, *thresholds)
+    for row in A:
+        if g == 1:
+            break
+        g = math.gcd(g, *row)
     if g > 1:
         d, eps, thresholds = d // g, eps // g, tuple([v // g for v in thresholds])
         A = [tuple([a // g for a in row]) for row in A]

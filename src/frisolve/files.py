@@ -31,8 +31,10 @@ conversion is the true division of numerator by denominator, the same
 correctly rounded float that float() of the Fraction gives. Structured
 reports are JSON with a fixed key order and no volatile fields by default,
 so identical inputs produce byte-identical reports. serialize_instance
-and render_report_json write their fixed shapes in one pass, with the same
-array and grade-array texts, leaf arrays on one line.
+and render_report_json write their fixed shapes in one pass, leaf arrays
+on one line. Both write a grade from the integers the instance or the
+report holds, as the true division of the scaled value by D: no Fraction
+is read, and a report's Candidates are never built.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from math import isfinite
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
 
-from .core import Instance, Point, _Pair, _scale
-from .solver import Candidate, SolveReport
+from .core import Instance, _Pair, _scale
+from .solver import SolveReport
 
 _ALLOWED_KEYS = {"A", "b", "epsilon", "name"}
 # The types the parse hooks return for a number within the bounds: an int,
@@ -238,22 +240,16 @@ def _one_based(indices: Iterable[int]) -> str:
     return "[" + ", ".join([str(i + 1) for i in indices]) + "]"
 
 
-def _selector_text(selector: tuple[Optional[int], ...]) -> str:
-    return "[" + ", ".join(["null" if c is None else str(c + 1) for c in selector]) + "]"
-
-
 def _array(items: list[str], pad: str) -> str:
-    """An array of rendered items, one a line, for a member indented by pad."""
+    """An array of rendered items, one a line, for a member indented by pad.
+    The brackets go on the first and last items, which changes the list,
+    so that the text is a single join and never copied whole."""
     if not items:
         return "[]"
     inner = "\n" + pad + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
-
-
-def _grades(values: Iterable[Fraction]) -> str:
-    """A grade array on one line, each grade as its float (grade_number,
-    inline) by its repr, which is how json.dumps writes a finite float."""
-    return "[" + ", ".join([repr(v.numerator / v.denominator) for v in values]) + "]"
+    items[0] = "[" + inner + items[0]
+    items[-1] += "\n" + pad + "]"
+    return ("," + inner).join(items)
 
 
 def serialize_instance(inst: Instance, name: Optional[str] = None) -> str:
@@ -276,13 +272,69 @@ def serialize_instance(inst: Instance, name: Optional[str] = None) -> str:
     return "{\n  " + ",\n  ".join(members) + "\n}\n"
 
 
-def _entry(cand: Candidate, point: str, value: Any, pad: str) -> str:
+def _entry(pad: str) -> tuple[str, str, str, str]:
+    """The fixed texts of a minimal-solution entry indented by pad: before
+    its selector, between selector and point, between point and objective
+    value, and after the value. An entry is joined from these and its
+    three texts, which sizes it once."""
     inner = "\n" + pad + "  "
     return (
-        "{" + inner + '"selector": ' + _selector_text(cand.selector) + ","
-        + inner + '"point": ' + point + ","
-        + inner + '"objective_value": ' + _number(value) + "\n" + pad + "}"
+        "{" + inner + '"selector": ',
+        "," + inner + '"point": ',
+        "," + inner + '"objective_value": ',
+        "\n" + pad + "}",
     )
+
+
+_MINIMAL_ENTRY = _entry("    ")
+_OPTIMIZER_ENTRY = _entry("  ")
+
+
+def _answer(report: SolveReport) -> list[str]:
+    """The members minimal_solutions, optimizer, optimal_value and cells,
+    written from the integers the report holds, so that no Fraction or
+    Candidate is built.
+
+    A coordinate t is the float t / D, the correctly rounded value
+    grade_number gives for the Fraction, and its text is built once per
+    distinct t. A minimal point's text serves its entry and its cell's
+    lower corner, and one all-ones text serves every upper corner. A
+    selector's text is its key put into a template with "null" at each
+    vacuous row, from one string per column. Each member is returned as
+    its only copy, and the point texts are freed on return, so the
+    document is joined from the members alone.
+    """
+    least = _number(report.optimal_value)
+    optimal = '"optimal_value": ' + least
+    optimizer = report._optimizer
+    if optimizer is None:
+        return ['"minimal_solutions": []', '"optimizer": null', optimal, '"cells": []']
+    minimal, d, n = report._minimal, report._D, len(optimizer[1])
+    reported = {*optimizer[1]}.union(*[point for _, point in minimal])
+    coordinates = {t: repr(t / d) for t in reported}.__getitem__
+    columns = [str(c + 1) for c in range(n)].__getitem__
+    template = "[" + ", ".join(["null" if v else "%s" for v in report.index_sets.vacuous]) + "]"
+
+    def point_text(point: tuple[int, ...]) -> str:
+        return "[" + ", ".join(map(coordinates, point)) + "]"
+
+    def selector_text(key: tuple[int, ...]) -> str:
+        return template % tuple(map(columns, key))
+
+    points = [point_text(point) for _, point in minimal]
+    head, to_point, to_value, end = _MINIMAL_ENTRY
+    entries = '"minimal_solutions": ' + _array([
+        "".join((head, selector_text(key), to_point, text, to_value, _number(value), end))
+        for (key, _), text, value in zip(minimal, points, report.minimal_values)
+    ], "  ")
+    key, point = optimizer
+    head, to_point, to_value, end = _OPTIMIZER_ENTRY
+    best = "".join((
+        '"optimizer": ', head, selector_text(key), to_point, point_text(point), to_value, least, end,
+    ))
+    tail = ',\n      "upper": [' + ", ".join(["1.0"] * n) + "]\n    }"
+    cells = '"cells": ' + _array(['{\n      "lower": ' + text + tail for text in points], "  ")
+    return [entries, best, optimal, cells]
 
 
 def render_report_json(
@@ -297,18 +349,9 @@ def render_report_json(
     and timings are excluded unless asked for: wall clock is the one field
     that would break run-to-run byte identity. The cells are derived
     here: the feasible region is the union of the boxes [x, ones] over the
-    minimal solutions x, one cell each. Each point's text is built once:
-    a minimal point's text serves its entry, the optimizer's and its
-    cell's lower corner, and one all-ones text serves every upper corner.
+    minimal solutions x, one cell each. The answer is written from the
+    report's integers (``_answer``): no Fraction or Candidate is built.
     """
-    texts: dict[int, str] = {}  # id of a point in report -> its text
-
-    def point_text(point: Point) -> str:
-        text = texts.get(id(point))
-        if text is None:
-            text = texts[id(point)] = _grades(point)
-        return text
-
     idx = report.index_sets
     members = []
     if name is not None:
@@ -322,26 +365,13 @@ def render_report_json(
     )
     members.append('"E_size": ' + _encode(report.selector_count))
     members.append('"candidates_enumerated": ' + str(report.candidates_enumerated))
-    minimal = report.minimal_solutions
-    members.append('"minimal_solutions": ' + _array(
-        [_entry(c, point_text(c.point), v, "    ") for c, v in zip(minimal, report.minimal_values)],
-        "  ",
-    ))
-    optimizer = report.optimizer
-    members.append('"optimizer": ' + (
-        _entry(optimizer, point_text(optimizer.point), report.optimal_value, "  ")
-        if optimizer is not None
-        else "null"
-    ))
-    members.append('"optimal_value": ' + _number(report.optimal_value))
-    cells = []
-    if minimal:
-        upper = "[" + ", ".join(["1.0"] * len(minimal[0].point)) + "]"
-        tail = ',\n      "upper": ' + upper + "\n    }"
-        cells = ['{\n      "lower": ' + point_text(c.point) + tail for c in minimal]
-    members.append('"cells": ' + _array(cells, "  "))
+    members += _answer(report)
     members.append('"display_precision": 4')
     if include_timings:
         timings = [f"    {_encode_key(k)}: {_number(v)}" for k, v in report.timing.items()]
         members.append('"timings": ' + ("{\n" + ",\n".join(timings) + "\n  }" if timings else "{}"))
-    return "{\n  " + ",\n  ".join(members) + "\n}\n"
+    # The braces go on the first and last members, both short, as in
+    # _array.
+    members[0] = "{\n  " + members[0]
+    members[-1] += "\n}\n"
+    return ",\n  ".join(members)

@@ -42,11 +42,17 @@ included: D > 0, so every comparison has the rational outcome, and no
 Fraction is built per grade or per pair. The exact value of a scaled
 coordinate t is t / D, and its float is the integer true division
 t / D, correctly rounded as ``float()`` of its Fraction is. Each is
-built at most once per distinct threshold, on first use (``_Values``):
-``solve`` builds the Fractions of its minimal points, ``solve_unpruned``
-only those of its optimizer's coordinates. A built-in objective runs its
-float kernel on the floats (``_scaled_objective``), with the bits it
-gives on the exact point, and any other objective receives exact points.
+built at most once per distinct threshold, on first use (``_Values``).
+A built-in objective runs its float kernel on the floats
+(``_scaled_objective``), with the bits it gives on the exact point, and
+any other objective receives exact points.
+
+The answer stays in those integers: ``solve`` and ``solve_unpruned``
+return each reported point as its canonical key and its scaled
+coordinates, and build no Fraction and no Candidate for it. The report's
+``minimal_solutions`` and ``optimizer`` build their Candidates on first
+read (``SolveReport``); the report writer reads the integers and builds
+neither.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
 from .core import Instance, Point
@@ -81,8 +88,9 @@ class CapExceededError(RuntimeError):
 
 
 def _check_cap(cap: int) -> None:
-    """Reject a work cap that is not an integer of at least 1."""
-    if not isinstance(cap, int) or cap < 1:
+    """Reject a work cap that is not an integer of at least 1. bool is an
+    int subclass, but True is no cap of 1, so it is rejected too."""
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
         raise ValueError(f"cap must be an integer >= 1, got {cap!r}")
 
 
@@ -179,18 +187,18 @@ class _Values(dict):
 _Rated = tuple[_Values, Callable[[tuple], float]]
 
 
-def _scaled_objective(objective: Objective, scale: int, fractions: _Values) -> _Rated:
+def _scaled_objective(objective: Objective, scale: int) -> _Rated:
     """objective on points given by their scaled coordinates.
 
     A built-in objective runs its float kernel on each coordinate's float
     t / scale: integer true division is correctly rounded, as ``float()``
     of the Fraction is, so the value has the bits the objective gives on
-    the exact point. Any other objective receives the exact point, from
-    ``fractions``.
+    the exact point. Any other objective receives the exact point, one
+    Fraction t / scale per distinct coordinate.
     """
     kernel = _float_kernel(objective)
     if kernel is None:
-        return fractions, objective
+        return _Values(lambda t: Fraction(t, scale)), objective
     return _Values(lambda t: t / scale), kernel
 
 
@@ -291,6 +299,11 @@ def _minimal_key(leaf: tuple[int, ...], options: _Options) -> tuple[int, ...] | 
     return tuple(key)
 
 
+# A minimal point as the search holds it: its canonical selector key (the
+# column picked per constraining row) and its scaled coordinates.
+_Keyed = tuple[tuple[int, ...], tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class SolveReport:
     """Everything the resolution produced.
@@ -307,16 +320,53 @@ class SolveReport:
     builds the minimal set. The report holds no
     cells: files.render_report_json derives one box [x, ones] per
     minimal solution x as it writes the report.
+
+    The answer is held as the search left it: ``_D`` is the instance's
+    common denominator, ``_minimal`` holds each minimal point as its
+    canonical key and its scaled coordinates, in key order, and
+    ``_optimizer`` holds the optimizer's. A key picks one column per
+    constraining row of index_sets. minimal_solutions and optimizer build
+    their Candidates from these on first read and keep them, with one
+    Fraction t / D per distinct coordinate t, shared by both; the report
+    writer reads the integers and builds neither.
     """
 
     index_sets: IndexSets
     selector_count: int | None
     candidates_enumerated: int
-    minimal_solutions: tuple[Candidate, ...]
     minimal_values: tuple[float, ...]
-    optimizer: Candidate | None
     optimal_value: float | None
     timing: dict[str, float] = field(default_factory=dict)
+    _D: int = field(default=1, repr=False)
+    _minimal: tuple[_Keyed, ...] = field(default=(), repr=False)
+    _optimizer: _Keyed | None = field(default=None, repr=False)
+
+    # functools.cached_property keeps a built value in the instance dict,
+    # which a frozen dataclass leaves writable.
+    @cached_property
+    def _fractions(self) -> _Values:
+        d = self._D
+        return _Values(lambda t: Fraction(t, d))
+
+    def _build(self, keyed: _Keyed) -> Candidate:
+        key, point = keyed
+        fractions = self._fractions
+        idx = self.index_sets
+        return _candidate(
+            len(idx.sets), idx.constraining_rows, key, tuple([fractions[t] for t in point])
+        )
+
+    @cached_property
+    def minimal_solutions(self) -> tuple[Candidate, ...]:
+        """The exact minimal solutions, each with its canonical selector,
+        in selector order."""
+        return tuple([self._build(keyed) for keyed in self._minimal])
+
+    @cached_property
+    def optimizer(self) -> Candidate | None:
+        """The minimal solution of least (objective value, selector), or
+        None for an infeasible system."""
+        return None if self._optimizer is None else self._build(self._optimizer)
 
 
 def _infeasible_report(idx: IndexSets, t0: float) -> SolveReport:
@@ -324,9 +374,7 @@ def _infeasible_report(idx: IndexSets, t0: float) -> SolveReport:
         index_sets=idx,
         selector_count=None,
         candidates_enumerated=0,
-        minimal_solutions=(),
         minimal_values=(),
-        optimizer=None,
         optimal_value=None,
         timing={"total": time.perf_counter() - t0},
     )
@@ -362,6 +410,9 @@ def solve(
     lexicographically smallest selector. The objective is evaluated once
     per minimal solution.
 
+    The report keeps the minimal set as keys and scaled points; its
+    Candidates are built when first read (``SolveReport``).
+
     ``cap`` bounds the search nodes; past it the search raises
     CapExceededError. A cap that is not an integer of at least 1 raises
     ValueError.
@@ -374,7 +425,7 @@ def solve(
         return _infeasible_report(idx, t0)
 
     options = _options(inst, idx)
-    d, m = inst._D, inst.m
+    d = inst._D
     leaves = [leaf for leaf, _ in _walk(inst.n, options, cap)]
     t_search = time.perf_counter()
     keyed = []
@@ -383,28 +434,20 @@ def solve(
         if key is not None:
             keyed.append((key, leaf))
     keyed.sort()
-    fractions = _Values(lambda t: Fraction(t, d))
-    minimal = tuple(
-        _candidate(m, options, key, tuple([fractions[t] for t in leaf]))
-        for key, leaf in keyed
-    )
     t_prune = time.perf_counter()
-    point_values, rate = _scaled_objective(objective, d, fractions)
-    values = tuple(rate(tuple([point_values[t] for t in leaf])) for _, leaf in keyed)
-    # minimal is in canonical selector order, and distinct minimal points
+    point_values, rate = _scaled_objective(objective, d)
+    values = tuple([rate(tuple([point_values[t] for t in leaf])) for _, leaf in keyed])
+    # keyed is in canonical selector order, and distinct minimal points
     # have distinct canonical selectors, so the first least value is the
     # least (value, selector key).
     value = min(values)
-    optimizer = minimal[values.index(value)]
     t_end = time.perf_counter()
 
     return SolveReport(
         index_sets=idx,
         selector_count=selector_count(idx),
         candidates_enumerated=len(leaves),
-        minimal_solutions=minimal,
         minimal_values=values,
-        optimizer=optimizer,
         optimal_value=value,
         timing={
             "index_sets": t_idx - t0,
@@ -413,6 +456,9 @@ def solve(
             "select": t_end - t_prune,
             "total": t_end - t0,
         },
+        _D=d,
+        _minimal=tuple(keyed),
+        _optimizer=keyed[values.index(value)],
     )
 
 
@@ -438,7 +484,7 @@ def solve_unpruned(
     it, so none is skipped by value ahead of the row test: the walk yields
     a leaf only when its value is at or below the incumbent, and the
     incumbent is the least value of all leaves reached before, minimal or
-    not. Fractions are built only for the optimizer's coordinates.
+    not.
 
     candidates_enumerated counts the leaves reached; the report carries no
     minimal-solution set. ``cap`` is solve's.
@@ -452,8 +498,7 @@ def solve_unpruned(
 
     options = _options(inst, idx)
     d = inst._D
-    fractions = _Values(lambda t: Fraction(t, d))
-    bound = _scaled_objective(objective, d, fractions)
+    bound = _scaled_objective(objective, d)
     best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None
     leaves = 0
     for leaf, value in _walk(inst.n, options, cap, bound):
@@ -462,21 +507,19 @@ def solve_unpruned(
         if key is not None and (best is None or (value, key) < best[:2]):
             best = (value, key, leaf)
     value, key, leaf = best
-    point = tuple([fractions[t] for t in leaf])
-    optimizer = _candidate(inst.m, options, key, point)
     t_end = time.perf_counter()
 
     return SolveReport(
         index_sets=idx,
         selector_count=selector_count(idx),
         candidates_enumerated=leaves,
-        minimal_solutions=(),
         minimal_values=(),
-        optimizer=optimizer,
         optimal_value=value,
         timing={
             "index_sets": t_idx - t0,
             "candidates": t_end - t_idx,
             "total": t_end - t0,
         },
+        _D=d,
+        _optimizer=(key, leaf),
     )

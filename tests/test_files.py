@@ -148,6 +148,21 @@ def test_large_report_is_pinned(tmp_path, capsys):
     assert reference_report_json(report, name) == out
 
 
+# sha256 of `solve --format structured` on `generate 40 20 --seed 9
+# --density 2`: 6,705 minimal points, recorded while solve still built a
+# Candidate per minimal point and the writer wrote from its Fractions.
+LARGER_SHA256 = "50c272e5ba3764d31b0ffe91818db3112394fd6a2353082a4ac2f0c0503b6d5d"
+
+
+def test_larger_report_is_pinned(tmp_path, capsys):
+    path = tmp_path / "larger.json"
+    assert main(["generate", "40", "20", "--seed", "9", "--density", "2", "-o", str(path)]) == 0
+    assert main(["solve", str(path), "--format", "structured"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LARGER_SHA256
+    assert out.count('"selector"') == 6705 + 1  # the minimal points and the optimizer
+
+
 # sha256 of `solve --format structured --no-prune` on `generate 100 40
 # --seed 2 --density 2`, recorded while the bound search still built a
 # Fraction point per node: the bound search at ladder scale. max is left

@@ -197,7 +197,8 @@ def test_generic_objective_lower_bounds_sampled_points(golden):
 
 
 def test_options_validation(golden):
-    for cap in (0, None):
+    # bool is an int subclass, but True is no cap of 1.
+    for cap in (0, None, True):
         with pytest.raises(ValueError):
             solve(golden, cap=cap)
         with pytest.raises(ValueError):
@@ -215,15 +216,23 @@ def test_timing_stages_recorded(golden):
 @given(inst=with_epsilon(st.one_of(st.just(Fraction(0)), positive_epsilons)))
 @settings(max_examples=150, deadline=None)
 def test_search_matches_pruned_product_enumeration(inst):
-    report = solve(inst)
+    report, fast = solve(inst), solve_unpruned(inst)
     if not report.index_sets.feasible:
         assert not compute_index_sets(inst).feasible
+        assert report.optimizer is fast.optimizer is None
         return
     reference = prune_to_minimal(enumerate_candidates(inst))
     assert report.minimal_solutions == tuple(reference)
     want = min(reference, key=lambda c: (log_sum_exp(c.point), selector_key(c.selector)))
-    assert report.optimizer == want
+    assert report.optimizer == fast.optimizer == want
     assert report.optimal_value == log_sum_exp(want.point)
+    # The Candidates are built on the first read and kept, with one
+    # Fraction per distinct coordinate, shared by both properties.
+    for built in (report, fast):
+        assert built.minimal_solutions is built.minimal_solutions
+        assert built.optimizer is built.optimizer
+    coordinates = [v for c in (*report.minimal_solutions, report.optimizer) for v in c.point]
+    assert len({id(v) for v in coordinates}) == len(set(coordinates))
 
 
 def test_large_answer_matches_the_pairwise_reference():
@@ -300,3 +309,31 @@ def test_objective_evaluated_once_per_minimal_point(golden):
     report = solve(golden, objective=counting)
     assert sorted(calls) == sorted(c.point for c in report.minimal_solutions)
     assert report.minimal_values == tuple(log_sum_exp(c.point) for c in report.minimal_solutions)
+
+
+@pytest.mark.parametrize("runner", [solve, solve_unpruned])
+@pytest.mark.parametrize("objective", sorted(OBJECTIVES))
+def test_the_answer_stays_integer_until_read(monkeypatch, runner, objective):
+    # A structured solve keeps its answer as keys and scaled points, and
+    # the writer reads those: neither builds a Fraction or a Candidate.
+    # Reading the report's Candidates then builds both, which shows that
+    # the counters see the builds.
+    inst, name = generate_instance(8, 6, seed=3, density=2)
+    built = {"Fraction": 0, "Candidate": 0}
+    new, init = Fraction.__new__, Candidate.__init__
+
+    def counted_new(cls, *args, **kwargs):
+        built["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        built["Candidate"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    monkeypatch.setattr(Candidate, "__init__", counted_init)
+    report = runner(inst, OBJECTIVES[objective])
+    render_report_json(report, name)
+    assert built == {"Fraction": 0, "Candidate": 0}
+    assert report.optimizer is not None
+    assert built["Fraction"] > 0 and built["Candidate"] == 1

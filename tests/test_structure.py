@@ -23,7 +23,7 @@ from frisolve import (
     solve,
 )
 from frisolve.files import grade_number, render_report_json
-from frisolve.solver import _minimal_key, _options, _scaled_objective, _Values, _walk
+from frisolve.solver import _minimal_key, _options, _scaled_objective, _walk
 
 from conftest import (
     GOLDEN_CANDIDATES,
@@ -190,8 +190,7 @@ class TestSearch:
         if not idx.feasible:
             return
         options = _options(inst, idx)
-        fractions = _Values(lambda t: Fraction(t, inst._D))
-        bound = _scaled_objective(OBJECTIVES[name], inst._D, fractions)
+        bound = _scaled_objective(OBJECTIVES[name], inst._D)
         values = [value for _, value in _walk(inst.n, options, DEFAULT_CAP, bound)]
         assert values == sorted(values, reverse=True)
 
