@@ -35,7 +35,6 @@ from . import __version__
 from .core import Instance, Point
 from .feasibility import InfeasibleSystemError, compute_index_sets
 from .files import (
-    InstanceFormatError,
     grade_number,
     load_instance,
     render_report_json,
@@ -90,7 +89,7 @@ def _default_cap() -> int:
     try:
         return _positive_int(raw)
     except argparse.ArgumentTypeError as exc:
-        raise InstanceFormatError(f"FRI_CAP {exc}")
+        raise ValueError(f"FRI_CAP {exc}")
 
 
 def _fmt_value(v: float) -> str:
@@ -198,7 +197,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cap = _default_cap()
     _print_header(name, inst)
     objective = OBJECTIVES[args.objective]
-    # The oracle reads the instance's Fractions, with formulas of its own.
+    # The oracle reads the instance's integers, with formulas of its own.
     oracle_minimal, oracle_optimum = brute_force(inst, objective, limit=args.limit)
     report = solve(inst, objective, cap)
 

@@ -283,22 +283,6 @@ def compose(inst: Instance, x: Iterable[GradeLike]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def coordinate_threshold(inst: Instance, i: int, j: int) -> Fraction:
-    """The least ``x_j`` at which column j alone satisfies row i:
-    ``t_ij = 1 + (b_i - epsilon) - a_ij``, solved from the row test
-    ``a_ij + x_j - 1 >= b_i - epsilon``.
-
-    It lies in (0, 1] exactly when row i constrains (``b_i > epsilon``) and
-    column j is admissible for it (``a_ij >= b_i - epsilon``). The sum is
-    taken over the product of the three denominators and reduced once, by
-    the one Fraction it builds.
-    """
-    b, eps, a = inst.b[i], inst.epsilon, inst.A[i][j]
-    bd, ed, ad = b.denominator, eps.denominator, a.denominator
-    d = bd * ed * ad
-    return Fraction(d + b.numerator * ed * ad - eps.numerator * bd * ad - a.numerator * bd * ed, d)
-
-
 def is_member(inst: Instance, x: Iterable[GradeLike]) -> bool:
     """Whether ``x`` satisfies every row inequality, i.e. lies in the
     feasible region.

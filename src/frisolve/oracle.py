@@ -1,12 +1,12 @@
 """Brute-force cross-check for the solver, deliberately independent of the
 enumeration and pruning code it verifies, and of the solver's formulas.
 
-Everything runs on integers over the oracle's own common denominator D,
-the lcm of the denominators of epsilon, b and A. Row i constrains when
-``need_i = D*b_i - D*epsilon > 0``; column j meets it at x_j when
-``D*a_ij + D*x_j - D >= need_i``, the row inequality
-``a_ij + x_j - 1 >= b_i - epsilon`` scaled by D. Column j is admissible for
-the row when ``D*a_ij >= need_i``, and then the least such D*x_j is
+Everything runs on the integers the instance holds: its least common
+denominator D (``inst._D``) and every grade and epsilon times D. Row i
+constrains when ``need_i = D*b_i - D*epsilon > 0``; column j meets it at
+x_j when ``D*a_ij + D*x_j - D >= need_i``, the row inequality
+``a_ij + x_j - 1 >= b_i - epsilon`` scaled by D. Column j is admissible
+for the row when ``D*a_ij >= need_i``, and then the least such D*x_j is
 ``D + need_i - D*a_ij``.
 
 Any minimal solution's nonzero coordinates take one of those values: below
@@ -37,10 +37,11 @@ grid holds only integers: only the minimal points and the optimizer are
 built as Fraction points, and any other objective receives every feasible
 point exactly.
 
-None of this shares a path or a formula with the solver, which is the
-point: a mistake in the solver's threshold t_ij moves the solver's points
-but not the grid. is_minimal_point checks a reported point from the
-row inequality alone, so a point off the grid is judged too.
+The oracle reads the same integers as the solver, but shares none of its
+formulas, which is the point: a mistake in the solver's threshold t_ij
+moves the solver's points but not the grid. is_minimal_point checks a
+reported point from the row inequality alone, so a point off the grid is
+judged too.
 """
 
 from __future__ import annotations
@@ -77,17 +78,12 @@ class GridTooLargeError(RuntimeError):
 @dataclass(frozen=True)
 class LatticeGrid:
     """Per-column sorted coordinate sets whose cartesian product contains
-    every candidate and every minimal solution, as integers over a scale.
-
-    ``build_grid`` is its only constructor. ``scale`` must be the common
-    denominator D of the instance it was built for (the lcm of the
-    denominators of epsilon, b and A): ``columns[j][k]`` stands for the
-    coordinate ``columns[j][k] / D``, and the row tests scale the instance
-    by the same D, so any other scale makes them wrong. A grid point
-    becomes Fractions only where it is handed out (``_at``).
+    every candidate and every minimal solution, as integers over the
+    common denominator D of the instance it was built for (``inst._D``):
+    ``columns[j][k]`` stands for the coordinate ``columns[j][k] / D``. A
+    grid point becomes Fractions only where it is handed out (``_at``).
     """
 
-    scale: int
     columns: tuple[tuple[int, ...], ...]
 
     @property
@@ -95,37 +91,24 @@ class LatticeGrid:
         return math.prod(map(len, self.columns))
 
 
-def _common_denominator(inst: Instance, x: Point = ()) -> int:
-    """The lcm of the denominators of epsilon, b, A and the point x."""
-    values = itertools.chain((inst.epsilon,), inst.b, *inst.A, x)
-    return math.lcm(*(v.denominator for v in values))
-
-
-def _scaled(v: Fraction, scale: int) -> int:
-    return v.numerator * (scale // v.denominator)
-
-
-def _constraining_rows(inst: Instance, scale: int) -> list[tuple[list[int], int]]:
+def _constraining_rows(inst: Instance) -> list[tuple[tuple[int, ...], int]]:
     """Each row with ``need_i = D*b_i - D*epsilon > 0``, as its entries
-    ``D*a_ij`` and need_i, in row order; D is scale."""
-    eps = _scaled(inst.epsilon, scale)
-    rows = (
-        ([_scaled(a, scale) for a in row], _scaled(bi, scale) - eps)
-        for row, bi in zip(inst.A, inst.b)
-    )
+    ``D*a_ij`` and need_i, in row order."""
+    eps = inst._eps
+    rows = ((row, bi - eps) for row, bi in zip(inst._A, inst._b))
     return [(row, need) for row, need in rows if need > 0]
 
 
 def build_grid(inst: Instance) -> LatticeGrid:
     """Collect {0, D} plus every admissible ``D + need_i - D*a_ij`` per
-    column, on the common denominator D."""
-    scale = _common_denominator(inst)
-    values: list[set[int]] = [{0, scale} for _ in range(inst.n)]
-    for row, need in _constraining_rows(inst, scale):
+    column."""
+    d = inst._D
+    values: list[set[int]] = [{0, d} for _ in range(inst.n)]
+    for row, need in _constraining_rows(inst):
         for j, a in enumerate(row):
             if a >= need:
-                values[j].add(scale + need - a)
-    return LatticeGrid(scale=scale, columns=tuple(tuple(sorted(c)) for c in values))
+                values[j].add(d + need - a)
+    return LatticeGrid(columns=tuple(tuple(sorted(c)) for c in values))
 
 
 def is_minimal_point(inst: Instance, x: Point) -> bool:
@@ -135,21 +118,23 @@ def is_minimal_point(inst: Instance, x: Point) -> bool:
     Every constraining row must be met, and each nonzero x_j must be the
     sole column meeting some constraining row, meeting it with equality:
     then lowering x_j by any amount breaks that row, and by upward closure
-    no other member lies below x. The test runs on integers over a common
-    denominator that takes in x's own, since a wrong point need not lie on
-    the grid.
+    no other member lies below x. The test runs on integers over the lcm
+    of D and the denominators of x, since a wrong point need not lie on
+    the grid; the instance's integers are multiplied up by ``scale // D``.
     """
-    scale = _common_denominator(inst, x)
-    point = [_scaled(v, scale) for v in x]
+    d = inst._D
+    scale = math.lcm(d, *(v.denominator for v in x))
+    up = scale // d
+    point = [v.numerator * (scale // v.denominator) for v in x]
     # A zero coordinate meets no constraining row: a_ij - 1 <= 0 < b_i - epsilon.
     nonzero = [j for j, xj in enumerate(point) if xj]
     tight = set()
-    for row, need in _constraining_rows(inst, scale):
-        reach = need + scale
-        meeting = [j for j in nonzero if row[j] + point[j] >= reach]
+    for row, need in _constraining_rows(inst):
+        reach = (need + d) * up
+        meeting = [j for j in nonzero if row[j] * up + point[j] >= reach]
         if not meeting:
             return False
-        if len(meeting) == 1 and row[meeting[0]] + point[meeting[0]] == reach:
+        if len(meeting) == 1 and row[meeting[0]] * up + point[meeting[0]] == reach:
             tight.add(meeting[0])
     return tight.issuperset(nonzero)
 
@@ -164,13 +149,13 @@ def _row_masks(inst: Instance, grid: LatticeGrid) -> tuple[list[list[int]], int]
     enters the mask at the first value of at least t, and every value's
     mask is the union of the entries up to it.
     """
-    scale = grid.scale
-    rows = _constraining_rows(inst, scale)
+    d = inst._D
+    rows = _constraining_rows(inst)
     masks = []
     for j, column in enumerate(grid.columns):
         entering = [0] * (len(column) + 1)
         for i, (row, need) in enumerate(rows):
-            entering[bisect.bisect_left(column, scale + need - row[j])] |= 1 << i
+            entering[bisect.bisect_left(column, d + need - row[j])] |= 1 << i
         masks.append(list(itertools.accumulate(entering[:-1], operator.or_)))
     return masks, (1 << len(rows)) - 1
 
@@ -199,9 +184,9 @@ def _feasible_indices(inst: Instance, grid: LatticeGrid) -> list[tuple[int, ...]
     return [idx for idx, _ in prefixes]
 
 
-def _at(grid: LatticeGrid, idx: tuple[int, ...]) -> Point:
-    """The exact grid point at an index tuple."""
-    return tuple([Fraction(column[k], grid.scale) for column, k in zip(grid.columns, idx)])
+def _at(grid: LatticeGrid, d: int, idx: tuple[int, ...]) -> Point:
+    """The exact grid point at an index tuple, on the denominator d."""
+    return tuple([Fraction(column[k], d) for column, k in zip(grid.columns, idx)])
 
 
 def _lowered(idx: tuple[int, ...]):
@@ -229,6 +214,7 @@ def brute_force(
     region. Ties break toward the coordinatewise smallest point. It is None
     when no grid point is feasible, and then the minimal set is empty.
     """
+    d = inst._D
     grid = build_grid(inst)
     total = grid.total_points
     if total > limit:
@@ -238,15 +224,15 @@ def brute_force(
         return [], None
     feasible = set(members)
     minimal = [
-        _at(grid, idx) for idx in members if not any(q in feasible for q in _lowered(idx))
+        _at(grid, d, idx) for idx in members if not any(q in feasible for q in _lowered(idx))
     ]
     kernel = _float_kernel(objective)
     if kernel is None:
-        values = (objective(_at(grid, idx)) for idx in members)
+        values = (objective(_at(grid, d, idx)) for idx in members)
     else:
-        floats = tuple(tuple(k / grid.scale for k in column) for column in grid.columns)
+        floats = tuple(tuple(k / d for k in column) for column in grid.columns)
         values = (kernel(list(map(tuple.__getitem__, floats, idx))) for idx in members)
     # Members are in coordinate order, so the first of equal values is the
     # coordinatewise smallest point.
     value, best = min(zip(values, itertools.count()))
-    return minimal, (_at(grid, members[best]), value)
+    return minimal, (_at(grid, d, members[best]), value)

@@ -3,16 +3,17 @@ and objective comparison.
 
 For a constraining row i and an admissible column j, the least value of
 x_j at which column j alone satisfies row i is the threshold
-``t_ij = 1 + (b_i - epsilon) - a_ij`` (``core.coordinate_threshold``). A
-selector picks one admissible column per constraining row; the
-componentwise maximum of the picked single-row points is the candidate
-x(e), feasible by construction. Every minimal solution is a candidate, and
-the feasible region is the union of the boxes [x, ones] over the minimal
-solutions x. That is why a finite scan gives the global optimum over an
-uncountable region: on each box a monotone nondecreasing objective is
-least at the bottom corner, so the global minimum is the best minimal
-solution. The report writer renders the boxes as its cells
-(``files.render_report_json``), so nothing here builds them.
+``t_ij = 1 + (b_i - epsilon) - a_ij``, solved from the row test
+``a_ij + x_j - 1 >= b_i - epsilon``. A selector picks one admissible
+column per constraining row; the componentwise maximum of the picked
+single-row points is the candidate x(e), feasible by construction. Every
+minimal solution is a candidate, and the feasible region is the union of
+the boxes [x, ones] over the minimal solutions x. That is why a finite
+scan gives the global optimum over an uncountable region: on each box a
+monotone nondecreasing objective is least at the bottom corner, so the
+global minimum is the best minimal solution. The report writer renders
+the boxes as its cells (``files.render_report_json``), so nothing here
+builds them.
 
 ``enumerate_candidates`` streams x(e) for every selector e of the product
 E of the admissible sets, as the paper's algorithm does; |E| grows
@@ -348,25 +349,28 @@ class SolveReport:
         d = self._D
         return _Values(lambda t: Fraction(t, d))
 
-    def _build(self, keyed: _Keyed) -> Candidate:
-        key, point = keyed
+    def _build(self, keyed: Iterable[_Keyed]) -> list[Candidate]:
+        """The Candidates of keyed points, with the constraining rows read
+        once for all of them."""
         fractions = self._fractions
         idx = self.index_sets
-        return _candidate(
-            len(idx.sets), idx.constraining_rows, key, tuple([fractions[t] for t in point])
-        )
+        m, rows = len(idx.sets), idx.constraining_rows
+        return [
+            _candidate(m, rows, key, tuple([fractions[t] for t in point]))
+            for key, point in keyed
+        ]
 
     @cached_property
     def minimal_solutions(self) -> tuple[Candidate, ...]:
         """The exact minimal solutions, each with its canonical selector,
         in selector order."""
-        return tuple([self._build(keyed) for keyed in self._minimal])
+        return tuple(self._build(self._minimal))
 
     @cached_property
     def optimizer(self) -> Candidate | None:
         """The minimal solution of least (objective value, selector), or
         None for an infeasible system."""
-        return None if self._optimizer is None else self._build(self._optimizer)
+        return None if self._optimizer is None else self._build([self._optimizer])[0]
 
 
 def _infeasible_report(idx: IndexSets, t0: float) -> SolveReport:
@@ -426,13 +430,20 @@ def solve(
 
     options = _options(inst, idx)
     d = inst._D
-    leaves = [leaf for leaf, _ in _walk(inst.n, options, cap)]
+    # Each distinct leaf once, in the order first reached, and the count
+    # of leaves reached; the dict is dropped after the row test.
+    leaves = {}
+    reached = 0
+    for leaf, _ in _walk(inst.n, options, cap):
+        reached += 1
+        leaves[leaf] = None
     t_search = time.perf_counter()
     keyed = []
-    for leaf in dict.fromkeys(leaves):
+    for leaf in leaves:
         key = _minimal_key(leaf, options)
         if key is not None:
             keyed.append((key, leaf))
+    del leaves
     keyed.sort()
     t_prune = time.perf_counter()
     point_values, rate = _scaled_objective(objective, d)
@@ -446,7 +457,7 @@ def solve(
     return SolveReport(
         index_sets=idx,
         selector_count=selector_count(idx),
-        candidates_enumerated=len(leaves),
+        candidates_enumerated=reached,
         minimal_values=values,
         optimal_value=value,
         timing={

@@ -30,7 +30,7 @@ from frisolve import (
     generate_instance,
     is_member,
 )
-from frisolve.core import _short_decimal, coordinate_threshold
+from frisolve.core import _short_decimal
 from frisolve.files import grade_number
 from frisolve.oracle import LatticeGrid
 from frisolve.solver import _Options, _options, _walk
@@ -201,10 +201,26 @@ def prune_to_minimal(candidates: Iterable[Candidate]) -> list[Candidate]:
     return survivors
 
 
+def coordinate_threshold(inst: Instance, i: int, j: int) -> Fraction:
+    """The least ``x_j`` at which column j alone satisfies row i, on
+    Fractions: ``t_ij = 1 + (b_i - epsilon) - a_ij``, solved from the row
+    test ``a_ij + x_j - 1 >= b_i - epsilon``.
+
+    It lies in (0, 1] exactly when row i constrains (``b_i > epsilon``) and
+    column j is admissible for it (``a_ij >= b_i - epsilon``). The sum is
+    taken over the product of the three denominators and reduced once, by
+    the one Fraction it builds.
+    """
+    b, eps, a = inst.b[i], inst.epsilon, inst.A[i][j]
+    bd, ed, ad = b.denominator, eps.denominator, a.denominator
+    d = bd * ed * ad
+    return Fraction(d + b.numerator * ed * ad - eps.numerator * bd * ad - a.numerator * bd * ed, d)
+
+
 def reference_grid(inst: Instance) -> tuple[tuple[Fraction, ...], ...]:
     """The oracle's grid columns on Fractions: per column, 0 and 1 plus
-    the threshold core.coordinate_threshold gives for every constraining
-    row the column is admissible for, sorted."""
+    the threshold coordinate_threshold gives for every constraining row
+    the column is admissible for, sorted."""
     columns = [{Fraction(0), Fraction(1)} for _ in range(inst.n)]
     for i, (row, bi) in enumerate(zip(inst.A, inst.b)):
         need = bi - inst.epsilon
@@ -215,9 +231,10 @@ def reference_grid(inst: Instance) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(sorted(c)) for c in columns)
 
 
-def grid_coords(grid: LatticeGrid) -> tuple[tuple[Fraction, ...], ...]:
-    """The grid's columns as Fractions: each integer value over its scale."""
-    return tuple(tuple(Fraction(k, grid.scale) for k in column) for column in grid.columns)
+def grid_coords(inst: Instance, grid: LatticeGrid) -> tuple[tuple[Fraction, ...], ...]:
+    """The grid's columns as Fractions: each integer value over the
+    instance's common denominator."""
+    return tuple(tuple(Fraction(k, inst._D) for k in column) for column in grid.columns)
 
 
 def pairwise_minimal(inst: Instance) -> list[Point]:

@@ -12,7 +12,7 @@ import pytest
 from frisolve import cli, parse_instance_text, serialize_instance
 from frisolve.cli import main
 from frisolve.files import InstanceFormatError
-from frisolve.oracle import LatticeGrid, build_grid
+from frisolve.oracle import LatticeGrid
 
 from conftest import GOLDEN_JSON
 
@@ -281,7 +281,7 @@ class TestVerify:
         # A grid holding only the bottom point has no feasible point, while
         # the solver finds the system feasible.
         def bottom_only(inst):
-            return LatticeGrid(scale=build_grid(inst).scale, columns=((0,),) * inst.n)
+            return LatticeGrid(columns=((0,),) * inst.n)
 
         monkeypatch.setattr("frisolve.oracle.build_grid", bottom_only)
         assert main(["verify", golden_file]) == 4

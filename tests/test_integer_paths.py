@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frisolve import Instance, as_grade, compute_index_sets
-from frisolve.core import coordinate_threshold
 from frisolve.files import (
     MAX_DIGITS,
     MAX_EXPONENT,
@@ -27,7 +26,7 @@ from frisolve.files import (
 from frisolve.objective import coordinate_sum, log_sum_exp, max_coordinate
 from frisolve.solver import _options
 
-from conftest import reference_instance, reference_parse
+from conftest import coordinate_threshold, reference_instance, reference_parse
 
 digits = st.text("0123456789", min_size=1, max_size=MAX_DIGITS)
 

@@ -48,7 +48,7 @@ SEVENTHS = (Fraction(0), Fraction(1, 100), Fraction(1, 7))
 
 
 def test_every_candidate_lies_on_the_grid(golden):
-    coords = grid_coords(build_grid(golden))
+    coords = grid_coords(golden, build_grid(golden))
     for cand in enumerate_candidates(golden):
         for j, v in enumerate(cand.point):
             assert v in coords[j]
@@ -93,7 +93,7 @@ def test_zero_thresholds_optimize_to_the_bottom():
 
 def test_epsilon_grid_holds_the_true_minimum():
     inst = Instance(A=(("0.9",),), b=("0.6",), epsilon="0.1")
-    assert Fraction("0.6") in grid_coords(build_grid(inst))[0]
+    assert Fraction("0.6") in grid_coords(inst, build_grid(inst))[0]
     minimal, _ = brute_force(inst)
     assert minimal == [(Fraction("0.6"),)]
     assert [c.point for c in solve(inst).minimal_solutions] == minimal
@@ -153,6 +153,37 @@ def test_verify_catches_a_threshold_mistake_shared_with_the_grid(tmp_path, capsy
     assert minimal == [(Fraction("0.6"),)]
 
 
+def test_verify_catches_a_row_test_mistake(capsys, monkeypatch):
+    # A row test that keys every leaf keeps non-minimal leaves. The oracle
+    # takes its minimal points from the grid's order and checks each
+    # reported point by the row inequality, so it sees the extra points.
+    def key_every_leaf(leaf, options):
+        return tuple(next(c for c, t in row if leaf[c] >= t) for row in options.values())
+
+    monkeypatch.setattr("frisolve.solver._minimal_key", key_every_leaf)
+    assert main(["verify", str(INSTANCES / "random_7x7_seed4.json")]) == 4
+    out = capsys.readouterr().out
+    assert "not minimal by the row inequalities" in out
+    assert "minimal set: DISAGREE" in out
+
+
+@pytest.mark.parametrize("name", ["random_7x7_seed4.json", "epsilon.json", "infeasible.json"])
+def test_verify_builds_no_fraction_view_of_the_instance(capsys, monkeypatch, name):
+    # The oracle and the solver both read the instance's integers, so the
+    # Fractions A and b of a file-read instance are never built.
+    loaded = []
+
+    def load(path):
+        inst, instance_name = load_instance(path)
+        loaded.append(inst)
+        return inst, instance_name
+
+    monkeypatch.setattr("frisolve.cli.load_instance", load)
+    assert main(["verify", str(INSTANCES / name)]) == 0
+    (inst,) = loaded
+    assert "A" not in vars(inst) and "b" not in vars(inst)
+
+
 @given(inst=mixed_instances(epsilons=SEVENTHS))
 @settings(max_examples=150, deadline=None)
 def test_minimal_set_matches_the_pairwise_scan(inst):
@@ -174,10 +205,10 @@ def test_minimal_set_matches_the_pairwise_scan(inst):
 def test_integer_grid_matches_the_threshold_formula(inst):
     grid = build_grid(inst)
     reference = reference_grid(inst)
-    assert grid_coords(grid) == reference
+    assert grid_coords(inst, grid) == reference
     values = itertools.chain((inst.epsilon,), inst.b, *inst.A)
-    assert grid.scale == math.lcm(*(v.denominator for v in values))
-    assert grid.columns == tuple(tuple(v * grid.scale for v in c) for c in reference)
+    assert inst._D == math.lcm(*(v.denominator for v in values))
+    assert grid.columns == tuple(tuple(v * inst._D for v in c) for c in reference)
     assert all(type(k) is int for column in grid.columns for k in column)
 
 
@@ -203,7 +234,7 @@ def test_integer_membership_matches_is_member(golden, sevenths):
         base, _ = load_instance(str(INSTANCES / "epsilon.json"))
         inst = Instance(A=base.A, b=base.b, epsilon=Fraction(1, 7))
     grid = build_grid(inst)
-    coords = grid_coords(grid)
+    coords = grid_coords(inst, grid)
     expected = [
         idx
         for idx in itertools.product(*(range(len(c)) for c in coords))

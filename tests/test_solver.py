@@ -24,7 +24,6 @@ from frisolve import (
     solve_unpruned,
     zeros,
 )
-from frisolve.core import coordinate_threshold
 from frisolve.files import render_report_json
 from frisolve.oracle import is_minimal_point
 
@@ -34,6 +33,7 @@ from conftest import (
     GOLDEN_OPTIMIZER_POINT,
     GOLDEN_OPTIMIZER_SELECTOR,
     GOLDEN_OTHER_VALUE,
+    coordinate_threshold,
     prune_to_minimal,
     random_instances,
     selector_key,
