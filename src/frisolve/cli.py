@@ -192,6 +192,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _verdict(agree: bool) -> int:
+    """Print verify's verdict; its exit code, 0 or 4."""
+    print(f"verdict: {'agree' if agree else 'DISAGREE'}")
+    return 0 if agree else 4
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     inst, name = load_instance(args.path)
     cap = _default_cap()
@@ -206,11 +212,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"solver: infeasible (row(s) {rows})")
         if oracle_minimal:
             print(f"oracle: found {len(oracle_minimal)} minimal point(s)")
-            print("verdict: DISAGREE")
-            return 4
-        print("oracle: no feasible grid points")
-        print("verdict: agree")
-        return 0
+        else:
+            print("oracle: no feasible grid points")
+        return _verdict(not oracle_minimal)
 
     print(
         f"solver: {len(report.minimal_solutions)} minimal solution(s), "
@@ -218,8 +222,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     if oracle_optimum is None:
         print("oracle: no feasible grid points")
-        print("verdict: DISAGREE")
-        return 4
+        return _verdict(False)
     _, oracle_value = oracle_optimum
     solver_points = sorted(c.point for c in report.minimal_solutions)
     not_minimal = [p for p in solver_points if not is_minimal_point(inst, p)]
@@ -234,11 +237,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"not minimal by the row inequalities: x = {_fmt_point(point)}")
     print(f"minimal set: {'agree' if minimal_agree else 'DISAGREE'}")
     print(f"optimal value: {'agree' if value_agree else 'DISAGREE'}")
-    if minimal_agree and value_agree:
-        print("verdict: agree")
-        return 0
-    print("verdict: DISAGREE")
-    return 4
+    return _verdict(minimal_agree and value_agree)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

@@ -13,11 +13,12 @@ an ``Instance`` also holds its grades as integers: one least common
 denominator D and every grade times D. The file reader and the generator
 build an instance straight from integers (``_scale``), with Instance's
 checks and messages and no Fraction per grade; its Fractions ``A`` and
-``b`` are then built only when read.
+``b`` are then views (``functools.cached_property``), built only when
+read and kept.
 
 Everything in this module is immutable after construction and safe to share
-across threads (an instance's Fraction views, kept once built, are the same
-whichever thread builds them); the operations are pure functions.
+across threads (threads that build an instance's Fraction views at once
+get equal views); the operations are pure functions.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import Context, Decimal
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Union
 
@@ -114,24 +116,8 @@ def zeros(n: int) -> Point:
     return (ZERO,) * n
 
 
-def _width_error(i: int, got: int, width: int) -> ValueError:
-    return ValueError(f"A[{i + 1}] has {got} columns, expected {width}")
-
-
-def _length_error(got: int, m: int) -> ValueError:
-    return ValueError(f"b has {got} entries, expected {m}")
-
-
-def _epsilon_error(value: object) -> ValueError:
-    return ValueError(f"epsilon must be >= 0, got {value!r}")
-
-
 _Pair = tuple[int, int]  # a rational p/q as its integers, q > 0
 _denominator = itemgetter(1)
-
-
-def _pairs_of(grades: Iterable[Fraction]) -> list[_Pair]:
-    return [(g.numerator, g.denominator) for g in grades]
 
 
 @dataclass(frozen=True)
@@ -153,7 +139,8 @@ class Instance:
     common denominator makes the same for equal instances. ``A`` and
     ``b`` are the Fractions given, converted; for an instance built from
     integers (``_scale``, as the file reader and the generator build one)
-    they are built on first read and kept.
+    they are cached-property views of ``_A`` and ``_b`` over ``_D``,
+    built on first read and kept.
     """
 
     A: tuple[tuple[Fraction, ...], ...] = field(compare=False)
@@ -178,22 +165,8 @@ class Instance:
         eps = _to_fraction(self.epsilon, lambda: "epsilon")
         object.__setattr__(self, "A", tuple(matrix))
         object.__setattr__(self, "b", thresholds)
-        _scale([_pairs_of(row) for row in matrix], _pairs_of(thresholds), eps, self.epsilon, self)
-
-    def __getattr__(self, name: str):
-        """A or b of an instance built from integers, on its first read:
-        the Fractions, kept. Python calls this only for a name the
-        instance does not hold."""
-        if name == "A":
-            d = self._D
-            value = tuple([tuple([Fraction(a, d) for a in row]) for row in self._A])
-        elif name == "b":
-            d = self._D
-            value = tuple([Fraction(v, d) for v in self._b])
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, name, value)
-        return value
+        pairs = [[(g.numerator, g.denominator) for g in row] for row in matrix]
+        _scale(pairs, [(g.numerator, g.denominator) for g in thresholds], eps, self.epsilon, self)
 
     @property
     def m(self) -> int:
@@ -202,6 +175,28 @@ class Instance:
     @property
     def n(self) -> int:
         return len(self._A[0])
+
+
+def _A_view(inst: Instance) -> tuple[tuple[Fraction, ...], ...]:
+    """A of an instance built from integers: a_ij = _A[i][j] / _D."""
+    d = inst._D
+    return tuple([tuple([Fraction(a, d) for a in row]) for row in inst._A])
+
+
+def _b_view(inst: Instance) -> tuple[Fraction, ...]:
+    """b of an instance built from integers: b_i = _b[i] / _D."""
+    d = inst._D
+    return tuple([Fraction(v, d) for v in inst._b])
+
+
+# The views are built on first read and kept in the instance dict, where
+# an instance built from Fractions holds A and b from __init__: a
+# cached_property never shadows the instance dict. They are set after the
+# class, because in its body dataclass would take them for the fields'
+# defaults.
+Instance.A, Instance.b = cached_property(_A_view), cached_property(_b_view)
+Instance.A.__set_name__(Instance, "A")
+Instance.b.__set_name__(Instance, "b")
 
 
 def _scale(
@@ -243,12 +238,12 @@ def _scale(
     for i, row in enumerate(rows):
         A.append(scaled(row, lambda j: f"A[{i + 1}][{j + 1}]"))
         if len(row) != width:
-            raise _width_error(i, len(row), width)
+            raise ValueError(f"A[{i + 1}] has {len(row)} columns, expected {width}")
     thresholds = scaled(b, lambda i: f"b[{i + 1}]")
     if len(thresholds) != len(A):
-        raise _length_error(len(thresholds), len(A))
+        raise ValueError(f"b has {len(thresholds)} entries, expected {len(A)}")
     if ep < 0:
-        raise _epsilon_error(shown)
+        raise ValueError(f"epsilon must be >= 0, got {shown!r}")
     eps = ep * factor[eq]
     g = math.gcd(d, eps, *thresholds)
     for row in A:

@@ -12,8 +12,8 @@ Objectives take exact rational points but return binary floats: the report
 boundary is where exact lattice arithmetic ends. Each built-in objective is
 its private float kernel applied to the coordinates' floats
 (``kernel(_floats(x))``). Callers that hold the float of each value a
-coordinate can take (the solver's scaled thresholds, each converted on
-first use; the oracle's grid columns) look the kernel up with
+coordinate can take (the solver's scaled thresholds, each converted once
+per call; the oracle's grid columns) look the kernel up with
 ``_float_kernel`` and call it on those floats directly: the float of an
 exact value is correctly rounded however it is computed, so the result
 has the same bits as the public function on the exact point. Any other

@@ -42,9 +42,11 @@ without a Fraction per grade. Every t_ij is then the integer
 included: D > 0, so every comparison has the rational outcome, and no
 Fraction is built per grade or per pair. The exact value of a scaled
 coordinate t is t / D, and its float is the integer true division
-t / D, correctly rounded as ``float()`` of its Fraction is. Each is
-built at most once per distinct threshold, on first use (``_Values``).
-A built-in objective runs its float kernel on the floats
+t / D, correctly rounded as ``float()`` of its Fraction is. A call
+builds each once per distinct coordinate it can meet, in a plain dict:
+the bound walk and ``enumerate_candidates`` for 0 and every threshold
+(``_coordinates``), ``solve``'s objective for the coordinates of the
+minimal points. A built-in objective runs its float kernel on the floats
 (``_scaled_objective``), with the bits it gives on the exact point, and
 any other objective receives exact points.
 
@@ -52,8 +54,10 @@ The answer stays in those integers: ``solve`` and ``solve_unpruned``
 return each reported point as its canonical key and its scaled
 coordinates, and build no Fraction and no Candidate for it. The report's
 ``minimal_solutions`` and ``optimizer`` build their Candidates on first
-read (``SolveReport``); the report writer reads the integers and builds
-neither.
+read (``SolveReport``), with one Fraction per distinct coordinate of the
+reported points; the report writer reads the integers and builds
+neither. One builder, ``_candidates``, turns keyed points into
+Candidates for the report and for ``enumerate_candidates``.
 """
 
 from __future__ import annotations
@@ -111,12 +115,22 @@ def selector_count(idx: IndexSets) -> int:
     return math.prod(len(idx.sets[i]) for i in idx.constraining_rows)
 
 
-def _candidate(m: int, rows: Iterable[int], key: Iterable[int], point: Point) -> Candidate:
-    """point with the selector that picks key[k] for rows[k], None elsewhere."""
-    columns: list[Optional[int]] = [None] * m
-    for i, c in zip(rows, key):
-        columns[i] = c
-    return Candidate(selector=tuple(columns), point=point)
+# A point as the search holds it: the column picked per constraining row
+# (a selector key) and its scaled coordinates.
+_Keyed = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _candidates(
+    m: int, rows: Iterable[int], keyed: Iterable[_Keyed], fractions: dict[int, Fraction]
+) -> Iterator[Candidate]:
+    """The Candidate of each keyed point: its selector picks key[k] for
+    rows[k] and None for every other of the m rows, and its point holds
+    fractions[t] for each scaled coordinate t."""
+    for key, point in keyed:
+        columns: list[Optional[int]] = [None] * m
+        for i, c in zip(rows, key):
+            columns[i] = c
+        yield Candidate(selector=tuple(columns), point=tuple([fractions[t] for t in point]))
 
 
 def enumerate_candidates(inst: Instance, cap: int = DEFAULT_CAP) -> Iterator[Candidate]:
@@ -135,19 +149,18 @@ def enumerate_candidates(inst: Instance, cap: int = DEFAULT_CAP) -> Iterator[Can
     if count > cap:
         raise CapExceededError(count, cap, f"enumeration needs {count} candidates")
     options = _options(inst, idx)
-    d, n, m = inst._D, inst.n, inst.m
-    values = _Values(lambda t: Fraction(t, d))
+    d, n = inst._D, inst.n
 
-    def stream() -> Iterator[Candidate]:
+    def keyed() -> Iterator[_Keyed]:
         for choice in itertools.product(*options.values()):
             x = [0] * n
             for j, t in choice:
                 if t > x[j]:
                     x[j] = t
-            key = [j for j, _ in choice]
-            yield _candidate(m, options, key, tuple(values[t] for t in x))
+            yield [j for j, _ in choice], x
 
-    return stream()
+    fractions = {t: Fraction(t, d) for t in _coordinates(options)}
+    return _candidates(inst.m, options, keyed(), fractions)
 
 
 # Per constraining row, its admissible columns with the integer D * t_ij.
@@ -169,27 +182,20 @@ def _options(inst: Instance, idx: IndexSets) -> _Options:
     return options
 
 
-class _Values(dict):
-    """A scaled coordinate's value, ``of(t)``, built on its first lookup
-    and kept, so that each distinct threshold builds it once."""
-
-    def __init__(self, of: Callable[[int], object]):
-        super().__init__()
-        self.of = of
-
-    def __missing__(self, t: int):
-        value = self[t] = self.of(t)
-        return value
+def _coordinates(options: _Options) -> set[int]:
+    """Every value a coordinate of a search leaf or a product candidate
+    can hold: 0 and each scaled threshold."""
+    return {0, *[t for row in options.values() for _, t in row]}
 
 
 # An objective on scaled points: values[t] is the value the objective
 # reads for a coordinate t, and rate(v) is the objective on the tuple v of
 # those values.
-_Rated = tuple[_Values, Callable[[tuple], float]]
+_Rated = tuple[dict[int, object], Callable[[tuple], float]]
 
 
-def _scaled_objective(objective: Objective, scale: int) -> _Rated:
-    """objective on points given by their scaled coordinates.
+def _scaled_objective(objective: Objective, scale: int, coordinates: Iterable[int]) -> _Rated:
+    """objective on points whose scaled coordinates are among coordinates.
 
     A built-in objective runs its float kernel on each coordinate's float
     t / scale: integer true division is correctly rounded, as ``float()``
@@ -199,8 +205,8 @@ def _scaled_objective(objective: Objective, scale: int) -> _Rated:
     """
     kernel = _float_kernel(objective)
     if kernel is None:
-        return _Values(lambda t: Fraction(t, scale)), objective
-    return _Values(lambda t: t / scale), kernel
+        return {t: Fraction(t, scale) for t in coordinates}, objective
+    return {t: t / scale for t in coordinates}, kernel
 
 
 def _walk(
@@ -300,11 +306,6 @@ def _minimal_key(leaf: tuple[int, ...], options: _Options) -> tuple[int, ...] | 
     return tuple(key)
 
 
-# A minimal point as the search holds it: its canonical selector key (the
-# column picked per constraining row) and its scaled coordinates.
-_Keyed = tuple[tuple[int, ...], tuple[int, ...]]
-
-
 @dataclass(frozen=True)
 class SolveReport:
     """Everything the resolution produced.
@@ -345,20 +346,15 @@ class SolveReport:
     # functools.cached_property keeps a built value in the instance dict,
     # which a frozen dataclass leaves writable.
     @cached_property
-    def _fractions(self) -> _Values:
-        d = self._D
-        return _Values(lambda t: Fraction(t, d))
+    def _fractions(self) -> dict[int, Fraction]:
+        """One Fraction t / D per distinct coordinate t of the reported
+        points, shared by their Candidates."""
+        keyed = self._minimal if self._optimizer is None else (*self._minimal, self._optimizer)
+        return {t: Fraction(t, self._D) for t in {t for _, point in keyed for t in point}}
 
-    def _build(self, keyed: Iterable[_Keyed]) -> list[Candidate]:
-        """The Candidates of keyed points, with the constraining rows read
-        once for all of them."""
-        fractions = self._fractions
+    def _build(self, keyed: Iterable[_Keyed]) -> Iterator[Candidate]:
         idx = self.index_sets
-        m, rows = len(idx.sets), idx.constraining_rows
-        return [
-            _candidate(m, rows, key, tuple([fractions[t] for t in point]))
-            for key, point in keyed
-        ]
+        return _candidates(len(idx.sets), idx.constraining_rows, keyed, self._fractions)
 
     @cached_property
     def minimal_solutions(self) -> tuple[Candidate, ...]:
@@ -370,7 +366,7 @@ class SolveReport:
     def optimizer(self) -> Candidate | None:
         """The minimal solution of least (objective value, selector), or
         None for an infeasible system."""
-        return None if self._optimizer is None else self._build([self._optimizer])[0]
+        return None if self._optimizer is None else next(self._build([self._optimizer]))
 
 
 def _infeasible_report(idx: IndexSets, t0: float) -> SolveReport:
@@ -446,7 +442,7 @@ def solve(
     del leaves
     keyed.sort()
     t_prune = time.perf_counter()
-    point_values, rate = _scaled_objective(objective, d)
+    point_values, rate = _scaled_objective(objective, d, {t for _, leaf in keyed for t in leaf})
     values = tuple([rate(tuple([point_values[t] for t in leaf])) for _, leaf in keyed])
     # keyed is in canonical selector order, and distinct minimal points
     # have distinct canonical selectors, so the first least value is the
@@ -509,7 +505,7 @@ def solve_unpruned(
 
     options = _options(inst, idx)
     d = inst._D
-    bound = _scaled_objective(objective, d)
+    bound = _scaled_objective(objective, d, _coordinates(options))
     best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None
     leaves = 0
     for leaf, value in _walk(inst.n, options, cap, bound):

@@ -11,6 +11,7 @@ import pytest
 
 from frisolve import cli, parse_instance_text, serialize_instance
 from frisolve.cli import main
+from frisolve.feasibility import IndexSets, compute_index_sets
 from frisolve.files import InstanceFormatError
 from frisolve.oracle import LatticeGrid
 
@@ -291,6 +292,24 @@ class TestVerify:
             "oracle: no feasible grid points",
             "verdict: DISAGREE",
         ]
+
+    def test_solver_infeasible_while_the_oracle_finds_points_disagrees(self, capsys, monkeypatch):
+        # A feasibility mistake in the solver: with J(1) emptied it calls
+        # the system infeasible, while the oracle, which reads no index
+        # set, still finds the minimal points.
+        def without_row_1(inst):
+            idx = compute_index_sets(inst)
+            return IndexSets(sets=((),) + idx.sets[1:], vacuous=idx.vacuous)
+
+        monkeypatch.setattr("frisolve.solver.compute_index_sets", without_row_1)
+        assert main(["verify", str(INSTANCES / "random_7x7_seed4.json")]) == 4
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-3:] == [
+            "solver: infeasible (row(s) 1)",
+            "oracle: found 15 minimal point(s)",
+            "verdict: DISAGREE",
+        ]
+        assert err == ""
         assert err == ""
 
 

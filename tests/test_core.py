@@ -119,5 +119,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="epsilon"):
             Instance(A=(("0.5",),), b=("0.2",), epsilon="-0.01")
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: as_point([]), "x must have at least one coordinate"),
+            (lambda: ones(0), "dimension must be >= 1, got 0"),
+            (lambda: zeros(0), "dimension must be >= 1, got 0"),
+            (lambda: Instance(A=(), b=()), "A must have at least one row"),
+        ],
+        ids=["point", "ones", "zeros", "instance"],
+    )
+    def test_empty_is_rejected(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_decimal_strings_parse_exactly(self):
         assert as_grade("0.9463") == Fraction(9463, 10_000)

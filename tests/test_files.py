@@ -261,6 +261,39 @@ class TestParseFailures:
             parse_instance_text(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "top level must be an object with members A and b"),
+            ('{"b": [1]}', "missing required member A"),
+            ('{"A": [[1]]}', "missing required member b"),
+            ('{"A": [], "b": [1]}', "A must be a non-empty array of rows"),
+            ('{"A": 3, "b": [1]}', "A must be a non-empty array of rows"),
+            ('{"A": [[1], []], "b": [1, 1]}', "A[2] must be a non-empty array of numbers"),
+            ('{"A": [[1], 1], "b": [1, 1]}', "A[2] must be a non-empty array of numbers"),
+            ('{"A": [[1]], "b": []}', "b must be a non-empty array of numbers"),
+            ('{"A": [[1]], "b": 1}', "b must be a non-empty array of numbers"),
+        ],
+        ids=["array", "no-A", "no-b", "no-rows", "A-number", "empty-row", "row-number",
+             "empty-b", "b-number"],
+    )
+    def test_shape(self, text, message):
+        with pytest.raises(InstanceFormatError) as info:
+            parse_instance_text(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_ends_give_the_same_json_error(self, tmp_path, end):
+        # The reader turns CRLF and CR into LF, as text-mode reading does,
+        # so a JSON error names the same line, column and offset.
+        path = tmp_path / "bad.json"
+        path.write_bytes(end.join(["{", '  "A": [[0.5]],', '  "b": [0.2]]', "}", ""]).encode())
+        with pytest.raises(InstanceFormatError) as info:
+            load_instance(path)
+        assert str(info.value) == (
+            f"{path}: not valid JSON: Expecting ',' delimiter: line 3 column 13 (char 30)"
+        )
+
     @pytest.mark.parametrize("slot", ["A[2][3]", "b[2]"])
     @pytest.mark.parametrize(
         "value, message",
