@@ -43,12 +43,10 @@ included: D > 0, so every comparison has the rational outcome, and no
 Fraction is built per grade or per pair. The exact value of a scaled
 coordinate t is t / D, and its float is the integer true division
 t / D, correctly rounded as ``float()`` of its Fraction is. A call
-builds each once per distinct coordinate it can meet, in a plain dict:
-the bound walk and ``enumerate_candidates`` for 0 and every threshold
-(``_coordinates``), ``solve``'s objective for the coordinates of the
-minimal points. A built-in objective runs its float kernel on the floats
-(``_scaled_objective``), with the bits it gives on the exact point, and
-any other objective receives exact points.
+builds each once per distinct coordinate it can meet, 0 and every
+threshold (``_coordinates``), in a plain dict. A built-in objective runs
+its float kernel on the floats (``_scaled_objective``), with the bits it
+gives on the exact point, and any other objective receives exact points.
 
 The answer stays in those integers: ``solve`` and ``solve_unpruned``
 return each reported point as its canonical key and its scaled
@@ -348,7 +346,8 @@ class SolveReport:
     @cached_property
     def _fractions(self) -> dict[int, Fraction]:
         """One Fraction t / D per distinct coordinate t of the reported
-        points, shared by their Candidates."""
+        points, shared by their Candidates. solve's optimizer is one of
+        _minimal; solve_unpruned's is the only point it keeps."""
         keyed = self._minimal if self._optimizer is None else (*self._minimal, self._optimizer)
         return {t: Fraction(t, self._D) for t in {t for _, point in keyed for t in point}}
 
@@ -442,7 +441,7 @@ def solve(
     del leaves
     keyed.sort()
     t_prune = time.perf_counter()
-    point_values, rate = _scaled_objective(objective, d, {t for _, leaf in keyed for t in leaf})
+    point_values, rate = _scaled_objective(objective, d, _coordinates(options))
     values = tuple([rate(tuple([point_values[t] for t in leaf])) for _, leaf in keyed])
     # keyed is in canonical selector order, and distinct minimal points
     # have distinct canonical selectors, so the first least value is the

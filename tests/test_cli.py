@@ -292,6 +292,7 @@ class TestVerify:
             "oracle: no feasible grid points",
             "verdict: DISAGREE",
         ]
+        assert err == ""
 
     def test_solver_infeasible_while_the_oracle_finds_points_disagrees(self, capsys, monkeypatch):
         # A feasibility mistake in the solver: with J(1) emptied it calls
@@ -309,7 +310,6 @@ class TestVerify:
             "oracle: found 15 minimal point(s)",
             "verdict: DISAGREE",
         ]
-        assert err == ""
         assert err == ""
 
 
