@@ -43,20 +43,20 @@ def _floats(x: Sequence[GradeLike]) -> list[float]:
     ]
 
 
-def _log_sum_exp(values: list[float]) -> float:
+def _log_sum_exp(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("log_sum_exp of an empty vector")
     shift = max(values)
     return shift + math.log(math.fsum([math.exp(v - shift) for v in values]))
 
 
-def _max_coordinate(values: list[float]) -> float:
+def _max_coordinate(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("max_coordinate of an empty vector")
     return max(values)
 
 
-def _coordinate_sum(values: list[float]) -> float:
+def _coordinate_sum(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("coordinate_sum of an empty vector")
     return math.fsum(values)
@@ -97,7 +97,7 @@ _KERNELS = (
 )
 
 
-def _float_kernel(objective: Objective) -> Callable[[list[float]], float] | None:
+def _float_kernel(objective: Objective) -> Callable[[Sequence[float]], float] | None:
     """The float kernel of a built-in objective, None for any other.
     Matched by identity, so a wrapped built-in counts as another
     objective."""

@@ -16,26 +16,35 @@ column) contains every minimal solution, and exhaustive search over it is
 exact, not approximate. A uniform discretization would miss the exact
 points and report false mismatches.
 
-Minimality uses the grid's order. Index tuples over the sorted grid
-columns are enumerated in lexicographic order, which is coordinate order,
-and the feasible ones kept in a set. A feasible point p is minimal on the
+Minimality uses the grid's order. A feasible point p is minimal on the
 grid (no other feasible grid point lies weakly below it) exactly when
 lowering any one coordinate to the previous value of its column makes it
 infeasible. If a feasible q != p lies below p, pick j with q_j < p_j:
 lowering p_j by one grid step leaves a point still above q, feasible by
 upward closure. Conversely, a feasible lowered point is itself a feasible
-grid point below p. That is n set lookups per feasible point.
+grid point below p.
+
+The search names each grid point by a mixed-radix code: one digit per
+column, the index of the point's value in the sorted column, the first
+column most significant, so codes order as coordinates do. Column j's
+radix is one more than its number of values, and its stride is the
+product of the radices after it. One grid step up in column j adds
+stride_j to a code, and the spare digit means that a step above the
+column's top value never carries into the next column, so it lands on no
+grid point. The minimal codes are the feasible codes less, for each
+column j, every feasible code plus stride_j: one set pass per column.
 
 One pass serves both answers: brute_force builds the grid once, takes the
 feasible points once, and returns the minimal points and the optimum over
-every feasible point, in time linear in the number of grid points. A
-built-in objective is evaluated by its float kernel on per-column floats
-computed once per grid, ``k / D`` for each grid value k: integer true
-division is correctly rounded, as ``float()`` of ``Fraction(k, D)`` is,
-so each value has the bits the objective gives on the exact point. The
-grid holds only integers: only the minimal points and the optimizer are
-built as Fraction points, and any other objective receives every feasible
-point exactly.
+every feasible point, in time linear in the number of grid points. Each
+feasible point carries from the search its code and its per-column
+floats, ``k / D`` for each grid value k, computed once per grid value:
+integer true division is correctly rounded, as ``float()`` of
+``Fraction(k, D)`` is, so a built-in objective's float kernel, reading
+those floats, gives the bits the objective gives on the exact point. Only
+the minimal points and the optimizer are decoded to Fraction points; any
+other objective receives every feasible point exactly, decoded from its
+code, in coordinate order.
 
 The oracle reads the same integers as the solver, but shares none of its
 formulas, which is the point: a mistake in the solver's threshold t_ij
@@ -121,7 +130,11 @@ def is_minimal_point(inst: Instance, x: Point) -> bool:
     no other member lies below x. The test runs on integers over the lcm
     of D and the denominators of x, since a wrong point need not lie on
     the grid; the instance's integers are multiplied up by ``scale // D``.
+    A point whose length is not the instance's column count raises
+    ValueError.
     """
+    if len(x) != inst.n:
+        raise ValueError(f"x has {len(x)} coordinates, expected {inst.n}")
     d = inst._D
     scale = math.lcm(d, *(v.denominator for v in x))
     up = scale // d
@@ -160,40 +173,55 @@ def _row_masks(inst: Instance, grid: LatticeGrid) -> tuple[list[list[int]], int]
     return masks, (1 << len(rows)) - 1
 
 
-def _feasible_indices(inst: Instance, grid: LatticeGrid) -> list[tuple[int, ...]]:
-    """Index tuples of the feasible grid points, in lexicographic order,
-    which is coordinate order: every column of the grid is sorted.
+def _strides(grid: LatticeGrid) -> list[int]:
+    """The weight of each column's digit in a grid point's mixed-radix
+    code. A column's radix is one more than its number of values, so one
+    step above its top value never carries into the next column. The first
+    column is the most significant, so codes order as index tuples do,
+    which is coordinate order: every column of the grid is sorted."""
+    strides = [1]
+    for column in reversed(grid.columns[1:]):
+        strides.append(strides[-1] * (len(column) + 1))
+    return strides[::-1]
+
+
+def _feasible_members(
+    inst: Instance, grid: LatticeGrid, strides: list[int]
+) -> tuple[list[int], list[tuple[float, ...]]]:
+    """The feasible grid points in coordinate order, as their codes and as
+    their per-column floats ``k / D``.
 
     A point is feasible when the rows its coordinates meet cover every
-    constraining row. The tuples grow one column at a time, and a prefix
-    is dropped as soon as the rows it meets, with every row the remaining
+    constraining row. Points grow one column at a time, each prefix
+    carrying its code, its floats and the rows it meets; a prefix is
+    dropped as soon as the rows it meets, with every row the remaining
     columns meet anywhere, fall short of all rows.
     """
+    d = inst._D
     masks, full = _row_masks(inst, grid)
     rest = [0] * (len(masks) + 1)
     for j in reversed(range(len(masks))):
         rest[j] = rest[j + 1] | functools.reduce(operator.or_, masks[j], 0)
-    prefixes = [((), 0)]
-    for column, later in zip(masks, rest[1:]):
+    prefixes = [(0, (), 0)]
+    for column, column_masks, stride, later in zip(grid.columns, masks, strides, rest[1:]):
+        steps = [
+            (k * stride, (v / d,), mask) for k, (v, mask) in enumerate(zip(column, column_masks))
+        ]
         prefixes = [
-            (idx + (k,), met | mask)
-            for idx, met in prefixes
-            for k, mask in enumerate(column)
+            (code + offset, floats + value, met | mask)
+            for code, floats, met in prefixes
+            for offset, value, mask in steps
             if met | mask | later == full
         ]
-    return [idx for idx, _ in prefixes]
+    return [code for code, _, _ in prefixes], [floats for _, floats, _ in prefixes]
 
 
-def _at(grid: LatticeGrid, d: int, idx: tuple[int, ...]) -> Point:
-    """The exact grid point at an index tuple, on the denominator d."""
-    return tuple([Fraction(column[k], d) for column, k in zip(grid.columns, idx)])
-
-
-def _lowered(idx: tuple[int, ...]):
-    """Each index tuple one grid step below idx in one coordinate."""
-    for j, k in enumerate(idx):
-        if k:
-            yield idx[:j] + (k - 1,) + idx[j + 1:]
+def _at(grid: LatticeGrid, d: int, strides: list[int], code: int) -> Point:
+    """The exact grid point at a code, on the denominator d."""
+    return tuple([
+        Fraction(column[code // stride % (len(column) + 1)], d)
+        for column, stride in zip(grid.columns, strides)
+    ])
 
 
 def brute_force(
@@ -206,8 +234,9 @@ def brute_force(
 
     The minimal points are the feasible grid points that no other feasible
     grid point sits weakly below: those where lowering any one coordinate
-    to the previous value of its grid column leaves the feasible set (see
-    the module docstring). They come sorted by coordinates, for stable
+    to the previous value of its grid column leaves the feasible set. They
+    are found by one set pass per column over the feasible points' codes
+    (see the module docstring) and come sorted by coordinates, for stable
     comparison against solver output. The optimum is ``(optimizer, value)``
     over every feasible grid point, found without any structural shortcut;
     for a monotone objective it is the global minimum over the feasible
@@ -219,20 +248,26 @@ def brute_force(
     total = grid.total_points
     if total > limit:
         raise GridTooLargeError(total, limit)
-    members = _feasible_indices(inst, grid)
-    if not members:
+    strides = _strides(grid)
+    codes, floats = _feasible_members(inst, grid, strides)
+    if not codes:
         return [], None
-    feasible = set(members)
-    minimal = [
-        _at(grid, d, idx) for idx in members if not any(q in feasible for q in _lowered(idx))
-    ]
     kernel = _float_kernel(objective)
     if kernel is None:
-        values = (objective(_at(grid, d, idx)) for idx in members)
+        values = (objective(_at(grid, d, strides, code)) for code in codes)
     else:
-        floats = tuple(tuple(k / d for k in column) for column in grid.columns)
-        values = (kernel(list(map(tuple.__getitem__, floats, idx))) for idx in members)
+        values = map(kernel, floats)
     # Members are in coordinate order, so the first of equal values is the
     # coordinatewise smallest point.
     value, best = min(zip(values, itertools.count()))
-    return minimal, (_at(grid, d, members[best]), value)
+    # Dropping the floats before the code set is built lowers the peak
+    # memory of a large grid.
+    del floats, values
+    # A member one grid step above another in some column is not minimal:
+    # remove code + stride_j for every member and column. The spare digit
+    # keeps a step above a column's top value off every member.
+    minimal = set(codes)
+    for stride in strides:
+        minimal.difference_update(map(stride.__add__, codes))
+    optimizer = _at(grid, d, strides, codes[best])
+    return [_at(grid, d, strides, code) for code in sorted(minimal)], (optimizer, value)

@@ -25,7 +25,7 @@ from frisolve import (
 )
 
 from frisolve.cli import main
-from frisolve.oracle import _feasible_indices, build_grid, is_minimal_point
+from frisolve.oracle import _feasible_members, _strides, build_grid, is_minimal_point
 from frisolve.solver import _options as scaled_options
 
 from conftest import (
@@ -99,6 +99,44 @@ def test_epsilon_grid_holds_the_true_minimum():
     assert [c.point for c in solve(inst).minimal_solutions] == minimal
 
 
+# x_j = 1 is minimal where a_ij = b_i - epsilon, the top value of column j.
+# One step above it in column j would, without a spare digit per column,
+# carry into column j - 1 and land on the member with the next x_(j-1) and
+# x_j = 0, which is minimal too.
+@pytest.mark.parametrize(
+    "inst",
+    [
+        Instance(A=(("0.9", "0.6"),), b=("0.6",)),
+        Instance(A=(("0.9", "0.6", "0.8"), ("0.5", "0.7", "0.7")), b=("0.6", "0.7")),
+        Instance(A=(("0.8", "0.6"),), b=("0.7",), epsilon="0.1"),
+    ],
+)
+def test_a_step_above_a_columns_top_value_lands_on_no_member(inst):
+    minimal, _ = brute_force(inst)
+    assert minimal == pairwise_minimal(inst)
+    assert any(1 in x for x in minimal)
+
+
+@pytest.mark.parametrize("source", ["golden", "hand", "epsilon"])
+def test_a_constant_objective_picks_the_coordinatewise_smallest_member(golden, source):
+    inst = {
+        "golden": golden,
+        "hand": HAND_2X2,
+        "epsilon": Instance(A=(("0.9", "0.6"), ("0.5", "0.8")), b=("0.6", "0.7"), epsilon="0.1"),
+    }[source]
+    members = [p for p in itertools.product(*reference_grid(inst)) if is_member(inst, p)]
+    seen = []
+
+    def constant(x):
+        seen.append(x)
+        return 0.0
+
+    _, optimum = brute_force(inst, constant)
+    assert optimum == (members[0], 0.0)
+    # Any other objective receives every feasible point exactly, in coordinate order.
+    assert seen == members
+
+
 def test_grid_limit_is_enforced(golden):
     total = build_grid(golden).total_points
     with pytest.raises(GridTooLargeError) as err:
@@ -126,6 +164,15 @@ def test_minimality_predicate_rejects_slack_and_non_members():
     assert not is_minimal_point(inst, (Fraction("0.7"),))  # slack above the threshold
     assert not is_minimal_point(inst, (Fraction("0.5"),))  # not a member
     assert not is_member(inst, (Fraction("0.5"),))
+
+
+# Unchecked, (0.7,) would pass as minimal, meeting the row alone and with
+# equality, and the third coordinate of (0, 1, 1) would index past the row.
+@pytest.mark.parametrize("x", [(Fraction("0.7"),), (Fraction(0), Fraction(1), Fraction(1))])
+def test_minimality_predicate_rejects_a_point_of_the_wrong_length(x):
+    inst = Instance(A=(("0.9", "0.6"),), b=("0.6",))
+    with pytest.raises(ValueError, match=f"^x has {len(x)} coordinates, expected 2$"):
+        is_minimal_point(inst, x)
 
 
 def test_minimality_predicate_agrees_with_the_oracle_on_random_instances():
@@ -227,6 +274,18 @@ def test_integer_minimality_matches_the_fraction_definition(inst):
             assert is_minimal_point(inst, point) == fraction_is_minimal_point(inst, point)
 
 
+def decode(grid, code):
+    """The index tuple of a grid point's code: one digit per column, of
+    radix one more than the column's number of values, the first column
+    most significant."""
+    idx = []
+    for column in reversed(grid.columns):
+        code, k = divmod(code, len(column) + 1)
+        idx.append(k)
+    assert code == 0
+    return tuple(reversed(idx))
+
+
 @pytest.mark.parametrize("sevenths", [False, True])
 def test_integer_membership_matches_is_member(golden, sevenths):
     inst = golden
@@ -241,7 +300,9 @@ def test_integer_membership_matches_is_member(golden, sevenths):
         if is_member(inst, tuple(c[k] for c, k in zip(coords, idx)))
     ]
     assert expected  # both instances have feasible grid points
-    assert _feasible_indices(inst, grid) == expected
+    codes, floats = _feasible_members(inst, grid, _strides(grid))
+    assert [decode(grid, code) for code in codes] == expected
+    assert floats == [tuple(float(c[k]) for c, k in zip(coords, idx)) for idx in expected]
 
 
 def test_verify_on_a_grid_of_400_thousand_points(capsys):
