@@ -51,6 +51,14 @@ def _to_fraction(value: GradeLike, label: Callable[[], str]) -> Fraction:
         raise ValueError(f"{label()} is not a number: {value!r}") from exc
 
 
+def _check_count(value: int, name: str) -> None:
+    """Reject a count, such as a work cap or a grid limit, that is not an
+    integer of at least 1; name names it in the ValueError. bool is an int
+    subclass, but True is no count of 1, so it is rejected too."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _short_decimal(value: Fraction) -> str:
     """value in decimal to 15 significant digits, in at most 40 characters:
     the exact rational of a literal such as 1e400 has hundreds of digits."""

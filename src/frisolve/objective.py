@@ -9,22 +9,24 @@ log_sum_exp is the shipped default; max_coordinate and coordinate_sum are
 simple monotone alternatives used to exercise the generic path.
 
 Objectives take exact rational points but return binary floats: the report
-boundary is where exact lattice arithmetic ends. Each built-in objective is
-its private float kernel applied to the coordinates' floats
-(``kernel(_floats(x))``). Callers that hold the float of each value a
-coordinate can take (the solver's scaled thresholds, each converted once
-per call; the oracle's grid columns) look the kernel up with
-``_float_kernel`` and call it on those floats directly: the float of an
-exact value is correctly rounded however it is computed, so the result
-has the same bits as the public function on the exact point. Any other
-objective receives exact points.
+boundary is where exact lattice arithmetic ends. Each built-in objective
+carries its float kernel as ``kernel`` and is that kernel applied to the
+coordinates' floats (``kernel(_floats(x))``). This module alone decides
+how an objective reads the points the solver and the oracle hold as
+integer coordinates t over a common denominator D: ``_scaled_table``
+gives a built-in one float t / D per value and its kernel, and gives any
+other objective, a wrapper around a built-in included, one Fraction
+t / D per value and the objective itself, so that it receives exact
+points. The float of an exact value is correctly rounded however it is
+computed, so a kernel on those floats has the bits the built-in gives on
+the exact point.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import GradeLike, _to_fraction
 
@@ -43,26 +45,26 @@ def _floats(x: Sequence[GradeLike]) -> list[float]:
     ]
 
 
-def _log_sum_exp(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("log_sum_exp of an empty vector")
-    shift = max(values)
-    return shift + math.log(math.fsum([math.exp(v - shift) for v in values]))
+class _BuiltIn:
+    """A built-in objective: its float kernel, ``kernel``, applied to the
+    floats of an exact point. Used as a decorator on the kernel, whose
+    name and docstring it takes. It pickles and copies by name, as the
+    function it replaced did."""
+
+    def __init__(self, kernel: Callable[[Sequence[float]], float]):
+        self.kernel = kernel
+        self.__name__ = kernel.__name__
+        self.__doc__ = kernel.__doc__
+
+    def __call__(self, x: Sequence[GradeLike]) -> float:
+        return self.kernel(_floats(x))
+
+    def __reduce__(self) -> str:
+        return self.__name__
 
 
-def _max_coordinate(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("max_coordinate of an empty vector")
-    return max(values)
-
-
-def _coordinate_sum(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("coordinate_sum of an empty vector")
-    return math.fsum(values)
-
-
-def log_sum_exp(x: Sequence[GradeLike]) -> float:
+@_BuiltIn
+def log_sum_exp(values: Sequence[float]) -> float:
     """log(exp(x_1) + ... + exp(x_n)), evaluated in max-shifted form
     M + log(sum_j exp(x_j - M)) with M = max_j x_j.
 
@@ -71,17 +73,26 @@ def log_sum_exp(x: Sequence[GradeLike]) -> float:
     The exponential terms are accumulated with math.fsum, so the result is
     identical under any permutation of coordinates.
     """
-    return _log_sum_exp(_floats(x))
+    if not values:
+        raise ValueError("log_sum_exp of an empty vector")
+    shift = max(values)
+    return shift + math.log(math.fsum([math.exp(v - shift) for v in values]))
 
 
-def max_coordinate(x: Sequence[GradeLike]) -> float:
+@_BuiltIn
+def max_coordinate(values: Sequence[float]) -> float:
     """The largest coordinate; the function log-sum-exp smooths."""
-    return _max_coordinate(_floats(x))
+    if not values:
+        raise ValueError("max_coordinate of an empty vector")
+    return max(values)
 
 
-def coordinate_sum(x: Sequence[GradeLike]) -> float:
+@_BuiltIn
+def coordinate_sum(values: Sequence[float]) -> float:
     """The plain coordinate sum, the other easy monotone objective."""
-    return _coordinate_sum(_floats(x))
+    if not values:
+        raise ValueError("coordinate_sum of an empty vector")
+    return math.fsum(values)
 
 
 OBJECTIVES: dict[str, Objective] = {
@@ -90,15 +101,21 @@ OBJECTIVES: dict[str, Objective] = {
     "sum": coordinate_sum,
 }
 
-_KERNELS = (
-    (log_sum_exp, _log_sum_exp),
-    (max_coordinate, _max_coordinate),
-    (coordinate_sum, _coordinate_sum),
-)
 
+def _scaled_table(
+    objective: Objective, d: int, values: Iterable[int]
+) -> tuple[dict[int, object], Callable[[tuple], float]]:
+    """``(table, rate)`` for points held as scaled coordinates: each value
+    t stands for the coordinate t / d, table[t] is what the objective reads
+    for it, and rate, on the tuple of a point's table entries, is the
+    objective's value at the point.
 
-def _float_kernel(objective: Objective) -> Callable[[Sequence[float]], float] | None:
-    """The float kernel of a built-in objective, None for any other.
-    Matched by identity, so a wrapped built-in counts as another
-    objective."""
-    return next((kernel for f, kernel in _KERNELS if f is objective), None)
+    A built-in reads floats: its kernel on t / d, integer true division,
+    correctly rounded as ``float()`` of the Fraction is, so the value has
+    the bits the built-in gives on the exact point. Any other objective,
+    a wrapper around a built-in included, receives the exact point, one
+    Fraction t / d per value.
+    """
+    if isinstance(objective, _BuiltIn):
+        return {t: t / d for t in values}, objective.kernel
+    return {t: Fraction(t, d) for t in values}, objective

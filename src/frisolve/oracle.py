@@ -37,14 +37,14 @@ column j, every feasible code plus stride_j: one set pass per column.
 One pass serves both answers: brute_force builds the grid once, takes the
 feasible points once, and returns the minimal points and the optimum over
 every feasible point, in time linear in the number of grid points. Each
-feasible point carries from the search its code and its per-column
-floats, ``k / D`` for each grid value k, computed once per grid value:
-integer true division is correctly rounded, as ``float()`` of
-``Fraction(k, D)`` is, so a built-in objective's float kernel, reading
-those floats, gives the bits the objective gives on the exact point. Only
-the minimal points and the optimizer are decoded to Fraction points; any
-other objective receives every feasible point exactly, decoded from its
-code, in coordinate order.
+feasible point carries from the search its code and, per column, the
+entry the objective reads for its value k, from one table over the grid
+values built by ``objective._scaled_table``: a built-in carries its float
+kernel and reads the float k / D, with the bits it gives on the exact
+point; any other objective, a wrapper around a built-in included,
+receives every feasible point exactly, as Fractions k / D, in coordinate
+order. Only the minimal points and the optimizer are decoded from their
+codes to Fraction points.
 
 The oracle reads the same integers as the solver, but shares none of its
 formulas, which is the point: a mistake in the solver's threshold t_ij
@@ -63,8 +63,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Instance, Point
-from .objective import Objective, _float_kernel, log_sum_exp
+from .core import Instance, Point, _check_count
+from .objective import Objective, _scaled_table, log_sum_exp
 
 DEFAULT_LIMIT = 10**6
 
@@ -186,18 +186,17 @@ def _strides(grid: LatticeGrid) -> list[int]:
 
 
 def _feasible_members(
-    inst: Instance, grid: LatticeGrid, strides: list[int]
-) -> tuple[list[int], list[tuple[float, ...]]]:
+    inst: Instance, grid: LatticeGrid, strides: list[int], table: dict[int, object]
+) -> tuple[list[int], list[tuple]]:
     """The feasible grid points in coordinate order, as their codes and as
-    their per-column floats ``k / D``.
+    the tuples of their per-column entries ``table[k]``, k each grid value.
 
     A point is feasible when the rows its coordinates meet cover every
     constraining row. Points grow one column at a time, each prefix
-    carrying its code, its floats and the rows it meets; a prefix is
+    carrying its code, its entries and the rows it meets; a prefix is
     dropped as soon as the rows it meets, with every row the remaining
     columns meet anywhere, fall short of all rows.
     """
-    d = inst._D
     masks, full = _row_masks(inst, grid)
     rest = [0] * (len(masks) + 1)
     for j in reversed(range(len(masks))):
@@ -205,15 +204,15 @@ def _feasible_members(
     prefixes = [(0, (), 0)]
     for column, column_masks, stride, later in zip(grid.columns, masks, strides, rest[1:]):
         steps = [
-            (k * stride, (v / d,), mask) for k, (v, mask) in enumerate(zip(column, column_masks))
+            (k * stride, (table[v],), mask) for k, (v, mask) in enumerate(zip(column, column_masks))
         ]
         prefixes = [
-            (code + offset, floats + value, met | mask)
-            for code, floats, met in prefixes
+            (code + offset, entries + value, met | mask)
+            for code, entries, met in prefixes
             for offset, value, mask in steps
             if met | mask | later == full
         ]
-    return [code for code, _, _ in prefixes], [floats for _, floats, _ in prefixes]
+    return [code for code, _, _ in prefixes], [entries for _, entries, _ in prefixes]
 
 
 def _at(grid: LatticeGrid, d: int, strides: list[int], code: int) -> Point:
@@ -242,27 +241,28 @@ def brute_force(
     for a monotone objective it is the global minimum over the feasible
     region. Ties break toward the coordinatewise smallest point. It is None
     when no grid point is feasible, and then the minimal set is empty.
+
+    A grid of more than ``limit`` points raises GridTooLargeError before
+    the search; a limit that is not an integer of at least 1 raises
+    ValueError, as solve's cap does.
     """
+    _check_count(limit, "limit")
     d = inst._D
     grid = build_grid(inst)
     total = grid.total_points
     if total > limit:
         raise GridTooLargeError(total, limit)
     strides = _strides(grid)
-    codes, floats = _feasible_members(inst, grid, strides)
+    table, rate = _scaled_table(objective, d, {v for column in grid.columns for v in column})
+    codes, entries = _feasible_members(inst, grid, strides, table)
     if not codes:
         return [], None
-    kernel = _float_kernel(objective)
-    if kernel is None:
-        values = (objective(_at(grid, d, strides, code)) for code in codes)
-    else:
-        values = map(kernel, floats)
     # Members are in coordinate order, so the first of equal values is the
     # coordinatewise smallest point.
-    value, best = min(zip(values, itertools.count()))
-    # Dropping the floats before the code set is built lowers the peak
+    value, best = min(zip(map(rate, entries), itertools.count()))
+    # Dropping the entries before the code set is built lowers the peak
     # memory of a large grid.
-    del floats, values
+    del entries
     # A member one grid step above another in some column is not minimal:
     # remove code + stride_j for every member and column. The spare digit
     # keeps a step above a column's top value off every member.

@@ -41,12 +41,12 @@ without a Fraction per grade. Every t_ij is then the integer
 (``_options``), and a point's coordinates are those integers, 0
 included: D > 0, so every comparison has the rational outcome, and no
 Fraction is built per grade or per pair. The exact value of a scaled
-coordinate t is t / D, and its float is the integer true division
-t / D, correctly rounded as ``float()`` of its Fraction is. A call
-builds each once per distinct coordinate it can meet, 0 and every
-threshold (``_coordinates``), in a plain dict. A built-in objective runs
-its float kernel on the floats (``_scaled_objective``), with the bits it
-gives on the exact point, and any other objective receives exact points.
+coordinate t is t / D. How the objective reads it is decided in
+``objective._scaled_table``, once per call over every coordinate a
+point can hold, 0 and every threshold (``_coordinates``): a built-in
+carries its float kernel and reads the float t / D, with the bits it
+gives on the exact point, and any other objective, a wrapper around a
+built-in included, receives exact points.
 
 The answer stays in those integers: ``solve`` and ``solve_unpruned``
 return each reported point as its canonical key and its scaled
@@ -68,9 +68,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
-from .core import Instance, Point
+from .core import Instance, Point, _check_count
 from .feasibility import IndexSets, InfeasibleSystemError, compute_index_sets
-from .objective import Objective, _float_kernel, log_sum_exp
+from .objective import Objective, _scaled_table, log_sum_exp
 
 DEFAULT_CAP = 10**6
 
@@ -88,13 +88,6 @@ class CapExceededError(RuntimeError):
         self.count = count
         self.cap = cap
         super().__init__(f"{progress}, exceeding the cap of {cap}; raise the cap to proceed")
-
-
-def _check_cap(cap: int) -> None:
-    """Reject a work cap that is not an integer of at least 1. bool is an
-    int subclass, but True is no cap of 1, so it is rejected too."""
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-        raise ValueError(f"cap must be an integer >= 1, got {cap!r}")
 
 
 @dataclass(frozen=True)
@@ -139,7 +132,7 @@ def enumerate_candidates(inst: Instance, cap: int = DEFAULT_CAP) -> Iterator[Can
     infeasible system or a product beyond ``cap`` raises immediately,
     before any candidate is built.
     """
-    _check_cap(cap)
+    _check_count(cap, "cap")
     idx = compute_index_sets(inst)
     if not idx.feasible:
         raise InfeasibleSystemError(list(idx.empty_rows))
@@ -186,32 +179,11 @@ def _coordinates(options: _Options) -> set[int]:
     return {0, *[t for row in options.values() for _, t in row]}
 
 
-# An objective on scaled points: values[t] is the value the objective
-# reads for a coordinate t, and rate(v) is the objective on the tuple v of
-# those values.
-_Rated = tuple[dict[int, object], Callable[[tuple], float]]
-
-
-def _scaled_objective(objective: Objective, scale: int, coordinates: Iterable[int]) -> _Rated:
-    """objective on points whose scaled coordinates are among coordinates.
-
-    A built-in objective runs its float kernel on each coordinate's float
-    t / scale: integer true division is correctly rounded, as ``float()``
-    of the Fraction is, so the value has the bits the objective gives on
-    the exact point. Any other objective receives the exact point, one
-    Fraction t / scale per distinct coordinate.
-    """
-    kernel = _float_kernel(objective)
-    if kernel is None:
-        return {t: Fraction(t, scale) for t in coordinates}, objective
-    return {t: t / scale for t in coordinates}, kernel
-
-
 def _walk(
     n: int,
     options: _Options,
     cap: int,
-    bound: _Rated | None = None,
+    bound: tuple[dict[int, object], Callable[[tuple], float]] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], float | None]]:
     """The covered-row walk over the options; yields (leaf, value).
 
@@ -416,7 +388,7 @@ def solve(
     CapExceededError. A cap that is not an integer of at least 1 raises
     ValueError.
     """
-    _check_cap(cap)
+    _check_count(cap, "cap")
     t0 = time.perf_counter()
     idx = compute_index_sets(inst)
     t_idx = time.perf_counter()
@@ -441,7 +413,7 @@ def solve(
     del leaves
     keyed.sort()
     t_prune = time.perf_counter()
-    point_values, rate = _scaled_objective(objective, d, _coordinates(options))
+    point_values, rate = _scaled_table(objective, d, _coordinates(options))
     values = tuple([rate(tuple([point_values[t] for t in leaf])) for _, leaf in keyed])
     # keyed is in canonical selector order, and distinct minimal points
     # have distinct canonical selectors, so the first least value is the
@@ -477,7 +449,7 @@ def solve_unpruned(
     covered-row walk for the optimizer alone.
 
     The walk is solve's, with the objective evaluated once per search
-    node on the partial point (``_scaled_objective``). For a
+    node on the partial point (``objective._scaled_table``). For a
     nondecreasing objective that value is a lower bound on every leaf
     below the node, so a subtree whose value is strictly greater than the
     least leaf value so far is cut. The cut is strict, so every minimal
@@ -495,7 +467,7 @@ def solve_unpruned(
     candidates_enumerated counts the leaves reached; the report carries no
     minimal-solution set. ``cap`` is solve's.
     """
-    _check_cap(cap)
+    _check_count(cap, "cap")
     t0 = time.perf_counter()
     idx = compute_index_sets(inst)
     t_idx = time.perf_counter()
@@ -504,7 +476,7 @@ def solve_unpruned(
 
     options = _options(inst, idx)
     d = inst._D
-    bound = _scaled_objective(objective, d, _coordinates(options))
+    bound = _scaled_table(objective, d, _coordinates(options))
     best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None
     leaves = 0
     for leaf, value in _walk(inst.n, options, cap, bound):

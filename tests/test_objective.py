@@ -1,6 +1,9 @@
 """log-sum-exp and the monotone-objective contract."""
 
+import copy
+import functools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,7 +21,7 @@ from frisolve import (
     solve_unpruned,
     zeros,
 )
-from frisolve.objective import _float_kernel
+from frisolve.objective import _BuiltIn
 
 from conftest import GOLDEN_OPT_VALUE, GOLDEN_OTHER_VALUE, fpoint
 from test_integer_paths import mixed_instances
@@ -114,6 +117,33 @@ def test_registry_names():
     assert OBJECTIVES["lse"] is log_sum_exp
 
 
+# The docstrings of the built-ins when they were plain functions.
+FUNCTION_DOCSTRINGS = {
+    "lse": """log(exp(x_1) + ... + exp(x_n)), evaluated in max-shifted form
+    M + log(sum_j exp(x_j - M)) with M = max_j x_j.
+
+    Coordinates in [0,1] cannot overflow either way, but the shifted form
+    costs nothing and keeps the function safe for reuse on wider inputs.
+    The exponential terms are accumulated with math.fsum, so the result is
+    identical under any permutation of coordinates.
+    """,
+    "max": """The largest coordinate; the function log-sum-exp smooths.""",
+    "sum": """The plain coordinate sum, the other easy monotone objective.""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBJECTIVES))
+def test_built_ins_keep_their_function_behaviour(name):
+    # A built-in carries its float kernel, but pickles, copies and documents
+    # itself as the plain function it replaced did.
+    f = OBJECTIVES[name]
+    assert f is {"lse": log_sum_exp, "max": max_coordinate, "sum": coordinate_sum}[name]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(f, protocol)) is f
+    assert copy.deepcopy(f) is f and copy.copy(f) is f
+    assert f.__doc__ == FUNCTION_DOCSTRINGS[name]
+
+
 def _bits(value):
     return None if value is None else value.hex()
 
@@ -138,11 +168,36 @@ def _oracle_outcome(answer):
 @settings(max_examples=150, deadline=None)
 def test_float_kernels_match_the_exact_point_path(inst):
     # A built-in objective runs its float kernel on per-threshold (solver) or
-    # per-column (oracle) floats; a wrapper around it is another objective
-    # and receives exact points. Both paths must give the same bits.
+    # per-column (oracle) floats. Any other objective receives exact points:
+    # a plain function around a built-in, and a functools.wraps wrapper,
+    # which copies the built-in's kernel attribute but must still run its
+    # own body, once per evaluation. Every path must give the same bits.
     for f in OBJECTIVES.values():
-        exact = lambda x, f=f: f(x)
-        assert _float_kernel(f) is not None and _float_kernel(exact) is None
-        for run in (solve, solve_unpruned):
-            assert _outcome(run(inst, f)) == _outcome(run(inst, exact))
-        assert _oracle_outcome(brute_force(inst, f)) == _oracle_outcome(brute_force(inst, exact))
+        assert isinstance(f, _BuiltIn)
+        seen = {"plain": [], "wraps": []}
+
+        def exact(x, f=f):
+            seen["plain"].append(x)
+            return f(x)
+
+        @functools.wraps(f)
+        def wrapped(x, f=f):
+            seen["wraps"].append(x)
+            return f(x)
+
+        assert wrapped.kernel is f.kernel and not isinstance(wrapped, _BuiltIn)
+        for run, outcome in (
+            (solve, _outcome),
+            (solve_unpruned, _outcome),
+            (brute_force, _oracle_outcome),
+        ):
+            seen["plain"].clear()
+            seen["wraps"].clear()
+            expected = outcome(run(inst, f))
+            assert outcome(run(inst, exact)) == expected
+            assert outcome(run(inst, wrapped)) == expected
+            # The same exact points, in the same order, as the plain function.
+            assert seen["wraps"] == seen["plain"]
+            assert all(type(v) is Fraction for x in seen["wraps"] for v in x)
+            if run is solve:
+                assert len(seen["wraps"]) == len(expected[3])

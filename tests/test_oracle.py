@@ -24,7 +24,9 @@ from frisolve import (
     zeros,
 )
 
+from frisolve import oracle
 from frisolve.cli import main
+from frisolve.objective import _scaled_table
 from frisolve.oracle import _feasible_members, _strides, build_grid, is_minimal_point
 from frisolve.solver import _options as scaled_options
 
@@ -143,6 +145,22 @@ def test_grid_limit_is_enforced(golden):
         brute_force(golden, limit=total - 1)
     assert err.value.total_points == total
     assert brute_force(golden, limit=total)[0]  # boundary inclusive
+
+
+@pytest.mark.parametrize("limit", [True, 0, 1.5, -3, None, "10"])
+def test_limit_that_is_not_a_positive_integer_is_rejected(golden, limit, monkeypatch):
+    # Rejected before the grid is built, in the words solve uses for its cap;
+    # bool is an int subclass, but True is no limit of 1.
+    def unreachable(inst):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(oracle, "build_grid", unreachable)
+    with pytest.raises(ValueError) as err:
+        brute_force(golden, limit=limit)
+    assert str(err.value) == f"limit must be an integer >= 1, got {limit!r}"
+    with pytest.raises(ValueError) as cap_err:
+        solve(golden, cap=limit)
+    assert str(cap_err.value) == f"cap must be an integer >= 1, got {limit!r}"
 
 
 def test_agreement_with_solver_on_random_instances():
@@ -300,7 +318,8 @@ def test_integer_membership_matches_is_member(golden, sevenths):
         if is_member(inst, tuple(c[k] for c, k in zip(coords, idx)))
     ]
     assert expected  # both instances have feasible grid points
-    codes, floats = _feasible_members(inst, grid, _strides(grid))
+    table, _ = _scaled_table(log_sum_exp, inst._D, {v for column in grid.columns for v in column})
+    codes, floats = _feasible_members(inst, grid, _strides(grid), table)
     assert [decode(grid, code) for code in codes] == expected
     assert floats == [tuple(float(c[k]) for c, k in zip(coords, idx)) for idx in expected]
 

@@ -23,7 +23,8 @@ from frisolve import (
     solve,
 )
 from frisolve.files import grade_number, render_report_json
-from frisolve.solver import _coordinates, _minimal_key, _options, _scaled_objective, _walk
+from frisolve.objective import _scaled_table
+from frisolve.solver import _coordinates, _minimal_key, _options, _walk
 
 from conftest import (
     GOLDEN_CANDIDATES,
@@ -190,7 +191,7 @@ class TestSearch:
         if not idx.feasible:
             return
         options = _options(inst, idx)
-        bound = _scaled_objective(OBJECTIVES[name], inst._D, _coordinates(options))
+        bound = _scaled_table(OBJECTIVES[name], inst._D, _coordinates(options))
         values = [value for _, value in _walk(inst.n, options, DEFAULT_CAP, bound)]
         assert values == sorted(values, reverse=True)
 
