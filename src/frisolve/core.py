@@ -4,8 +4,9 @@ composition.
 All grades are exact rationals (`fractions.Fraction`). The solver's
 correctness hinges on exact comparisons: a candidate point built from the
 expression ``1 + b - a`` must satisfy ``a + x - 1 >= b`` *identically*, and
-dominance ties between candidates must be genuine ties. Binary floats break
-both (the identity fails by one ulp about half the time), rationals never do.
+the row test's equality ``x_j == t_ij``, which decides minimality, must be
+a genuine equality. Binary floats break both (the identity fails by one
+ulp about half the time), rationals never do.
 Floats convert losslessly on input; decimal strings keep their printed value.
 
 The search itself needs only comparisons and differences of grades, so
@@ -40,12 +41,16 @@ ONE = Fraction(1)
 
 def _to_fraction(value: GradeLike, label: Callable[[], str]) -> Fraction:
     """value as an exact rational; label() names it in the error for a
-    value that is not one, and is called only then."""
+    value that is not one, and is called only then. bool is an int
+    subclass, but True is no grade, so it is not a number here, as in the
+    file reader."""
     if type(value) is Fraction:
         return value
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{label()} is not finite: {value!r}")
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{label()} is not a number: {value!r}") from exc

@@ -240,23 +240,24 @@ def _one_based(indices: Iterable[int]) -> str:
     return "[" + ", ".join([str(i + 1) for i in indices]) + "]"
 
 
-def _array(items: list[str], pad: str) -> str:
-    """An array of rendered items, one a line, for a member indented by pad.
-    The brackets go on the first and last items, which changes the list,
-    so that the text is a single join and never copied whole."""
+def _array(items: list[str]) -> str:
+    """An array of rendered items, one a line, for a top-level member
+    (indented by two spaces). The brackets go on the first and last items,
+    which changes the list, so that the text is a single join and never
+    copied whole."""
     if not items:
         return "[]"
-    inner = "\n" + pad + "  "
-    items[0] = "[" + inner + items[0]
-    items[-1] += "\n" + pad + "]"
-    return ("," + inner).join(items)
+    items[0] = "[\n    " + items[0]
+    items[-1] += "\n  ]"
+    return ",\n    ".join(items)
 
 
 def serialize_instance(inst: Instance, name: Optional[str] = None) -> str:
     """Render an instance back to its file form; parsing the result yields
     an equal instance for decimal-valued grades. Each grade's float is the
     true division D*a / D of the instance's integers, the same correctly
-    rounded float as its Fraction's, so no Fraction is read."""
+    rounded float as its Fraction's, so no Fraction is read; epsilon is
+    written the same way, from D*epsilon."""
     d = inst._D
 
     def grades(values: tuple[int, ...]) -> str:
@@ -265,10 +266,10 @@ def serialize_instance(inst: Instance, name: Optional[str] = None) -> str:
     members = []
     if name is not None:
         members.append('"name": ' + _encode_key(name))
-    members.append('"A": ' + _array([grades(row) for row in inst._A], "  "))
+    members.append('"A": ' + _array([grades(row) for row in inst._A]))
     members.append('"b": ' + grades(inst._b))
-    if inst.epsilon != 0:
-        members.append('"epsilon": ' + repr(grade_number(inst.epsilon)))
+    if inst._eps:
+        members.append('"epsilon": ' + repr(inst._eps / d))
     return "{\n  " + ",\n  ".join(members) + "\n}\n"
 
 
@@ -326,14 +327,14 @@ def _answer(report: SolveReport) -> list[str]:
     entries = '"minimal_solutions": ' + _array([
         "".join((head, selector_text(key), to_point, text, to_value, _number(value), end))
         for (key, _), text, value in zip(minimal, points, report.minimal_values)
-    ], "  ")
+    ])
     key, point = optimizer
     head, to_point, to_value, end = _OPTIMIZER_ENTRY
     best = "".join((
         '"optimizer": ', head, selector_text(key), to_point, point_text(point), to_value, least, end,
     ))
     tail = ',\n      "upper": [' + ", ".join(["1.0"] * n) + "]\n    }"
-    cells = '"cells": ' + _array(['{\n      "lower": ' + text + tail for text in points], "  ")
+    cells = '"cells": ' + _array(['{\n      "lower": ' + text + tail for text in points])
     return [entries, best, optimal, cells]
 
 
@@ -359,7 +360,7 @@ def render_report_json(
     members.append('"feasible": ' + ("true" if idx.feasible else "false"))
     if not idx.feasible:
         members.append('"empty_rows": ' + _one_based(idx.empty_rows))
-    members.append('"J": ' + _array([_one_based(s) for s in idx.sets], "  "))
+    members.append('"J": ' + _array([_one_based(s) for s in idx.sets]))
     members.append(
         '"vacuous_rows": ' + _one_based([i for i, v in enumerate(idx.vacuous) if v])
     )

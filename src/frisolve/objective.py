@@ -4,7 +4,9 @@ The solver minimizes an objective over a finite candidate set and its
 optimality argument needs exactly one property of that objective: it must
 be nondecreasing under the componentwise order (x <= y coordinatewise
 implies f(x) <= f(y)). Any such function may be plugged in; violating the
-contract voids the global-optimality guarantee without any runtime error.
+contract voids the global-optimality guarantee. Nothing checks the
+contract itself: the one runtime error it can cause is solve_unpruned's
+ValueError when its bound has cut every minimal leaf.
 log_sum_exp is the shipped default; max_coordinate and coordinate_sum are
 simple monotone alternatives used to exercise the generic path.
 

@@ -31,7 +31,10 @@ below it, so subtrees that cannot beat the best leaf so far are cut, no
 minimal set is built, and the optimizer is solve's. The cap bounds the
 search nodes of either. Both gate on the index sets first: the system is
 feasible iff every J(i) is non-empty, and an infeasible system gets a
-report that carries only its index sets.
+report that carries only its index sets. A report stores each fact once:
+|E| is read from the index sets (``SolveReport.selector_count``), and the
+outcome fields default to an infeasible system's, so each path passes
+only what its outcome has.
 
 The walk, the row test and the objective run on the thresholds scaled
 to integers. The search starts from the integers the instance holds (one
@@ -281,17 +284,19 @@ class SolveReport:
     """Everything the resolution produced.
 
     index_sets carries the feasibility verdict: index_sets.feasible, and
-    index_sets.empty_rows naming the rows with an empty J(i). For an
-    infeasible system nothing else is populated: selector_count is None
-    and optimizer/optimal_value stay None. Otherwise selector_count is
-    |E|; candidates_enumerated counts the search leaves reached,
-    duplicates included (for solve_unpruned, those the bound did not cut).
+    index_sets.empty_rows naming the rows with an empty J(i). It also
+    gives selector_count, which is read from it, not stored: |E| for a
+    feasible system and None otherwise. The outcome fields default to
+    what an infeasible system has, no leaves, no minimal values and no
+    optimal value, so each solve path passes only what its outcome holds.
+    candidates_enumerated counts the search leaves reached, duplicates
+    included (for solve_unpruned, those the bound did not cut).
     minimal_values holds the objective value of each minimal solution, in
     the same order. solve_unpruned leaves minimal_solutions and
     minimal_values empty even when an optimizer is found, since it never
-    builds the minimal set. The report holds no
-    cells: files.render_report_json derives one box [x, ones] per
-    minimal solution x as it writes the report.
+    builds the minimal set. The report holds no cells:
+    files.render_report_json derives one box [x, ones] per minimal
+    solution x as it writes the report.
 
     The answer is held as the search left it: ``_D`` is the instance's
     common denominator, ``_minimal`` holds each minimal point as its
@@ -304,14 +309,19 @@ class SolveReport:
     """
 
     index_sets: IndexSets
-    selector_count: int | None
-    candidates_enumerated: int
-    minimal_values: tuple[float, ...]
-    optimal_value: float | None
+    candidates_enumerated: int = 0
+    minimal_values: tuple[float, ...] = ()
+    optimal_value: float | None = None
     timing: dict[str, float] = field(default_factory=dict)
     _D: int = field(default=1, repr=False)
     _minimal: tuple[_Keyed, ...] = field(default=(), repr=False)
     _optimizer: _Keyed | None = field(default=None, repr=False)
+
+    @property
+    def selector_count(self) -> int | None:
+        """|E|, the product of the |J(i)|, or None for an infeasible
+        system."""
+        return selector_count(self.index_sets) if self.index_sets.feasible else None
 
     # functools.cached_property keeps a built value in the instance dict,
     # which a frozen dataclass leaves writable.
@@ -338,17 +348,6 @@ class SolveReport:
         """The minimal solution of least (objective value, selector), or
         None for an infeasible system."""
         return None if self._optimizer is None else next(self._build([self._optimizer]))
-
-
-def _infeasible_report(idx: IndexSets, t0: float) -> SolveReport:
-    return SolveReport(
-        index_sets=idx,
-        selector_count=None,
-        candidates_enumerated=0,
-        minimal_values=(),
-        optimal_value=None,
-        timing={"total": time.perf_counter() - t0},
-    )
 
 
 def solve(
@@ -393,7 +392,7 @@ def solve(
     idx = compute_index_sets(inst)
     t_idx = time.perf_counter()
     if not idx.feasible:
-        return _infeasible_report(idx, t0)
+        return SolveReport(idx, timing={"total": time.perf_counter() - t0})
 
     options = _options(inst, idx)
     d = inst._D
@@ -423,7 +422,6 @@ def solve(
 
     return SolveReport(
         index_sets=idx,
-        selector_count=selector_count(idx),
         candidates_enumerated=reached,
         minimal_values=values,
         optimal_value=value,
@@ -465,14 +463,16 @@ def solve_unpruned(
     not.
 
     candidates_enumerated counts the leaves reached; the report carries no
-    minimal-solution set. ``cap`` is solve's.
+    minimal-solution set. ``cap`` is solve's. The bound is sound only for
+    a monotone nondecreasing objective: under any other, it can cut every
+    leaf that passes the row test, and then ValueError is raised.
     """
     _check_count(cap, "cap")
     t0 = time.perf_counter()
     idx = compute_index_sets(inst)
     t_idx = time.perf_counter()
     if not idx.feasible:
-        return _infeasible_report(idx, t0)
+        return SolveReport(idx, timing={"total": time.perf_counter() - t0})
 
     options = _options(inst, idx)
     d = inst._D
@@ -484,14 +484,17 @@ def solve_unpruned(
         key = _minimal_key(leaf, options)
         if key is not None and (best is None or (value, key) < best[:2]):
             best = (value, key, leaf)
+    if best is None:
+        raise ValueError(
+            "the bound cut every minimal leaf, which only an objective that is"
+            " not monotone nondecreasing can cause"
+        )
     value, key, leaf = best
     t_end = time.perf_counter()
 
     return SolveReport(
         index_sets=idx,
-        selector_count=selector_count(idx),
         candidates_enumerated=leaves,
-        minimal_values=(),
         optimal_value=value,
         timing={
             "index_sets": t_idx - t0,

@@ -267,7 +267,10 @@ def fraction_is_minimal_point(inst: Instance, x: Point) -> bool:
 
 def reference_fraction(value: Any, label: str) -> Fraction:
     """value as an exact rational, or the ValueError Instance(...) words
-    for a value that is not one."""
+    for a value that is not one. A bool is not a number, as in the file
+    reader."""
+    if isinstance(value, bool):
+        raise ValueError(f"{label} is not a number: {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{label} is not finite: {value!r}")
     try:

@@ -13,6 +13,7 @@ from frisolve import (
     as_point,
     compose,
     is_member,
+    log_sum_exp,
     ones,
     zeros,
 )
@@ -126,8 +127,12 @@ class TestValidation:
             (lambda: ones(0), "dimension must be >= 1, got 0"),
             (lambda: zeros(0), "dimension must be >= 1, got 0"),
             (lambda: Instance(A=(), b=()), "A must have at least one row"),
+            # Not empty, but the same exact-message check: a coordinate
+            # that is not a number is named by its position.
+            (lambda: as_point(["0.5", "abc"]), "x[2] is not a number: 'abc'"),
+            (lambda: log_sum_exp([0.5, True]), "x[2] is not a number: True"),
         ],
-        ids=["point", "ones", "zeros", "instance"],
+        ids=["point", "ones", "zeros", "instance", "point-not-a-number", "objective-not-a-number"],
     )
     def test_empty_is_rejected(self, build, message):
         with pytest.raises(ValueError) as info:

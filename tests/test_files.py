@@ -335,13 +335,16 @@ class TestParseFailures:
         assert str(info.value) == message
 
     def test_library_grades_convert_as_before(self):
-        # ints, bools, decimal strings and floats convert; Fractions in
-        # range are kept as they are.
+        # ints, decimal strings and floats convert; Fractions in range are
+        # kept as they are. A bool is not a number, as in the reader.
         half = Fraction(1, 2)
-        inst = Instance(A=((True, 0, "0.25"), (half, 0.75, Fraction(1, 3))), b=(1, half))
+        inst = Instance(A=((1, 0, "0.25"), (half, 0.75, Fraction(1, 3))), b=(1, half))
         assert inst.A == ((1, 0, Fraction(1, 4)), (half, Fraction(3, 4), Fraction(1, 3)))
         assert all(type(v) is Fraction for row in inst.A for v in row)
         assert inst.A[1][0] is half and inst.b[1] is half
+        with pytest.raises(ValueError) as info:
+            Instance(A=((True, 0.5),), b=(0.5,))
+        assert str(info.value) == "A[1][1] is not a number: True"
 
 
 class TestInstanceType:

@@ -205,12 +205,13 @@ class TestReader:
 @st.composite
 def grade_likes(draw, top: int = 1):
     """A value in [0, top] as one of the GradeLike types: a Fraction, an
-    int, a bool, a decimal or ratio string, or a float."""
+    int, a decimal or ratio string, or a float. A bool is no grade
+    (GRADE_NOT_NUMBERS)."""
     q = draw(st.sampled_from([1, 3, 4, 10, 10_000]))
     value = Fraction(draw(st.integers(0, top * q)), q)
-    form = draw(st.sampled_from(["fraction", "int", "bool", "str", "float"]))
-    if form in ("int", "bool") and value.denominator == 1 and value <= 1:
-        return bool(value) if form == "bool" else int(value)
+    form = draw(st.sampled_from(["fraction", "int", "str", "float"]))
+    if form == "int" and value.denominator == 1 and value <= 1:
+        return int(value)
     if form == "str":
         return draw(st.sampled_from([str(value), f"{float(value)!r}"]))
     if form == "float":
@@ -219,7 +220,9 @@ def grade_likes(draw, top: int = 1):
 
 
 GRADE_OUT_OF_RANGE = [-1, 2, "1.5", "-1/3", 1.0000001, -0.25, Fraction(3, 2), Fraction(-1, 10**9)]
-GRADE_NOT_NUMBERS = [None, "x", "", math.nan, math.inf, -math.inf, [0.5], "nan", "1/0", object]
+GRADE_NOT_NUMBERS = [
+    None, "x", "", math.nan, math.inf, -math.inf, [0.5], "nan", "1/0", object, True, False,
+]
 NEGATIVE_EPSILONS = [-1, -0.5, "-1/3", Fraction(-1, 7), "-0.0001"]
 
 

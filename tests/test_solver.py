@@ -311,6 +311,23 @@ def test_objective_evaluated_once_per_minimal_point(golden):
     assert report.minimal_values == tuple(log_sum_exp(c.point) for c in report.minimal_solutions)
 
 
+def test_a_bound_that_cuts_every_minimal_leaf_raises():
+    # Under a decreasing objective, a leaf above a minimal point has the
+    # lower value, so the bound can cut every minimal leaf; solve still
+    # finds the minimal points.
+    def decreasing(x):
+        return -float(sum(x))
+
+    inst, _ = generate_instance(6, 4, seed=0, density=2)
+    assert len(solve(inst, decreasing).minimal_solutions) == 6
+    with pytest.raises(ValueError) as info:
+        solve_unpruned(inst, decreasing)
+    assert str(info.value) == (
+        "the bound cut every minimal leaf, which only an objective that is"
+        " not monotone nondecreasing can cause"
+    )
+
+
 @pytest.mark.parametrize("runner", [solve, solve_unpruned])
 @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
 def test_the_answer_stays_integer_until_read(monkeypatch, runner, objective):
