@@ -11,11 +11,13 @@ Floats convert losslessly on input; decimal strings keep their printed value.
 
 The search itself needs only comparisons and differences of grades, so
 an ``Instance`` also holds its grades as integers: one least common
-denominator D and every grade times D. The file reader and the generator
-build an instance straight from integers (``_scale``), with Instance's
-checks and messages and no Fraction per grade; its Fractions ``A`` and
-``b`` are then views (``functools.cached_property``), built only when
-read and kept.
+denominator D and every grade times D. One function builds every such
+instance, with Instance's checks and messages (``_from_integers``): the
+file reader reaches it through ``_scale``, which puts its rationals over
+their lcm, and the generator gives it its ticks over 10000 directly. No
+Fraction is built per grade; the Fractions ``A`` and ``b`` of such an
+instance are views (``functools.cached_property``), built only when read
+and kept.
 
 Everything in this module is immutable after construction and safe to share
 across threads (threads that build an instance's Fraction views at once
@@ -151,9 +153,9 @@ class Instance:
     Equality and hash read only the integers, which D being the least
     common denominator makes the same for equal instances. ``A`` and
     ``b`` are the Fractions given, converted; for an instance built from
-    integers (``_scale``, as the file reader and the generator build one)
-    they are cached-property views of ``_A`` and ``_b`` over ``_D``,
-    built on first read and kept.
+    integers (``_from_integers``, as the file reader and the generator
+    build one) they are cached-property views of ``_A`` and ``_b`` over
+    ``_D``, built on first read and kept.
     """
 
     A: tuple[tuple[Fraction, ...], ...] = field(compare=False)
@@ -222,15 +224,9 @@ def _scale(
     """inst, or a new Instance, holding these grades, given as pairs, in
     integers; a new Instance builds A and b on first read.
 
-    rows must be non-empty, and so must each row. The checks are in this
-    order: each row in range and as wide as the first, b in range and one
-    entry a row, epsilon at least 0 (worded with ``shown``, the value as
-    given). A Fraction is built only to word an error. The range test runs
-    on the scaled integers: 0 <= p/q <= 1 holds exactly when
-    0 <= D * p/q <= D. The lcm of the denominators is divided by its gcd
-    with every scaled value, which leaves the least common denominator of
-    the reduced rationals. That gcd is taken over D, epsilon and b first,
-    then row by row, and stops once it reaches 1.
+    Every pair p/q becomes D * p/q over the lcm D of the denominators, and
+    _from_integers checks and reduces them, as it does for the generator's
+    ticks.
     """
     ep, eq = epsilon.numerator, epsilon.denominator
     denominators = {eq, *map(_denominator, b)}
@@ -238,40 +234,63 @@ def _scale(
         denominators.update(map(_denominator, row))
     d = math.lcm(*denominators)
     factor = {q: d // q for q in denominators}
+    A = [tuple([p * factor[q] for p, q in row]) for row in rows]
+    thresholds = tuple([p * factor[q] for p, q in b])
+    return _from_integers(d, A, thresholds, ep * factor[eq], epsilon, shown, inst)
 
-    def scaled(pairs: list[_Pair], label: Callable[[int], str]) -> tuple[int, ...]:
-        values = tuple([p * factor[q] for p, q in pairs])
+
+def _from_integers(
+    d: int,
+    A: list[tuple[int, ...]],
+    b: tuple[int, ...],
+    eps: int,
+    epsilon: Fraction,
+    shown: object,
+    inst: Instance | None = None,
+) -> Instance:
+    """inst, or a new Instance, holding the grades a/d, b_i/d and eps/d,
+    d > 0, with epsilon the Fraction eps/d; the one builder of every
+    instance held in integers, for _scale and for the generator.
+
+    A must be non-empty, and so must each row. The checks are in this
+    order: each row in range and as wide as the first, b in range and one
+    entry a row, eps at least 0 (worded with ``shown``, epsilon as given).
+    A Fraction is built only to word an error. The range test runs on the
+    integers: 0 <= v/d <= 1 holds exactly when 0 <= v <= d. d is then
+    divided by its gcd with every value, which leaves the least common
+    denominator of the reduced rationals. That gcd is taken over d,
+    epsilon and b first, then row by row, and stops once it reaches 1.
+    """
+
+    def check_range(values: tuple[int, ...], label: Callable[[int], str]) -> None:
         if values and (min(values) < 0 or max(values) > d):
             k = next(k for k, v in enumerate(values) if not 0 <= v <= d)
-            raise _out_of_range(label(k), Fraction(*pairs[k]))
-        return values
+            raise _out_of_range(label(k), Fraction(values[k], d))
 
-    width = len(rows[0])
-    A = []
-    for i, row in enumerate(rows):
-        A.append(scaled(row, lambda j: f"A[{i + 1}][{j + 1}]"))
+    width = len(A[0])
+    for i, row in enumerate(A):
+        check_range(row, lambda j: f"A[{i + 1}][{j + 1}]")
         if len(row) != width:
             raise ValueError(f"A[{i + 1}] has {len(row)} columns, expected {width}")
-    thresholds = scaled(b, lambda i: f"b[{i + 1}]")
-    if len(thresholds) != len(A):
-        raise ValueError(f"b has {len(thresholds)} entries, expected {len(A)}")
-    if ep < 0:
+    check_range(b, lambda i: f"b[{i + 1}]")
+    if len(b) != len(A):
+        raise ValueError(f"b has {len(b)} entries, expected {len(A)}")
+    if eps < 0:
         raise ValueError(f"epsilon must be >= 0, got {shown!r}")
-    eps = ep * factor[eq]
-    g = math.gcd(d, eps, *thresholds)
+    g = math.gcd(d, eps, *b)
     for row in A:
         if g == 1:
             break
         g = math.gcd(g, *row)
     if g > 1:
-        d, eps, thresholds = d // g, eps // g, tuple([v // g for v in thresholds])
+        d, eps, b = d // g, eps // g, tuple([v // g for v in b])
         A = [tuple([a // g for a in row]) for row in A]
     if inst is None:
         inst = object.__new__(Instance)
     # object.__setattr__ keeps the attributes inline: an update of
     # vars(inst) would give every instance a dict of its own, about 160
     # bytes more on a small instance.
-    attributes = (("epsilon", epsilon), ("_D", d), ("_A", tuple(A)), ("_b", thresholds), ("_eps", eps))
+    attributes = (("epsilon", epsilon), ("_D", d), ("_A", tuple(A)), ("_b", b), ("_eps", eps))
     for name, value in attributes:
         object.__setattr__(inst, name, value)
     return inst

@@ -16,13 +16,14 @@ holds it named.
 
 Each value is validated once. The parser checks the document's shape and
 that each grade slot holds a number within the bounds; core._scale then
-checks ranges and lengths on integers, with the order and messages of
-Instance(...), which validates through the same function, and builds the
-Instance: every grade scaled by its least common denominator D, with no
-Fraction per grade; one is built only to word an error, and the Instance
-builds its Fraction views of A and b only when they are read. The label
-that names a value in an error ("A[2][3]", "b[1]") is built only for the
-value that fails, so a valid file builds none.
+checks ranges and lengths on integers (in core._from_integers), with the
+order and messages of Instance(...), which validates through the same
+function, and builds the Instance: every grade scaled by its least common
+denominator D, with no Fraction per grade; one is built only to word an
+error, and the Instance builds its Fraction views of A and b only when
+they are read. The label that names a value in an error ("A[2][3]",
+"b[1]") is built only for the value that fails, so a valid file builds
+none.
 
 On output, grades are emitted as their float value, whose shortest repr
 round-trips to the same rational for any grade with at most 15 significant

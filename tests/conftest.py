@@ -1,16 +1,17 @@
 """Shared fixtures: the golden 5x7 instance with its hand-checked values,
-random-instance streams, every leaf of the covered-row walk, the
-list-based reference of the row test, the product-then-dominance
-reference, the oracle's Fraction references, the Fraction references
-of Instance's checks and of the instance reader, the generic JSON writer with
-the instance and report references it renders, and the
-acceptance-criteria summary hook."""
+random-instance streams and the generator's reference, every leaf of the
+covered-row walk, the list-based reference of the row test, the
+product-then-dominance reference, the oracle's Fraction references, the
+Fraction references of Instance's checks and of the instance reader, the
+generic JSON writer with the instance and report references it renders,
+and the acceptance-criteria summary hook."""
 
 from __future__ import annotations
 
 import itertools
 import json
 import math
+import random
 import re
 from fractions import Fraction
 from itertools import repeat
@@ -122,6 +123,30 @@ def random_instances(count: int, base_seed: int, density: float = 1.0, feasible:
         )
         out.append((inst, name))
     return out
+
+
+def reference_generate(
+    m: int, n: int, seed: int, feasible: bool = True, density: float = 1.0
+) -> tuple[Instance, str]:
+    """generate_instance written out as it was first built: randrange for
+    every tick, and Instance(...) from the Fractions tick/10000."""
+    rng = random.Random(seed)
+    A = [[rng.randrange(10001) for _ in range(n)] for _ in range(m)]
+    bad_row = rng.randrange(m) if not feasible else None
+    if bad_row is not None:
+        A[bad_row] = [min(a, 9999) for a in A[bad_row]]
+    b = []
+    for i in range(m):
+        amax = max(A[i])
+        if i == bad_row:
+            b.append(amax + 1 + rng.randrange(10000 - amax))
+        else:
+            u = rng.random() ** density
+            b.append(min(int(u * (amax / 10000) * 10000), amax))
+    grades = [[Fraction(a, 10000) for a in row] for row in A]
+    mode = "feasible" if feasible else "infeasible"
+    name = f"random-{m}x{n}-seed{seed}-{mode}"
+    return Instance(A=grades, b=[Fraction(t, 10000) for t in b]), name
 
 
 def selector_key(selector: tuple[Optional[int], ...]) -> tuple[int, ...]:

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from frisolve import cli, parse_instance_text, serialize_instance
+from frisolve import cli, generate_instance, parse_instance_text, serialize_instance
 from frisolve.cli import main
 from frisolve.feasibility import IndexSets, compute_index_sets
 from frisolve.files import InstanceFormatError
@@ -372,6 +373,35 @@ class TestGenerate:
         assert main(["generate", "3", "3", "--seed", "1", f"--density={density}"]) == 1
         assert "density must be a finite number > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((True, 3), {"seed": 1}, "m must be an integer, got True"),
+            ((2.5, 3), {"seed": 1}, "m must be an integer, got 2.5"),
+            ((3, "4"), {"seed": 1}, "n must be an integer, got '4'"),
+            ((3, False), {"seed": 1}, "n must be an integer, got False"),
+            ((3, 3), {"seed": None}, "seed must be an integer, got None"),
+            ((3, 3), {"seed": 1.0}, "seed must be an integer, got 1.0"),
+            ((3, 3), {"seed": True}, "seed must be an integer, got True"),
+            ((3, 3), {"seed": 1, "density": True}, "density must be a finite number > 0, got True"),
+            ((3, 3), {"seed": 1, "density": "2"}, "density must be a finite number > 0, got '2'"),
+            (
+                (3, 3),
+                {"seed": 1, "density": Decimal(2)},
+                "density must be a finite number > 0, got Decimal('2')",
+            ),
+            ((0, 3), {"seed": 1}, "dimensions must be >= 1, got m=0, n=3"),
+        ],
+        ids=["m-bool", "m-float", "n-str", "n-bool", "seed-none", "seed-float", "seed-bool",
+             "density-bool", "density-str", "density-decimal", "m-zero"],
+    )
+    def test_library_arguments_the_cli_never_sends_are_rejected(self, args, kwargs, message):
+        # The CLI parses m, n and --seed as int and --density as float;
+        # the library must not turn anything else into an instance.
+        with pytest.raises(ValueError) as got:
+            generate_instance(*args, **kwargs)
+        assert str(got.value) == message
+
     def test_unwritable_output_is_reported_as_a_write(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.json"
         assert main(["generate", "2", "2", "--seed", "1", "-o", str(target)]) == 1
@@ -595,9 +625,21 @@ class TestPinnedOutput:
         assert block.splitlines() == want.splitlines()
 
     def test_generated_instance(self, capsys):
-        assert main(["generate", "3", "4", "--seed", "5"]) == 0
-        want = (EXPECTED / "generate_3_4_seed5.json").read_text(encoding="utf-8")
-        assert capsys.readouterr().out == want
+        cases = [
+            (["3", "4", "--seed", "5"], "generate_3_4_seed5.json"),
+            # The gcd reduction leaves D = 5000.
+            (["2", "2", "--seed", "30"], "generate_2_2_seed30.json"),
+            # Infeasible mode at a density other than 1: the bad row's draw
+            # and its threshold draw.
+            (
+                ["6", "5", "--seed", "8", "--infeasible", "--density", "0.7"],
+                "generate_6_5_seed8_infeasible.json",
+            ),
+        ]
+        for argv, expected in cases:
+            assert main(["generate", *argv]) == 0
+            want = (EXPECTED / expected).read_text(encoding="utf-8")
+            assert capsys.readouterr().out == want
 
 
 class TestParserReuse:

@@ -183,6 +183,18 @@ def test_bound_search_report_is_pinned(tmp_path, capsys, objective):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == NO_PRUNE_SHA256[objective]
 
 
+# sha256 of `generate 400 100 --seed 1 --density 2`, the largest rung of
+# the instance ladder, recorded while the generator drew each grade with
+# randrange and built the instance through the file reader's scaling.
+LADDER_TOP_SHA256 = "b9f72b19e06688f7119c4eda7c322cf8328b715124b9c3ffe4dd85dad99d226a"
+
+
+def test_largest_generated_instance_is_pinned(capsys):
+    assert main(["generate", "400", "100", "--seed", "1", "--density", "2"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LADDER_TOP_SHA256
+
+
 BOUNDS = "is out of the parse bounds (at most 50 digits and a decimal exponent within +-400)"
 LONG = "1" * 51  # one digit past the bound
 

@@ -10,10 +10,10 @@ from fractions import Fraction
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frisolve import Instance, as_grade, compute_index_sets
+from frisolve import Instance, as_grade, compute_index_sets, generate_instance
 from frisolve.files import (
     MAX_DIGITS,
     MAX_EXPONENT,
@@ -22,11 +22,17 @@ from frisolve.files import (
     _parse_int,
     grade_number,
     parse_instance_text,
+    serialize_instance,
 )
 from frisolve.objective import coordinate_sum, log_sum_exp, max_coordinate
 from frisolve.solver import _options
 
-from conftest import coordinate_threshold, reference_instance, reference_parse
+from conftest import (
+    coordinate_threshold,
+    reference_generate,
+    reference_instance,
+    reference_parse,
+)
 
 digits = st.text("0123456789", min_size=1, max_size=MAX_DIGITS)
 
@@ -292,6 +298,28 @@ class TestLibraryInstance:
         with pytest.raises(ValueError) as got:
             Instance(A=A, b=b, epsilon=epsilon)
         assert str(got.value) == str(want.value)
+
+
+@given(
+    m=st.integers(1, 12),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**64),
+    feasible=st.booleans(),
+    density=st.floats(0.05, 20),
+)
+@settings(max_examples=300)
+# Seed 722's first tick is the top one, GRID, which comes up once in 10,001
+# ticks; in infeasible mode its row is the one clamped to GRID - 1.
+@example(m=3, n=3, seed=722, feasible=True, density=1.0)
+@example(m=3, n=3, seed=722, feasible=False, density=1.0)
+def test_generator_equals_the_reference(m, n, seed, feasible, density):
+    """The tick loop draws what randrange draws, and the integer builder
+    holds what Instance(...) holds for the Fractions tick/10000."""
+    inst, name = generate_instance(m, n, seed, feasible, density)
+    want, want_name = reference_generate(m, n, seed, feasible, density)
+    assert name == want_name
+    assert (inst._D, inst._A, inst._b, inst._eps) == (want._D, want._A, want._b, want._eps)
+    assert serialize_instance(inst, name) == serialize_instance(want, want_name)
 
 
 class TestGradeRange:
