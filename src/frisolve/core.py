@@ -8,6 +8,10 @@ the row test's equality ``x_j == t_ij``, which decides minimality, must be
 a genuine equality. Binary floats break both (the identity fails by one
 ulp about half the time), rationals never do.
 Floats convert losslessly on input; decimal strings keep their printed value.
+``as_grade`` is the one rule for a grade given to the library, and
+``as_point`` applies it to each coordinate. ``is_member`` checks the
+system's inequality ``A o x >= b - epsilon`` on the composition that
+``compose`` computes.
 
 The search itself needs only comparisons and differences of grades, so
 an ``Instance`` also holds its grades as integers: one least common
@@ -77,28 +81,19 @@ def _out_of_range(label: str, grade: Fraction) -> ValueError:
     return ValueError(f"{label} out of [0,1]: {_short_decimal(grade)}")
 
 
-def _to_grade(value: GradeLike, label: Callable[[], str]) -> Fraction:
-    grade = _to_fraction(value, label)
-    if not 0 <= grade.numerator <= grade.denominator:
-        raise _out_of_range(label(), grade)
-    return grade
-
-
 def as_grade(value: GradeLike, label: str = "value") -> Fraction:
-    """Convert one membership grade to an exact rational in [0, 1].
+    """Convert one membership grade to an exact rational in [0, 1]; label
+    names it in the error for a value that is not one.
 
     Out-of-range and non-finite input is rejected rather than clamped;
     clamping would silently mask bad data files. The range test compares
     integers: a Fraction's denominator is positive, so ``0 <= p/q <= 1``
     holds exactly when ``0 <= p <= q``.
     """
-    return _to_grade(value, lambda: label)
-
-
-def _grades(values: Iterable[GradeLike], label: Callable[[int], str]) -> tuple[Fraction, ...]:
-    """The values converted as as_grade converts them; label(k) names
-    value k in the error for a bad one, and is built only then."""
-    return tuple([_to_grade(v, lambda: label(k)) for k, v in enumerate(values)])
+    grade = _to_fraction(value, lambda: label)
+    if not 0 <= grade.numerator <= grade.denominator:
+        raise _out_of_range(label, grade)
+    return grade
 
 
 def _fractions(values: Iterable[GradeLike], label: Callable[[int], str]) -> tuple[Fraction, ...]:
@@ -108,8 +103,10 @@ def _fractions(values: Iterable[GradeLike], label: Callable[[int], str]) -> tupl
 
 
 def as_point(values: Iterable[GradeLike], n: int | None = None) -> Point:
-    """Convert a coordinate sequence to an exact point in the unit cube."""
-    point = _grades(values, lambda k: f"x[{k + 1}]")
+    """Convert a coordinate sequence to an exact point in the unit cube:
+    each coordinate through as_grade, labelled ``x[k]`` from k = 1; then
+    the point must be non-empty and, when n is given, of length n."""
+    point = tuple([as_grade(v, f"x[{k + 1}]") for k, v in enumerate(values)])
     if not point:
         raise ValueError("x must have at least one coordinate")
     if n is not None and len(point) != n:
@@ -119,15 +116,13 @@ def as_point(values: Iterable[GradeLike], n: int | None = None) -> Point:
 
 def ones(n: int) -> Point:
     """The all-ones point, the top of the unit cube."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _check_count(n, "dimension")
     return (ONE,) * n
 
 
 def zeros(n: int) -> Point:
     """The all-zeros point, the bottom of the unit cube."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _check_count(n, "dimension")
     return (ZERO,) * n
 
 
@@ -297,7 +292,8 @@ def _from_integers(
 
 
 def compose(inst: Instance, x: Iterable[GradeLike]) -> tuple[Fraction, ...]:
-    """Row-wise max-Lukasiewicz composition of the instance matrix with ``x``."""
+    """Row-wise max-Lukasiewicz composition of the instance matrix with
+    ``x``: ``(A o x)_i = max_j max(0, a_ij + x_j - 1)``."""
     point = as_point(x, n=inst.n)
     out = []
     for row in inst.A:
@@ -311,23 +307,13 @@ def compose(inst: Instance, x: Iterable[GradeLike]) -> tuple[Fraction, ...]:
 
 
 def is_member(inst: Instance, x: Iterable[GradeLike]) -> bool:
-    """Whether ``x`` satisfies every row inequality, i.e. lies in the
-    feasible region.
+    """Whether ``x`` lies in the feasible region: every row i satisfies
+    ``(A o x)_i >= b_i - epsilon``, with ``A o x`` the composition
+    ``compose`` computes. A row with ``b_i - epsilon <= 0`` holds for every
+    x, because the composition is never negative.
 
     Membership is upward closed: raising any coordinate of a member keeps it
     a member, because the composition is monotone in ``x``.
     """
-    point = as_point(x, n=inst.n)
     eps = inst.epsilon
-    for row, bi in zip(inst.A, inst.b):
-        threshold = bi - eps
-        if threshold <= ZERO:
-            continue
-        satisfied = False
-        for a, xj in zip(row, point):
-            if a + xj - ONE >= threshold:
-                satisfied = True
-                break
-        if not satisfied:
-            return False
-    return True
+    return all(c >= bi - eps for c, bi in zip(compose(inst, x), inst.b))

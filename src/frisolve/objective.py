@@ -50,8 +50,9 @@ def _floats(x: Sequence[GradeLike]) -> list[float]:
 class _BuiltIn:
     """A built-in objective: its float kernel, ``kernel``, applied to the
     floats of an exact point. Used as a decorator on the kernel, whose
-    name and docstring it takes. It pickles and copies by name, as the
-    function it replaced did."""
+    name and docstring it takes. ``pickle`` and ``copy`` give back the
+    same object: ``__reduce__`` returns its name, the module global it is
+    bound to."""
 
     def __init__(self, kernel: Callable[[Sequence[float]], float]):
         self.kernel = kernel

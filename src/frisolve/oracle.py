@@ -56,7 +56,6 @@ judged too.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import operator
@@ -200,7 +199,7 @@ def _feasible_members(
     masks, full = _row_masks(inst, grid)
     rest = [0] * (len(masks) + 1)
     for j in reversed(range(len(masks))):
-        rest[j] = rest[j + 1] | functools.reduce(operator.or_, masks[j], 0)
+        rest[j] = rest[j + 1] | masks[j][-1]  # the masks accumulate: the last is their union
     prefixes = [(0, (), 0)]
     for column, column_masks, stride, later in zip(grid.columns, masks, strides, rest[1:]):
         steps = [

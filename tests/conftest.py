@@ -304,6 +304,15 @@ def reference_fraction(value: Any, label: str) -> Fraction:
         raise ValueError(f"{label} is not a number: {value!r}") from exc
 
 
+def reference_grade(value: Any, label: str) -> Fraction:
+    """value as an exact rational in [0, 1], tested on its Fraction, or the
+    ValueError the library words for a value that is not one."""
+    grade = reference_fraction(value, label)
+    if not 0 <= grade <= 1:
+        raise ValueError(f"{label} out of [0,1]: {_short_decimal(grade)}")
+    return grade
+
+
 def reference_instance(
     A: Iterable[Iterable[Any]], b: Iterable[Any], epsilon: Any = 0
 ) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...], Fraction]:
@@ -315,13 +324,7 @@ def reference_instance(
     message Instance(...) must give for an input with one defect."""
 
     def grades(values: Iterable[Any], label) -> tuple[Fraction, ...]:
-        out = []
-        for k, v in enumerate(values):
-            grade = reference_fraction(v, label(k))
-            if not 0 <= grade <= 1:
-                raise ValueError(f"{label(k)} out of [0,1]: {_short_decimal(grade)}")
-            out.append(grade)
-        return tuple(out)
+        return tuple([reference_grade(v, label(k)) for k, v in enumerate(values)])
 
     rows = tuple(A)
     if not rows:

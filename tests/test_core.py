@@ -124,15 +124,22 @@ class TestValidation:
         "build, message",
         [
             (lambda: as_point([]), "x must have at least one coordinate"),
-            (lambda: ones(0), "dimension must be >= 1, got 0"),
-            (lambda: zeros(0), "dimension must be >= 1, got 0"),
+            (lambda: ones(0), "dimension must be an integer >= 1, got 0"),
+            (lambda: zeros(0), "dimension must be an integer >= 1, got 0"),
+            # A dimension is a count: a bool or a non-integer is no dimension.
+            (lambda: ones(True), "dimension must be an integer >= 1, got True"),
+            (lambda: ones(2.5), "dimension must be an integer >= 1, got 2.5"),
+            (lambda: zeros("3"), "dimension must be an integer >= 1, got '3'"),
             (lambda: Instance(A=(), b=()), "A must have at least one row"),
             # Not empty, but the same exact-message check: a coordinate
             # that is not a number is named by its position.
             (lambda: as_point(["0.5", "abc"]), "x[2] is not a number: 'abc'"),
             (lambda: log_sum_exp([0.5, True]), "x[2] is not a number: True"),
         ],
-        ids=["point", "ones", "zeros", "instance", "point-not-a-number", "objective-not-a-number"],
+        ids=[
+            "point", "ones", "zeros", "ones-bool", "ones-float", "zeros-str", "instance",
+            "point-not-a-number", "objective-not-a-number",
+        ],
     )
     def test_empty_is_rejected(self, build, message):
         with pytest.raises(ValueError) as info:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frisolve import Instance, as_grade, compute_index_sets, generate_instance
+from frisolve import Instance, as_grade, as_point, compute_index_sets, generate_instance
 from frisolve.files import (
     MAX_DIGITS,
     MAX_EXPONENT,
@@ -29,7 +29,9 @@ from frisolve.solver import _options
 
 from conftest import (
     coordinate_threshold,
+    reference_fraction,
     reference_generate,
+    reference_grade,
     reference_instance,
     reference_parse,
 )
@@ -297,6 +299,30 @@ class TestLibraryInstance:
             reference_instance(A, b, epsilon)
         with pytest.raises(ValueError) as got:
             Instance(A=A, b=b, epsilon=epsilon)
+        assert str(got.value) == str(want.value)
+
+
+class TestLibraryPoint:
+    """as_point converts each coordinate of every GradeLike type, and
+    names a bad one by its position, as the Fraction reference does."""
+
+    @given(values=st.lists(grade_likes(), min_size=1, max_size=6))
+    @settings(max_examples=200)
+    def test_coordinates_denote_the_reference_point(self, values):
+        point = as_point(values, n=len(values))
+        assert point == tuple([reference_fraction(v, "x") for v in values])
+        assert all(type(x) is Fraction for x in point)
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_a_bad_coordinate_gets_the_reference_message(self, data):
+        values = data.draw(st.lists(grade_likes(), min_size=1, max_size=6))
+        k = data.draw(st.integers(0, len(values) - 1))
+        values[k] = data.draw(st.sampled_from(GRADE_OUT_OF_RANGE + GRADE_NOT_NUMBERS))
+        with pytest.raises(ValueError) as want:
+            reference_grade(values[k], f"x[{k + 1}]")
+        with pytest.raises(ValueError) as got:
+            as_point(values)
         assert str(got.value) == str(want.value)
 
 
