@@ -18,9 +18,10 @@ tuple of one column per row, None at a vacuous row. A column j reaches
 row i's threshold at x_j = t_ij = 1 + (b_i - epsilon) - a_ij. The
 report's cells, one box [x, ones] per minimal solution x, are derived from
 the minimal set where the report is rendered. brute_force is the
-independent exhaustive oracle that the verify command runs against the
-solver. All lattice arithmetic is exact rational arithmetic; floats appear
-only in objective values and serialized output.
+independent exhaustive oracle whose pass, on the instance's integers, the
+verify command runs against the solver. All lattice arithmetic is exact
+rational arithmetic; floats appear only in objective values and
+serialized output.
 """
 
 from .core import (

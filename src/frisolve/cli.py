@@ -29,7 +29,7 @@ import functools
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import __version__
 from .core import Instance, Point
@@ -45,8 +45,8 @@ from .objective import OBJECTIVES
 from .oracle import (
     DEFAULT_LIMIT,
     GridTooLargeError,
-    brute_force,
-    is_minimal_point,
+    _is_minimal_scaled,
+    _scaled_brute_force,
 )
 from .solver import (
     DEFAULT_CAP,
@@ -96,8 +96,12 @@ def _fmt_value(v: float) -> str:
     return f"{v:.4f}"
 
 
+def _fmt_floats(values: Iterable[float]) -> str:
+    return "[" + ", ".join(f"{v:.4f}" for v in values) + "]"
+
+
 def _fmt_point(p: Point) -> str:
-    return "[" + ", ".join(f"{grade_number(v):.4f}" for v in p) + "]"
+    return _fmt_floats(map(grade_number, p))
 
 
 def _fmt_selector(selector: tuple[Optional[int], ...]) -> str:
@@ -203,8 +207,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cap = _default_cap()
     _print_header(name, inst)
     objective = OBJECTIVES[args.objective]
-    # The oracle reads the instance's integers, with formulas of its own.
-    oracle_minimal, oracle_optimum = brute_force(inst, objective, limit=args.limit)
+    # The oracle reads the instance's integers, with formulas of its own,
+    # and answers in integers over inst._D, as the solver does: the two
+    # point sets are compared, ordered and checked on those integers.
+    oracle_minimal, oracle_optimum = _scaled_brute_force(inst, objective, args.limit)
     report = solve(inst, objective, cap)
 
     if not report.index_sets.feasible:
@@ -217,15 +223,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _verdict(not oracle_minimal)
 
     print(
-        f"solver: {len(report.minimal_solutions)} minimal solution(s), "
+        f"solver: {len(report._minimal)} minimal solution(s), "
         f"optimal value {report.optimal_value!r}"
     )
     if oracle_optimum is None:
         print("oracle: no feasible grid points")
         return _verdict(False)
     _, oracle_value = oracle_optimum
-    solver_points = sorted(c.point for c in report.minimal_solutions)
-    not_minimal = [p for p in solver_points if not is_minimal_point(inst, p)]
+    solver_points = sorted(point for _, point in report._minimal)
+    not_minimal = [p for p in solver_points if not _is_minimal_scaled(inst, p)]
     minimal_agree = solver_points == oracle_minimal and not not_minimal
     value_agree = report.optimal_value == oracle_value
 
@@ -234,7 +240,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"optimal value {oracle_value!r}"
     )
     for point in not_minimal:
-        print(f"not minimal by the row inequalities: x = {_fmt_point(point)}")
+        # t / D is the float grade_number gives for the Fraction t / D.
+        shown = _fmt_floats(t / inst._D for t in point)
+        print(f"not minimal by the row inequalities: x = {shown}")
     print(f"minimal set: {'agree' if minimal_agree else 'DISAGREE'}")
     print(f"optimal value: {'agree' if value_agree else 'DISAGREE'}")
     return _verdict(minimal_agree and value_agree)

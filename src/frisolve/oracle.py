@@ -34,23 +34,27 @@ column's top value never carries into the next column, so it lands on no
 grid point. The minimal codes are the feasible codes less, for each
 column j, every feasible code plus stride_j: one set pass per column.
 
-One pass serves both answers: brute_force builds the grid once, takes the
-feasible points once, and returns the minimal points and the optimum over
-every feasible point, in time linear in the number of grid points. Each
-feasible point carries from the search its code and, per column, the
+One pass serves both answers: ``_scaled_brute_force`` builds the grid
+once, takes the feasible points once, and returns the minimal points and
+the optimum over every feasible point, in time linear in the number of
+grid points. Each feasible point carries from the search its code and, per column, the
 entry the objective reads for its value k, from one table over the grid
 values built by ``objective._scaled_table``: a built-in carries its float
 kernel and reads the float k / D, with the bits it gives on the exact
 point; any other objective, a wrapper around a built-in included,
 receives every feasible point exactly, as Fractions k / D, in coordinate
 order. Only the minimal points and the optimizer are decoded from their
-codes to Fraction points.
+codes, to tuples of integers over D: that is what verify compares with
+the solver's points, which are integers over the same D. brute_force
+hands them out as Fraction points, one Fraction t / D per distinct
+coordinate t.
 
 The oracle reads the same integers as the solver, but shares none of its
 formulas, which is the point: a mistake in the solver's threshold t_ij
-moves the solver's points but not the grid. is_minimal_point checks a
-reported point from the row inequality alone, so a point off the grid is
-judged too.
+moves the solver's points but not the grid. ``_is_minimal_scaled`` checks
+a reported point from the row inequality alone, on integers, so a point
+off the grid is judged too: verify gives it the solver's integers over D,
+and is_minimal_point a Fraction point scaled to integers.
 """
 
 from __future__ import annotations
@@ -61,8 +65,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
-from .core import Instance, Point, _check_count
+from .core import GradeLike, Instance, Point, _check_count, as_point
 from .objective import Objective, _scaled_table, log_sum_exp
 
 DEFAULT_LIMIT = 10**6
@@ -88,8 +93,9 @@ class LatticeGrid:
     """Per-column sorted coordinate sets whose cartesian product contains
     every candidate and every minimal solution, as integers over the
     common denominator D of the instance it was built for (``inst._D``):
-    ``columns[j][k]`` stands for the coordinate ``columns[j][k] / D``. A
-    grid point becomes Fractions only where it is handed out (``_at``).
+    ``columns[j][k]`` stands for the coordinate ``columns[j][k] / D``.
+    Only brute_force turns grid points into Fractions, as it hands them
+    out.
     """
 
     columns: tuple[tuple[int, ...], ...]
@@ -119,25 +125,34 @@ def build_grid(inst: Instance) -> LatticeGrid:
     return LatticeGrid(columns=tuple(tuple(sorted(c)) for c in values))
 
 
-def is_minimal_point(inst: Instance, x: Point) -> bool:
+def is_minimal_point(inst: Instance, x: Iterable[GradeLike]) -> bool:
     """Whether x is a minimal solution, decided from the row inequality
-    ``a_ij + x_j - 1 >= b_i - epsilon`` alone.
+    ``a_ij + x_j - 1 >= b_i - epsilon`` alone (``_is_minimal_scaled``).
+
+    x goes through ``as_point``, the one rule for a point given to the
+    library: a coordinate that is not a grade in [0, 1], an empty point,
+    or a point whose length is not the instance's column count raises
+    ValueError. The test runs on integers over the lcm of D and the
+    denominators of x, since a wrong point need not lie on the grid.
+    """
+    point = as_point(x, n=inst.n)
+    d = inst._D
+    scale = math.lcm(d, *(v.denominator for v in point))
+    return _is_minimal_scaled(
+        inst, [v.numerator * (scale // v.denominator) for v in point], scale // d
+    )
+
+
+def _is_minimal_scaled(inst: Instance, point: Sequence[int], up: int = 1) -> bool:
+    """Whether the point whose coordinates are ``point[j] / (D * up)`` is
+    a minimal solution; the instance's integers are multiplied up by up.
 
     Every constraining row must be met, and each nonzero x_j must be the
     sole column meeting some constraining row, meeting it with equality:
     then lowering x_j by any amount breaks that row, and by upward closure
-    no other member lies below x. The test runs on integers over the lcm
-    of D and the denominators of x, since a wrong point need not lie on
-    the grid; the instance's integers are multiplied up by ``scale // D``.
-    A point whose length is not the instance's column count raises
-    ValueError.
+    no other member lies below x.
     """
-    if len(x) != inst.n:
-        raise ValueError(f"x has {len(x)} coordinates, expected {inst.n}")
     d = inst._D
-    scale = math.lcm(d, *(v.denominator for v in x))
-    up = scale // d
-    point = [v.numerator * (scale // v.denominator) for v in x]
     # A zero coordinate meets no constraining row: a_ij - 1 <= 0 < b_i - epsilon.
     nonzero = [j for j, xj in enumerate(point) if xj]
     tight = set()
@@ -214,10 +229,10 @@ def _feasible_members(
     return [code for code, _, _ in prefixes], [entries for _, entries, _ in prefixes]
 
 
-def _at(grid: LatticeGrid, d: int, strides: list[int], code: int) -> Point:
-    """The exact grid point at a code, on the denominator d."""
+def _at(grid: LatticeGrid, strides: list[int], code: int) -> tuple[int, ...]:
+    """The grid point at a code, as its integers over D."""
     return tuple([
-        Fraction(column[code // stride % (len(column) + 1)], d)
+        column[code // stride % (len(column) + 1)]
         for column, stride in zip(grid.columns, strides)
     ])
 
@@ -228,22 +243,41 @@ def brute_force(
     limit: int = DEFAULT_LIMIT,
 ) -> tuple[list[Point], tuple[Point, float] | None]:
     """The exact minimal-solution set and the optimum, by one exhaustive
-    pass over the grid.
+    pass over the grid (``_scaled_brute_force``).
 
     The minimal points are the feasible grid points that no other feasible
     grid point sits weakly below: those where lowering any one coordinate
     to the previous value of its grid column leaves the feasible set. They
-    are found by one set pass per column over the feasible points' codes
-    (see the module docstring) and come sorted by coordinates, for stable
-    comparison against solver output. The optimum is ``(optimizer, value)``
-    over every feasible grid point, found without any structural shortcut;
-    for a monotone objective it is the global minimum over the feasible
-    region. Ties break toward the coordinatewise smallest point. It is None
-    when no grid point is feasible, and then the minimal set is empty.
+    come sorted by coordinates, for stable comparison against solver
+    output. The optimum is ``(optimizer, value)`` over every feasible grid
+    point, found without any structural shortcut; for a monotone objective
+    it is the global minimum over the feasible region. Ties break toward
+    the coordinatewise smallest point. It is None when no grid point is
+    feasible, and then the minimal set is empty. The pass answers in
+    integers over D, and each distinct coordinate t of its points becomes
+    one Fraction t / D here.
 
     A grid of more than ``limit`` points raises GridTooLargeError before
     the search; a limit that is not an integer of at least 1 raises
     ValueError, as solve's cap does.
+    """
+    minimal, optimum = _scaled_brute_force(inst, objective, limit)
+    if optimum is None:
+        return [], None
+    d = inst._D
+    optimizer, value = optimum
+    fraction = {t: Fraction(t, d) for t in {*optimizer}.union(*minimal)}.__getitem__
+    return [tuple(map(fraction, p)) for p in minimal], (tuple(map(fraction, optimizer)), value)
+
+
+def _scaled_brute_force(
+    inst: Instance, objective: Objective, limit: int
+) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], float] | None]:
+    """brute_force's answer with every point as its integers over D.
+
+    The minimal points are found by one set pass per column over the
+    feasible points' codes (see the module docstring); the objective is
+    valued on every feasible grid point.
     """
     _check_count(limit, "limit")
     d = inst._D
@@ -268,5 +302,5 @@ def brute_force(
     minimal = set(codes)
     for stride in strides:
         minimal.difference_update(map(stride.__add__, codes))
-    optimizer = _at(grid, d, strides, codes[best])
-    return [_at(grid, d, strides, code) for code in sorted(minimal)], (optimizer, value)
+    optimizer = _at(grid, strides, codes[best])
+    return [_at(grid, strides, code) for code in sorted(minimal)], (optimizer, value)

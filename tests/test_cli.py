@@ -266,7 +266,7 @@ class TestVerify:
         def fail(*args, **kwargs):
             raise AssertionError("the oracle ran before FRI_CAP was read")
 
-        monkeypatch.setattr("frisolve.cli.brute_force", fail)
+        monkeypatch.setattr("frisolve.cli._scaled_brute_force", fail)
         monkeypatch.setenv("FRI_CAP", "abc")
         assert main(["verify", golden_file, "--limit", "1"]) == 1
         out, err = capsys.readouterr()

@@ -28,7 +28,7 @@ from frisolve import oracle
 from frisolve.cli import main
 from frisolve.objective import _scaled_table
 from frisolve.oracle import _feasible_members, _strides, build_grid, is_minimal_point
-from frisolve.solver import _options as scaled_options
+from frisolve.solver import Candidate, _options as scaled_options
 
 from conftest import (
     GOLDEN_CANDIDATES,
@@ -230,6 +230,9 @@ def test_verify_catches_a_row_test_mistake(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "not minimal by the row inequalities" in out
     assert "minimal set: DISAGREE" in out
+    # The whole report, the points printed from the solver's integers,
+    # byte for byte.
+    assert out == (EXPECTED / "verify_7x7_seed4_row_test_mistake.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", ["random_7x7_seed4.json", "epsilon.json", "infeasible.json"])
@@ -247,6 +250,73 @@ def test_verify_builds_no_fraction_view_of_the_instance(capsys, monkeypatch, nam
     assert main(["verify", str(INSTANCES / name)]) == 0
     (inst,) = loaded
     assert "A" not in vars(inst) and "b" not in vars(inst)
+
+
+@pytest.mark.parametrize("name", ["random_7x7_seed4.json", "epsilon.json"])
+def test_verify_builds_no_fraction_and_no_candidate_after_load(capsys, monkeypatch, name):
+    # The oracle answers in integers over D and verify reads the report's
+    # integers, so from the grid to the verdict neither side builds a
+    # Fraction or a Candidate. Reading the report's Candidates then builds
+    # both, which shows that the counters see the builds.
+    built = {"Fraction": 0, "Candidate": 0}
+    new, init = Fraction.__new__, Candidate.__init__
+    reports = []
+
+    def counted_new(cls, *args, **kwargs):
+        built["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        built["Candidate"] += 1
+        init(self, *args, **kwargs)
+
+    def load(path):
+        loaded = load_instance(path)
+        monkeypatch.setattr(Fraction, "__new__", counted_new)
+        monkeypatch.setattr(Candidate, "__init__", counted_init)
+        return loaded
+
+    def kept_solve(*args):
+        reports.append(solve(*args))
+        return reports[-1]
+
+    monkeypatch.setattr("frisolve.cli.load_instance", load)
+    monkeypatch.setattr("frisolve.cli.solve", kept_solve)
+    assert main(["verify", str(INSTANCES / name)]) == 0
+    assert "verdict: agree" in capsys.readouterr().out
+    assert built == {"Fraction": 0, "Candidate": 0}
+    (report,) = reports
+    assert report.minimal_solutions
+    assert built["Fraction"] > 0 and built["Candidate"] > 0
+
+
+# x_1 = 7/10 meets the row with equality, alone. The float 0.7 lies just
+# below 7/10 and meets no row.
+@pytest.mark.parametrize(
+    "x, minimal", [((0.7, 0), False), (("0.7", "0"), True), ((1, 0.0), False)]
+)
+def test_minimality_predicate_reads_any_grade(x, minimal):
+    # Each coordinate goes through as_point, the one grade rule: a float is
+    # its exact binary value, a string its printed value.
+    inst = Instance(A=(("0.9", "0.6"),), b=("0.6",))
+    assert is_minimal_point(inst, x) is minimal
+    assert is_minimal_point(inst, tuple(Fraction(v) for v in x)) is minimal
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        ((True, 0), "x[1] is not a number: True"),
+        ((), "x must have at least one coordinate"),
+        (("1.5", 0), "x[1] out of [0,1]: 1.5"),
+        ((0, -1), "x[2] out of [0,1]: -1"),
+    ],
+)
+def test_minimality_predicate_rejects_what_as_point_rejects(x, message):
+    inst = Instance(A=(("0.9", "0.6"),), b=("0.6",))
+    with pytest.raises(ValueError) as err:
+        is_minimal_point(inst, x)
+    assert str(err.value) == message
 
 
 @given(inst=mixed_instances(epsilons=SEVENTHS))
@@ -289,7 +359,12 @@ def test_integer_minimality_matches_the_fraction_definition(inst):
             for step in (seventh, -seventh):
                 shifted.append(x[:j] + (x[j] + step,) + x[j + 1:])
         for point in shifted:
-            assert is_minimal_point(inst, point) == fraction_is_minimal_point(inst, point)
+            if all(0 <= v <= 1 for v in point):
+                assert is_minimal_point(inst, point) == fraction_is_minimal_point(inst, point)
+            else:
+                # A shift out of the unit cube is no point, by as_point's rule.
+                with pytest.raises(ValueError, match=r"^x\[\d+\] out of \[0,1\]: "):
+                    is_minimal_point(inst, point)
 
 
 def decode(grid, code):
