@@ -14,7 +14,10 @@ for its grid; a malformed FRI_CAP it refuses before either, and before it
 prints anything. Reports go to stdout, diagnostics to stderr. All row/column
 indices in output are 1-based; text mode rounds values to 4 decimals,
 structured mode emits full precision. Both formats are byte-identical from
-run to run unless --timings adds wall-clock stage times.
+run to run unless --timings adds wall-clock stage times. Every command
+writes its answer from the integers the search or the product holds,
+through the point and selector writers of files._writers; none builds a
+Fraction or a Candidate after the instance is read.
 
 An argv whose first word names a command is parsed by that command's
 subparser alone, so argparse reads each argument once; any other argv
@@ -29,13 +32,14 @@ import functools
 import json
 import os
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
-from .core import Instance, Point
+from .core import Instance
 from .feasibility import InfeasibleSystemError, compute_index_sets
 from .files import (
-    grade_number,
+    _report_writers,
+    _writers,
     load_instance,
     render_report_json,
     serialize_instance,
@@ -52,7 +56,7 @@ from .solver import (
     DEFAULT_CAP,
     CapExceededError,
     SolveReport,
-    enumerate_candidates,
+    _product,
     solve,
     solve_unpruned,
 )
@@ -90,22 +94,6 @@ def _default_cap() -> int:
         return _positive_int(raw)
     except argparse.ArgumentTypeError as exc:
         raise ValueError(f"FRI_CAP {exc}")
-
-
-def _fmt_value(v: float) -> str:
-    return f"{v:.4f}"
-
-
-def _fmt_floats(values: Iterable[float]) -> str:
-    return "[" + ", ".join(f"{v:.4f}" for v in values) + "]"
-
-
-def _fmt_point(p: Point) -> str:
-    return _fmt_floats(map(grade_number, p))
-
-
-def _fmt_selector(selector: tuple[Optional[int], ...]) -> str:
-    return "[" + ", ".join("-" if c is None else str(c + 1) for c in selector) + "]"
 
 
 def _print_index_sets(idx) -> None:
@@ -152,21 +140,20 @@ def _print_text_report(
         _print_infeasible(report.index_sets)
         return
     _print_index_sets(report.index_sets)
+    point_text, selector_text = _report_writers(report, structured=False)
+    minimal = report._minimal
     print(f"|E| = {report.selector_count}")
-    if report.minimal_solutions:
-        print(f"minimal solutions: {len(report.minimal_solutions)}")
-        for cand, value in zip(report.minimal_solutions, report.minimal_values):
-            print(
-                f"  e = {_fmt_selector(cand.selector)}  "
-                f"x(e) = {_fmt_point(cand.point)}  f = {_fmt_value(value)}"
-            )
+    if minimal:
+        print(f"minimal solutions: {len(minimal)}")
+        for (key, point), value in zip(minimal, report.minimal_values):
+            print(f"  e = {selector_text(key)}  x(e) = {point_text(point)}  f = {value:.4f}")
     else:
         print("minimal solutions: not computed (pruning skipped)")
-    print(f"optimizer: e = {_fmt_selector(report.optimizer.selector)}")
-    print(f"x* = {_fmt_point(report.optimizer.point)}")
-    print(f"f* = {_fmt_value(report.optimal_value)}")
-    if report.minimal_solutions:
-        print(f"cells: {len(report.minimal_solutions)}")
+    key, point = report._optimizer
+    print(f"optimizer: e = {selector_text(key)}\nx* = {point_text(point)}")
+    print(f"f* = {report.optimal_value:.4f}")
+    if minimal:
+        print(f"cells: {len(minimal)}")
     if timings:
         stages = ", ".join(f"{k} {v:.3f}s" for k, v in report.timing.items())
         print(f"timings: {stages}")
@@ -188,10 +175,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     inst, _ = load_instance(args.path)
     cap = args.cap if args.cap is not None else _default_cap()
-    count = 0
-    for cand in enumerate_candidates(inst, cap):
-        print(f"e = {_fmt_selector(cand.selector)}  x(e) = {_fmt_point(cand.point)}")
-        count += 1
+    idx, coordinates, keyed = _product(inst, cap)
+    point_text, selector_text = _writers(inst._D, inst.n, coordinates, idx.vacuous, structured=False)
+    # The product holds at least one selector: every J(i) is non-empty.
+    for count, (key, point) in enumerate(keyed, 1):
+        print(f"e = {selector_text(key)}  x(e) = {point_text(point)}")
     print(f"|E| = {count}")
     return 0
 
@@ -239,10 +227,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"oracle: {len(oracle_minimal)} minimal point(s), "
         f"optimal value {oracle_value!r}"
     )
-    for point in not_minimal:
-        # t / D is the float grade_number gives for the Fraction t / D.
-        shown = _fmt_floats(t / inst._D for t in point)
-        print(f"not minimal by the row inequalities: x = {shown}")
+    if not_minimal:
+        point_text, _ = _report_writers(report, structured=False)
+        for point in not_minimal:
+            print(f"not minimal by the row inequalities: x = {point_text(point)}")
     print(f"minimal set: {'agree' if minimal_agree else 'DISAGREE'}")
     print(f"optimal value: {'agree' if value_agree else 'DISAGREE'}")
     return _verdict(minimal_agree and value_agree)

@@ -1,4 +1,5 @@
-"""Instance files and structured reports.
+"""Instance files, structured reports, and the text of every reported
+answer.
 
 An instance file is a single JSON document: required members "A" (array of
 m arrays of n numbers) and "b" (array of m numbers), optional "epsilon"
@@ -36,6 +37,12 @@ and render_report_json write their fixed shapes in one pass, leaf arrays
 on one line. Both write a grade from the integers the instance or the
 report holds, as the true division of the scaled value by D: no Fraction
 is read, and a report's Candidates are never built.
+
+How a reported point and its selector become text is decided here once,
+for every command (``_writers``): the structured report, the text solve
+report, the enumerate listing and verify's lines all write a point from
+its scaled coordinates and a selector from its key, so that none of them
+builds a Fraction or a Candidate.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_key
 from math import isfinite
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .core import Instance, _Pair, _scale
 from .solver import SolveReport
@@ -223,14 +230,6 @@ def load_instance(path: str | Path) -> tuple[Instance, Optional[str]]:
         raise InstanceFormatError(f"{path}: {exc}") from exc
 
 
-def grade_number(value: Fraction) -> float:
-    """Boundary conversion for output; see the module docstring for when
-    this round-trips exactly. The true division of numerator by
-    denominator is what float(value) computes, without its pure-Python
-    call."""
-    return value.numerator / value.denominator
-
-
 def _number(value: Any) -> str:
     """A value as json.dumps writes it: a finite float by its repr, and
     anything else (NaN, an infinity, None, an int) through the encoder."""
@@ -292,49 +291,72 @@ _MINIMAL_ENTRY = _entry("    ")
 _OPTIMIZER_ENTRY = _entry("  ")
 
 
+def _writers(
+    d: int, n: int, coordinates: Iterable[int], vacuous: Sequence[bool], structured: bool
+) -> tuple[Callable[[Sequence[int]], str], Callable[[Sequence[int]], str]]:
+    """How every command writes a reported point and its selector: the
+    text of a point from its n scaled coordinates, and of a selector from
+    its key.
+
+    A coordinate t is the float t / D, the correctly rounded value float()
+    of the Fraction t / D gives, written by repr in the structured report
+    and to 4 decimals in text, once per distinct t of ``coordinates``. A
+    key picks one column per constraining row, each row i with
+    ``vacuous[i]`` false; its text puts the 1-based columns into a
+    template that holds "null" (structured) or "-" (text) at each vacuous
+    row.
+    """
+    number, blank = (repr, "null") if structured else ("{:.4f}".format, "-")
+    texts = {t: number(t / d) for t in coordinates}.__getitem__
+    columns = [str(j + 1) for j in range(n)].__getitem__
+    template = "[" + ", ".join([blank if v else "%s" for v in vacuous]) + "]"
+
+    def point_text(point: Sequence[int]) -> str:
+        return "[" + ", ".join(map(texts, point)) + "]"
+
+    def selector_text(key: Sequence[int]) -> str:
+        return template % tuple(map(columns, key))
+
+    return point_text, selector_text
+
+
+def _report_writers(report: SolveReport, structured: bool) -> tuple[Callable, Callable]:
+    """_writers over the coordinates of a feasible report's reported
+    points: the minimal points and the optimizer, which is one of them
+    for solve and the only one for solve_unpruned."""
+    best = report._optimizer[1]
+    reported = {*best}.union(*[point for _, point in report._minimal])
+    return _writers(report._D, len(best), reported, report.index_sets.vacuous, structured)
+
+
 def _answer(report: SolveReport) -> list[str]:
     """The members minimal_solutions, optimizer, optimal_value and cells,
-    written from the integers the report holds, so that no Fraction or
-    Candidate is built.
+    written from the integers the report holds (``_report_writers``), so
+    that no Fraction or Candidate is built.
 
-    A coordinate t is the float t / D, the correctly rounded value
-    grade_number gives for the Fraction, and its text is built once per
-    distinct t. A minimal point's text serves its entry and its cell's
-    lower corner, and one all-ones text serves every upper corner. A
-    selector's text is its key put into a template with "null" at each
-    vacuous row, from one string per column. Each member is returned as
-    its only copy, and the point texts are freed on return, so the
-    document is joined from the members alone.
+    A minimal point's text serves its entry and its cell's lower corner,
+    and one all-ones text serves every upper corner. Each member is
+    returned as its only copy, and the point texts are freed on return,
+    so the document is joined from the members alone.
     """
     least = _number(report.optimal_value)
     optimal = '"optimal_value": ' + least
     optimizer = report._optimizer
     if optimizer is None:
         return ['"minimal_solutions": []', '"optimizer": null', optimal, '"cells": []']
-    minimal, d, n = report._minimal, report._D, len(optimizer[1])
-    reported = {*optimizer[1]}.union(*[point for _, point in minimal])
-    coordinates = {t: repr(t / d) for t in reported}.__getitem__
-    columns = [str(c + 1) for c in range(n)].__getitem__
-    template = "[" + ", ".join(["null" if v else "%s" for v in report.index_sets.vacuous]) + "]"
-
-    def point_text(point: tuple[int, ...]) -> str:
-        return "[" + ", ".join(map(coordinates, point)) + "]"
-
-    def selector_text(key: tuple[int, ...]) -> str:
-        return template % tuple(map(columns, key))
-
-    points = [point_text(point) for _, point in minimal]
+    point_text, selector_text = _report_writers(report, structured=True)
+    points = [point_text(point) for _, point in report._minimal]
     head, to_point, to_value, end = _MINIMAL_ENTRY
     entries = '"minimal_solutions": ' + _array([
         "".join((head, selector_text(key), to_point, text, to_value, _number(value), end))
-        for (key, _), text, value in zip(minimal, points, report.minimal_values)
+        for (key, _), text, value in zip(report._minimal, points, report.minimal_values)
     ])
     key, point = optimizer
     head, to_point, to_value, end = _OPTIMIZER_ENTRY
     best = "".join((
         '"optimizer": ', head, selector_text(key), to_point, point_text(point), to_value, least, end,
     ))
-    tail = ',\n      "upper": [' + ", ".join(["1.0"] * n) + "]\n    }"
+    tail = ',\n      "upper": [' + ", ".join(["1.0"] * len(point)) + "]\n    }"
     cells = '"cells": ' + _array(['{\n      "lower": ' + text + tail for text in points])
     return [entries, best, optimal, cells]
 

@@ -17,14 +17,17 @@ builds them.
 
 ``enumerate_candidates`` streams x(e) for every selector e of the product
 E of the admissible sets, as the paper's algorithm does; |E| grows
-exponentially with the number of rows. ``solve`` and ``solve_unpruned``
-walk the rows depth-first instead (``_walk``): a row the partial point
-already satisfies is skipped rather than branched on, so the work is
-bounded by that search tree rather than by |E|. Every leaf is feasible and
-every minimal solution is a leaf, so ``solve`` keeps exactly the leaves
-that pass the row test (``_minimal_key``): each nonzero x_j is the only
-column meeting some row, and meets it at the threshold, so that lowering
-x_j breaks that row. The test looks at one leaf at a time, never at pairs.
+exponentially with the number of rows. It wraps ``_product``, which
+checks the cap and feasibility up front and yields each x(e) as its
+selector key and scaled coordinates, as the enumerate command writes
+them. ``solve`` and ``solve_unpruned`` walk the rows depth-first instead
+(``_walk``): a row the partial point already satisfies is skipped rather
+than branched on, so the work is bounded by that search tree rather than
+by |E|. Every leaf is feasible and every minimal solution is a leaf, so
+``solve`` keeps exactly the leaves that pass the row test
+(``_minimal_key``): each nonzero x_j is the only column meeting some row,
+and meets it at the threshold, so that lowering x_j breaks that row. The
+test looks at one leaf at a time, never at pairs.
 ``solve_unpruned`` walks the same tree with the objective as a lower
 bound: a monotone objective evaluated on a partial point bounds every leaf
 below it, so subtrees that cannot beat the best leaf so far are cut, no
@@ -56,9 +59,10 @@ return each reported point as its canonical key and its scaled
 coordinates, and build no Fraction and no Candidate for it. The report's
 ``minimal_solutions`` and ``optimizer`` build their Candidates on first
 read (``SolveReport``), with one Fraction per distinct coordinate of the
-reported points; the report writer reads the integers and builds
-neither. One builder, ``_candidates``, turns keyed points into
-Candidates for the report and for ``enumerate_candidates``.
+reported points, for library callers: every command writes the report
+from its integers and reads neither. One builder, ``_candidates``, turns
+keyed points into Candidates for the report and for
+``enumerate_candidates``.
 """
 
 from __future__ import annotations
@@ -115,16 +119,44 @@ _Keyed = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _candidates(
-    m: int, rows: Iterable[int], keyed: Iterable[_Keyed], fractions: dict[int, Fraction]
+    idx: IndexSets, keyed: Iterable[_Keyed], fractions: dict[int, Fraction]
 ) -> Iterator[Candidate]:
-    """The Candidate of each keyed point: its selector picks key[k] for
-    rows[k] and None for every other of the m rows, and its point holds
-    fractions[t] for each scaled coordinate t."""
+    """The Candidate of each keyed point: its selector picks key[k] for the
+    k-th constraining row of idx and None for every vacuous row, and its
+    point holds fractions[t] for each scaled coordinate t."""
+    vacuous = idx.vacuous
     for key, point in keyed:
-        columns: list[Optional[int]] = [None] * m
-        for i, c in zip(rows, key):
-            columns[i] = c
-        yield Candidate(selector=tuple(columns), point=tuple([fractions[t] for t in point]))
+        picks = iter(key)
+        selector = tuple([None if v else next(picks) for v in vacuous])
+        yield Candidate(selector=selector, point=tuple([fractions[t] for t in point]))
+
+
+def _product(inst: Instance, cap: int) -> tuple[IndexSets, set[int], Iterator[_Keyed]]:
+    """The selector product of a feasible system, checked before any point
+    is built: its index sets, every scaled coordinate a point can hold
+    (``_coordinates``), and the keyed point x(e) of every selector e, in
+    lexicographic key order. A cap that is not an integer of at least 1
+    raises ValueError, and an infeasible system or a product beyond
+    ``cap`` raises at the call."""
+    _check_count(cap, "cap")
+    idx = compute_index_sets(inst)
+    if not idx.feasible:
+        raise InfeasibleSystemError(list(idx.empty_rows))
+    count = selector_count(idx)
+    if count > cap:
+        raise CapExceededError(count, cap, f"enumeration needs {count} candidates")
+    options = _options(inst, idx)
+    n = inst.n
+
+    def keyed() -> Iterator[_Keyed]:
+        for choice in itertools.product(*options.values()):
+            x = [0] * n
+            for j, t in choice:
+                if t > x[j]:
+                    x[j] = t
+            yield [j for j, _ in choice], x
+
+    return idx, _coordinates(options), keyed()
 
 
 def enumerate_candidates(inst: Instance, cap: int = DEFAULT_CAP) -> Iterator[Candidate]:
@@ -135,26 +167,8 @@ def enumerate_candidates(inst: Instance, cap: int = DEFAULT_CAP) -> Iterator[Can
     infeasible system or a product beyond ``cap`` raises immediately,
     before any candidate is built.
     """
-    _check_count(cap, "cap")
-    idx = compute_index_sets(inst)
-    if not idx.feasible:
-        raise InfeasibleSystemError(list(idx.empty_rows))
-    count = selector_count(idx)
-    if count > cap:
-        raise CapExceededError(count, cap, f"enumeration needs {count} candidates")
-    options = _options(inst, idx)
-    d, n = inst._D, inst.n
-
-    def keyed() -> Iterator[_Keyed]:
-        for choice in itertools.product(*options.values()):
-            x = [0] * n
-            for j, t in choice:
-                if t > x[j]:
-                    x[j] = t
-            yield [j for j, _ in choice], x
-
-    fractions = {t: Fraction(t, d) for t in _coordinates(options)}
-    return _candidates(inst.m, options, keyed(), fractions)
+    idx, coordinates, keyed = _product(inst, cap)
+    return _candidates(idx, keyed, {t: Fraction(t, inst._D) for t in coordinates})
 
 
 # Per constraining row, its admissible columns with the integer D * t_ij.
@@ -304,8 +318,8 @@ class SolveReport:
     ``_optimizer`` holds the optimizer's. A key picks one column per
     constraining row of index_sets. minimal_solutions and optimizer build
     their Candidates from these on first read and keep them, with one
-    Fraction t / D per distinct coordinate t, shared by both; the report
-    writer reads the integers and builds neither.
+    Fraction t / D per distinct coordinate t, shared by both; the
+    commands write the report from the integers and build neither.
     """
 
     index_sets: IndexSets
@@ -333,21 +347,18 @@ class SolveReport:
         keyed = self._minimal if self._optimizer is None else (*self._minimal, self._optimizer)
         return {t: Fraction(t, self._D) for t in {t for _, point in keyed for t in point}}
 
-    def _build(self, keyed: Iterable[_Keyed]) -> Iterator[Candidate]:
-        idx = self.index_sets
-        return _candidates(len(idx.sets), idx.constraining_rows, keyed, self._fractions)
-
     @cached_property
     def minimal_solutions(self) -> tuple[Candidate, ...]:
         """The exact minimal solutions, each with its canonical selector,
         in selector order."""
-        return tuple(self._build(self._minimal))
+        return tuple(_candidates(self.index_sets, self._minimal, self._fractions))
 
     @cached_property
     def optimizer(self) -> Candidate | None:
         """The minimal solution of least (objective value, selector), or
         None for an infeasible system."""
-        return None if self._optimizer is None else next(self._build([self._optimizer]))
+        keyed = [] if self._optimizer is None else [self._optimizer]
+        return next(_candidates(self.index_sets, keyed, self._fractions), None)
 
 
 def solve(

@@ -4,7 +4,8 @@ covered-row walk, the list-based reference of the row test, the
 product-then-dominance reference, the oracle's Fraction references, the
 Fraction references of Instance's checks and of the instance reader, the
 generic JSON writer with the instance and report references it renders,
-and the acceptance-criteria summary hook."""
+the Candidate-based references of the text report and the enumerate
+listing, and the acceptance-criteria summary hook."""
 
 from __future__ import annotations
 
@@ -28,11 +29,11 @@ from frisolve import (
     Point,
     SolveReport,
     compute_index_sets,
+    enumerate_candidates,
     generate_instance,
     is_member,
 )
 from frisolve.core import _short_decimal
-from frisolve.files import grade_number
 from frisolve.oracle import LatticeGrid
 from frisolve.solver import _Options, _options, _walk
 
@@ -415,10 +416,10 @@ def reference_instance_json(inst: Instance, name: Optional[str] = None) -> str:
     doc: dict[str, Any] = {}
     if name is not None:
         doc["name"] = name
-    doc["A"] = [[grade_number(a) for a in row] for row in inst.A]
-    doc["b"] = [grade_number(v) for v in inst.b]
+    doc["A"] = [[float(a) for a in row] for row in inst.A]
+    doc["b"] = [float(v) for v in inst.b]
     if inst.epsilon != 0:
-        doc["epsilon"] = grade_number(inst.epsilon)
+        doc["epsilon"] = float(inst.epsilon)
     return compact_json(doc) + "\n"
 
 
@@ -445,7 +446,7 @@ def build_report_data(
     def entry(cand: Candidate, value: Any) -> dict[str, Any]:
         return {
             "selector": [c + 1 if c is not None else None for c in cand.selector],
-            "point": [grade_number(v) for v in cand.point],
+            "point": [float(v) for v in cand.point],
             "objective_value": value,
         }
 
@@ -455,7 +456,7 @@ def build_report_data(
     data["optimizer"] = entry(optimizer, report.optimal_value) if optimizer else None
     data["optimal_value"] = report.optimal_value
     data["cells"] = [
-        {"lower": [grade_number(v) for v in c.point], "upper": [1.0] * len(c.point)}
+        {"lower": [float(v) for v in c.point], "upper": [1.0] * len(c.point)}
         for c in minimal
     ]
     data["display_precision"] = 4
@@ -471,6 +472,62 @@ def reference_report_json(
 ) -> str:
     """build_report_data rendered by the generic writer."""
     return compact_json(build_report_data(report, name, include_timings)) + "\n"
+
+
+def _text_point(point: Point) -> str:
+    return "[" + ", ".join(f"{float(v):.4f}" for v in point) + "]"
+
+
+def _text_selector(selector: tuple[Optional[int], ...]) -> str:
+    return "[" + ", ".join("-" if c is None else str(c + 1) for c in selector) + "]"
+
+
+def reference_text_report(report: SolveReport, name: Optional[str], inst: Instance) -> str:
+    """The text solve report as it was written from the report's
+    Candidates, each coordinate the float of its Fraction to 4 decimals and
+    "-" at each vacuous row of a selector: the reference for the text
+    report, which writes from the report's integers."""
+    if name is None:
+        shown = "(unnamed)"
+    else:
+        shown = name if name.isprintable() else json.dumps(name)
+    idx = report.index_sets
+    lines = [f"instance: {shown} (m={inst.m}, n={inst.n})"]
+    if not idx.feasible:
+        rows = ", ".join(str(i + 1) for i in idx.empty_rows)
+        lines.append(f"feasible: no (no admissible columns for row(s) {rows})")
+        return "\n".join(lines) + "\n"
+    for i, s in enumerate(idx.sets):
+        mark = "  (vacuous)" if idx.vacuous[i] else ""
+        lines.append(f"J({i + 1}) = {{{', '.join(str(j + 1) for j in s)}}}{mark}")
+    lines.append(f"|E| = {report.selector_count}")
+    minimal = report.minimal_solutions
+    if minimal:
+        lines.append(f"minimal solutions: {len(minimal)}")
+        for cand, value in zip(minimal, report.minimal_values):
+            lines.append(
+                f"  e = {_text_selector(cand.selector)}  "
+                f"x(e) = {_text_point(cand.point)}  f = {value:.4f}"
+            )
+    else:
+        lines.append("minimal solutions: not computed (pruning skipped)")
+    lines.append(f"optimizer: e = {_text_selector(report.optimizer.selector)}")
+    lines.append(f"x* = {_text_point(report.optimizer.point)}")
+    lines.append(f"f* = {report.optimal_value:.4f}")
+    if minimal:
+        lines.append(f"cells: {len(minimal)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_enumerate_listing(inst: Instance, cap: int = DEFAULT_CAP) -> str:
+    """The enumerate listing as it was written from enumerate_candidates'
+    Candidates, one line per candidate and the count last."""
+    lines = [
+        f"e = {_text_selector(c.selector)}  x(e) = {_text_point(c.point)}"
+        for c in enumerate_candidates(inst, cap)
+    ]
+    lines.append(f"|E| = {len(lines)}")
+    return "\n".join(lines) + "\n"
 
 
 # --- acceptance summary -----------------------------------------------------

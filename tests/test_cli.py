@@ -13,8 +13,9 @@ import pytest
 from frisolve import cli, generate_instance, parse_instance_text, serialize_instance
 from frisolve.cli import main
 from frisolve.feasibility import IndexSets, compute_index_sets
-from frisolve.files import InstanceFormatError
+from frisolve.files import InstanceFormatError, load_instance
 from frisolve.oracle import LatticeGrid
+from frisolve.solver import Candidate, enumerate_candidates
 
 from conftest import GOLDEN_JSON
 
@@ -230,6 +231,45 @@ class TestEnumerate:
 
     def test_infeasible_exits_2(self, infeasible_file, capsys):
         assert main(["enumerate", infeasible_file]) == 2
+
+
+@pytest.mark.parametrize("name", ["random_7x7_seed4.json", "epsilon.json"])
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["solve", "--no-prune"], ["solve", "--format", "structured"], ["enumerate"]],
+    ids=["text", "text-no-prune", "structured", "enumerate"],
+)
+def test_commands_build_no_fraction_and_no_candidate_after_load(capsys, monkeypatch, argv, name):
+    # Every command writes its answer from the integers the search or the
+    # product holds, so after the instance is read none builds a Fraction
+    # or a Candidate. The library's Candidates, built afterwards, show
+    # that the counters see the builds.
+    built = {"Fraction": 0, "Candidate": 0}
+    new, init = Fraction.__new__, Candidate.__init__
+    loaded = []
+
+    def counted_new(cls, *args, **kwargs):
+        built["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        built["Candidate"] += 1
+        init(self, *args, **kwargs)
+
+    def load(path):
+        loaded.append(load_instance(path))
+        monkeypatch.setattr(Fraction, "__new__", counted_new)
+        monkeypatch.setattr(Candidate, "__init__", counted_init)
+        return loaded[-1]
+
+    monkeypatch.setattr("frisolve.cli.load_instance", load)
+    command, *flags = argv
+    assert main([command, str(INSTANCES / name), *flags]) == 0
+    assert capsys.readouterr().out
+    assert built == {"Fraction": 0, "Candidate": 0}
+    ((inst, _),) = loaded
+    next(enumerate_candidates(inst))
+    assert built["Fraction"] > 0 and built["Candidate"] > 0
 
 
 class TestVerify:
@@ -574,11 +614,28 @@ class TestPinnedOutput:
             ([SAMPLE, "--no-prune"], "solve_golden_no_prune.txt"),
             # 20 minimal points, so "cells: 20".
             ([INSTANCES / "epsilon.json"], "solve_epsilon.txt"),
+            # The optimizer's selector has "-" at the vacuous row 3.
+            ([INSTANCES / "epsilon.json", "--no-prune"], "solve_epsilon_no_prune.txt"),
         ],
-        ids=["sample", "sample-no-prune", "epsilon"],
+        ids=["sample", "sample-no-prune", "epsilon", "epsilon-no-prune"],
     )
     def test_text_report(self, capsys, argv, expected):
         assert main(["solve", *map(str, argv)]) == 0
+        out, err = capsys.readouterr()
+        assert out == (EXPECTED / expected).read_text(encoding="utf-8")
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "instance, expected",
+        [
+            (SAMPLE, "enumerate_sample.txt"),
+            # 108 candidates, each with "-" at the vacuous row 3.
+            (INSTANCES / "epsilon.json", "enumerate_epsilon.txt"),
+        ],
+        ids=["sample", "epsilon"],
+    )
+    def test_enumerate_listing(self, capsys, instance, expected):
+        assert main(["enumerate", str(instance)]) == 0
         out, err = capsys.readouterr()
         assert out == (EXPECTED / expected).read_text(encoding="utf-8")
         assert err == ""

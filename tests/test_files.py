@@ -1,19 +1,31 @@
 """The file boundary: the instance and report writers against the
-dict-then-encoder references, the pinned large report, and the parse
-failure messages, whose labels are built only for a value that fails."""
+dict-then-encoder references, the text report and the enumerate listing
+against their Candidate-based references, the pinned large reports, and
+the parse failure messages, whose labels are built only for a value that
+fails."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frisolve import OBJECTIVES, Instance, generate_instance, solve, solve_unpruned
+from frisolve import (
+    OBJECTIVES,
+    Instance,
+    compute_index_sets,
+    generate_instance,
+    solve,
+    solve_unpruned,
+)
 from frisolve.cli import main
 from frisolve.files import (
     InstanceFormatError,
@@ -23,7 +35,12 @@ from frisolve.files import (
     serialize_instance,
 )
 
-from conftest import reference_instance_json, reference_report_json
+from conftest import (
+    reference_enumerate_listing,
+    reference_instance_json,
+    reference_report_json,
+    reference_text_report,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "tests" / "instances"
@@ -107,6 +124,72 @@ class TestReportWriter:
 
 
 @st.composite
+def text_cases(draw):
+    """An instance with epsilon > 0, each row vacuous (b_i <= epsilon) or
+    not as drawn, infeasible rows included; a name that may need escaping
+    in the header; and a built-in objective."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    denominator = draw(st.sampled_from([10, 10_000, 7]))
+    epsilon = draw(st.sampled_from([Fraction(1, 100), Fraction(1, 7), Fraction(3, 10)]))
+    grades = st.integers(0, denominator).map(lambda k: Fraction(k, denominator))
+    vacuous = st.integers(0, int(epsilon * denominator)).map(lambda k: Fraction(k, denominator))
+    A = [[draw(grades) for _ in range(n)] for _ in range(m)]
+    b = [draw(vacuous if draw(st.booleans()) else grades) for _ in range(m)]
+    name = draw(st.one_of(st.sampled_from(NAMES), st.text(max_size=8)))
+    inst = Instance(A=tuple(map(tuple, A)), b=tuple(b), epsilon=epsilon)
+    return inst, name, draw(st.sampled_from(sorted(OBJECTIVES)))
+
+
+def run_on(inst: Instance, name, argv: list[str]) -> tuple[int, str]:
+    """main(argv) on an instance given as loaded: (exit code, stdout)."""
+    out = io.StringIO()
+    with mock.patch("frisolve.cli.load_instance", return_value=(inst, name)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([argv[0], "instance.json", *argv[1:]])
+    return code, out.getvalue()
+
+
+class TestTextWriters:
+    """The text solve report and the enumerate listing, written from the
+    integers, give the bytes the Candidate-based references give."""
+
+    @given(case=text_cases(), solver=st.sampled_from(sorted(SOLVERS)))
+    @settings(max_examples=300, deadline=None)
+    def test_text_report_equals_the_reference(self, case, solver):
+        inst, name, objective = case
+        flags = ["--no-prune"] if solver == "solve_unpruned" else []
+        code, out = run_on(inst, name, ["solve", "--objective", objective, *flags])
+        report = SOLVERS[solver](inst, OBJECTIVES[objective])
+        assert code == (0 if report.index_sets.feasible else 2)
+        assert out == reference_text_report(report, name, inst)
+
+    @given(case=text_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_enumerate_listing_equals_the_reference(self, case):
+        inst, name, _ = case
+        code, out = run_on(inst, name, ["enumerate"])
+        if compute_index_sets(inst).feasible:
+            assert (code, out) == (0, reference_enumerate_listing(inst))
+        else:
+            assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @pytest.mark.parametrize(
+        "path",
+        [ROOT / "docs" / "sample_instance.json", *sorted(INSTANCES.glob("*.json"))],
+        ids=lambda p: p.stem,
+    )
+    def test_instance_files_equal_the_reference(self, path, solver):
+        inst, name = load_instance(path)
+        flags = ["--no-prune"] if solver == "solve_unpruned" else []
+        _, out = run_on(inst, name, ["solve", *flags])
+        assert out == reference_text_report(SOLVERS[solver](inst), name, inst)
+        if compute_index_sets(inst).feasible:
+            assert run_on(inst, name, ["enumerate"])[1] == reference_enumerate_listing(inst)
+
+
+@st.composite
 def named_instances(draw):
     """Any shape from 1x1 to 12x12, with or without epsilon, and a name
     that may need escaping."""
@@ -181,6 +264,39 @@ def test_bound_search_report_is_pinned(tmp_path, capsys, objective):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == NO_PRUNE_SHA256[objective]
+
+
+# sha256 of the text reports, recorded while the text writers still built
+# a Candidate per reported point and formatted its Fractions: text `solve`
+# on the two generated instances above, and `enumerate` on
+# random_7x7_seed4.json, which lists 17,280 candidates. Each is the same
+# under PYTHONHASHSEED 1 and 2.
+TEXT_SHA256 = {
+    "solve-40x25": "134e78a4a2705d466199c927a62ea263de949abd17e55cc52e15dbc22c37af88",
+    "solve-40x20": "8af144033ebb8a905b2af94c599575d581912a99dcaf26ec821261facf4035c7",
+}
+ENUMERATE_7X7_SHA256 = "7180b79c1cb6f0353a01257b241771ef85852149ef694318a12ba4e3b11919dc"
+
+
+@pytest.mark.parametrize(
+    "case, generate",
+    [("solve-40x25", ["40", "25", "--seed", "9", "--density", "3"]),
+     ("solve-40x20", ["40", "20", "--seed", "9", "--density", "2"])],
+    ids=["40x25", "40x20"],
+)
+def test_text_report_is_pinned(tmp_path, capsys, case, generate):
+    path = tmp_path / "text.json"
+    assert main(["generate", *generate, "-o", str(path)]) == 0
+    assert main(["solve", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TEXT_SHA256[case]
+
+
+def test_enumerate_listing_is_pinned(capsys):
+    assert main(["enumerate", str(INSTANCES / "random_7x7_seed4.json")]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 17_281
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ENUMERATE_7X7_SHA256
 
 
 # sha256 of `generate 400 100 --seed 1 --density 2`, the largest rung of

@@ -20,7 +20,6 @@ from frisolve.files import (
     InstanceFormatError,
     _parse_float,
     _parse_int,
-    grade_number,
     parse_instance_text,
     serialize_instance,
 )
@@ -434,7 +433,6 @@ unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=10**30)
 
 @given(point=st.lists(st.one_of(mixed_grades, unit_fractions), min_size=1, max_size=6))
 def test_float_conversions_match_float(point):
-    assert [grade_number(v) for v in point] == [float(v) for v in point]
     floats = [float(v) for v in point]
     assert log_sum_exp(point) == log_sum_exp(floats)
     assert max_coordinate(point) == max_coordinate(floats)

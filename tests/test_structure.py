@@ -22,7 +22,7 @@ from frisolve import (
     selector_count,
     solve,
 )
-from frisolve.files import grade_number, render_report_json
+from frisolve.files import render_report_json
 from frisolve.objective import _scaled_table
 from frisolve.solver import _coordinates, _minimal_key, _options, _walk
 
@@ -296,9 +296,9 @@ class TestCellDecomposition:
         cells = json.loads(render_report_json(report))["cells"]
         assert len(cells) == 2
         assert [cell["lower"] for cell in cells] == [
-            [grade_number(v) for v in c.point] for c in report.minimal_solutions
+            [float(v) for v in c.point] for c in report.minimal_solutions
         ]
-        assert all(cell["upper"] == [grade_number(v) for v in ones(7)] for cell in cells)
+        assert all(cell["upper"] == [float(v) for v in ones(7)] for cell in cells)
 
     def test_cells_cover_exactly_the_feasible_set(self):
         # Points inside some box must be members; points below every box
@@ -309,7 +309,7 @@ class TestCellDecomposition:
             lows = [c.point for c in report.minimal_solutions]
             cells = json.loads(render_report_json(report))["cells"]
             assert [cell["lower"] for cell in cells] == [
-                [grade_number(v) for v in lo] for lo in lows
+                [float(v) for v in lo] for lo in lows
             ]
             for _ in range(40):
                 x = tuple(Fraction(rng.randrange(0, 10001), 10000) for _ in range(inst.n))
