@@ -136,24 +136,24 @@ def _print_text_report(
     report: SolveReport, name: Optional[str], inst: Instance, timings: bool
 ) -> None:
     _print_header(name, inst)
-    if not report.index_sets.feasible:
-        _print_infeasible(report.index_sets)
-        return
-    _print_index_sets(report.index_sets)
-    point_text, selector_text = _report_writers(report, structured=False)
-    minimal = report._minimal
-    print(f"|E| = {report.selector_count}")
-    if minimal:
-        print(f"minimal solutions: {len(minimal)}")
-        for (key, point), value in zip(minimal, report.minimal_values):
-            print(f"  e = {selector_text(key)}  x(e) = {point_text(point)}  f = {value:.4f}")
+    if report.index_sets.feasible:
+        _print_index_sets(report.index_sets)
+        point_text, selector_text = _report_writers(report, structured=False)
+        minimal = report._minimal
+        print(f"|E| = {report.selector_count}")
+        if minimal:
+            print(f"minimal solutions: {len(minimal)}")
+            for (key, point), value in zip(minimal, report.minimal_values):
+                print(f"  e = {selector_text(key)}  x(e) = {point_text(point)}  f = {value:.4f}")
+        else:
+            print("minimal solutions: not computed (pruning skipped)")
+        key, point = report._optimizer
+        print(f"optimizer: e = {selector_text(key)}\nx* = {point_text(point)}")
+        print(f"f* = {report.optimal_value:.4f}")
+        if minimal:
+            print(f"cells: {len(minimal)}")
     else:
-        print("minimal solutions: not computed (pruning skipped)")
-    key, point = report._optimizer
-    print(f"optimizer: e = {selector_text(key)}\nx* = {point_text(point)}")
-    print(f"f* = {report.optimal_value:.4f}")
-    if minimal:
-        print(f"cells: {len(minimal)}")
+        _print_infeasible(report.index_sets)
     if timings:
         stages = ", ".join(f"{k} {v:.3f}s" for k, v in report.timing.items())
         print(f"timings: {stages}")

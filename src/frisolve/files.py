@@ -273,24 +273,6 @@ def serialize_instance(inst: Instance, name: Optional[str] = None) -> str:
     return "{\n  " + ",\n  ".join(members) + "\n}\n"
 
 
-def _entry(pad: str) -> tuple[str, str, str, str]:
-    """The fixed texts of a minimal-solution entry indented by pad: before
-    its selector, between selector and point, between point and objective
-    value, and after the value. An entry is joined from these and its
-    three texts, which sizes it once."""
-    inner = "\n" + pad + "  "
-    return (
-        "{" + inner + '"selector": ',
-        "," + inner + '"point": ',
-        "," + inner + '"objective_value": ',
-        "\n" + pad + "}",
-    )
-
-
-_MINIMAL_ENTRY = _entry("    ")
-_OPTIMIZER_ENTRY = _entry("  ")
-
-
 def _writers(
     d: int, n: int, coordinates: Iterable[int], vacuous: Sequence[bool], structured: bool
 ) -> tuple[Callable[[Sequence[int]], str], Callable[[Sequence[int]], str]]:
@@ -321,12 +303,10 @@ def _writers(
 
 
 def _report_writers(report: SolveReport, structured: bool) -> tuple[Callable, Callable]:
-    """_writers over the coordinates of a feasible report's reported
-    points: the minimal points and the optimizer, which is one of them
-    for solve and the only one for solve_unpruned."""
-    best = report._optimizer[1]
-    reported = {*best}.union(*[point for _, point in report._minimal])
-    return _writers(report._D, len(best), reported, report.index_sets.vacuous, structured)
+    """_writers over a feasible report's reported coordinates,
+    ``SolveReport._reported``."""
+    n = len(report._optimizer[1])
+    return _writers(report._D, n, report._reported, report.index_sets.vacuous, structured)
 
 
 def _answer(report: SolveReport) -> list[str]:
@@ -334,8 +314,10 @@ def _answer(report: SolveReport) -> list[str]:
     written from the integers the report holds (``_report_writers``), so
     that no Fraction or Candidate is built.
 
-    A minimal point's text serves its entry and its cell's lower corner,
-    and one all-ones text serves every upper corner. Each member is
+    Each minimal-solution entry, and the optimizer's, is one f-string of
+    its selector, point and objective value texts. A minimal point's text
+    serves its entry and its cell's lower corner, and one all-ones text
+    serves every upper corner. Each member is
     returned as its only copy, and the point texts are freed on return,
     so the document is joined from the members alone.
     """
@@ -346,16 +328,16 @@ def _answer(report: SolveReport) -> list[str]:
         return ['"minimal_solutions": []', '"optimizer": null', optimal, '"cells": []']
     point_text, selector_text = _report_writers(report, structured=True)
     points = [point_text(point) for _, point in report._minimal]
-    head, to_point, to_value, end = _MINIMAL_ENTRY
     entries = '"minimal_solutions": ' + _array([
-        "".join((head, selector_text(key), to_point, text, to_value, _number(value), end))
+        f'{{\n      "selector": {selector_text(key)},\n      "point": {text},'
+        f'\n      "objective_value": {_number(value)}\n    }}'
         for (key, _), text, value in zip(report._minimal, points, report.minimal_values)
     ])
     key, point = optimizer
-    head, to_point, to_value, end = _OPTIMIZER_ENTRY
-    best = "".join((
-        '"optimizer": ', head, selector_text(key), to_point, point_text(point), to_value, least, end,
-    ))
+    best = (
+        f'"optimizer": {{\n    "selector": {selector_text(key)},\n    "point": {point_text(point)},'
+        f'\n    "objective_value": {least}\n  }}'
+    )
     tail = ',\n      "upper": [' + ", ".join(["1.0"] * len(point)) + "]\n    }"
     cells = '"cells": ' + _array(['{\n      "lower": ' + text + tail for text in points])
     return [entries, best, optimal, cells]

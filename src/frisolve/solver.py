@@ -59,10 +59,10 @@ return each reported point as its canonical key and its scaled
 coordinates, and build no Fraction and no Candidate for it. The report's
 ``minimal_solutions`` and ``optimizer`` build their Candidates on first
 read (``SolveReport``), with one Fraction per distinct coordinate of the
-reported points, for library callers: every command writes the report
-from its integers and reads neither. One builder, ``_candidates``, turns
-keyed points into Candidates for the report and for
-``enumerate_candidates``.
+reported points (``SolveReport._reported``), for library callers: every
+command writes the report from its integers and reads neither. One
+builder, ``_candidates``, turns keyed points into Candidates for the
+report and for ``enumerate_candidates``.
 """
 
 from __future__ import annotations
@@ -316,10 +316,14 @@ class SolveReport:
     common denominator, ``_minimal`` holds each minimal point as its
     canonical key and its scaled coordinates, in key order, and
     ``_optimizer`` holds the optimizer's. A key picks one column per
-    constraining row of index_sets. minimal_solutions and optimizer build
-    their Candidates from these on first read and keep them, with one
-    Fraction t / D per distinct coordinate t, shared by both; the
-    commands write the report from the integers and build neither.
+    constraining row of index_sets. ``_reported``, built on first read,
+    is the set of every distinct scaled coordinate t of these points: the
+    one statement of which coordinates a report shows. minimal_solutions
+    and optimizer build their Candidates from the keyed points on first
+    read and keep them, with one Fraction t / D per t of ``_reported``,
+    shared by both. The commands write the report from the integers, one
+    text per t of ``_reported`` (``files._report_writers``), and build
+    neither.
     """
 
     index_sets: IndexSets
@@ -340,12 +344,18 @@ class SolveReport:
     # functools.cached_property keeps a built value in the instance dict,
     # which a frozen dataclass leaves writable.
     @cached_property
-    def _fractions(self) -> dict[int, Fraction]:
-        """One Fraction t / D per distinct coordinate t of the reported
-        points, shared by their Candidates. solve's optimizer is one of
+    def _reported(self) -> frozenset[int]:
+        """Every distinct scaled coordinate of the reported points: the
+        minimal points and the optimizer. solve's optimizer is one of
         _minimal; solve_unpruned's is the only point it keeps."""
         keyed = self._minimal if self._optimizer is None else (*self._minimal, self._optimizer)
-        return {t: Fraction(t, self._D) for t in {t for _, point in keyed for t in point}}
+        return frozenset().union(*[point for _, point in keyed])
+
+    @cached_property
+    def _fractions(self) -> dict[int, Fraction]:
+        """One Fraction t / D per coordinate t of ``_reported``, shared by
+        the Candidates."""
+        return {t: Fraction(t, self._D) for t in self._reported}
 
     @cached_property
     def minimal_solutions(self) -> tuple[Candidate, ...]:

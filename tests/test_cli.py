@@ -217,6 +217,16 @@ class TestSolve:
         assert timed[-1].startswith("timings: ")
         assert timed[:-1] == runs[0].splitlines()
 
+    @pytest.mark.parametrize("flags", [[], ["--no-prune"]])
+    def test_text_timings_line_follows_an_infeasible_report(self, flags, capsys):
+        path = str(INSTANCES / "infeasible.json")
+        assert main(["solve", path, *flags]) == 2
+        plain = capsys.readouterr().out.splitlines()
+        assert main(["solve", path, "--timings", *flags]) == 2
+        timed = capsys.readouterr().out.splitlines()
+        assert timed[-1].startswith("timings: total ")
+        assert timed[:-1] == plain
+
 
 class TestEnumerate:
     def test_golden_listing(self, golden_file, capsys):
@@ -548,6 +558,7 @@ NAMED_JSON = (
 )
 
 
+@pytest.mark.pinned
 class TestPinnedOutput:
     """Exact output bytes. A difference here is a change of the output
     format, which every consumer of the reports sees."""

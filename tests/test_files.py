@@ -189,6 +189,20 @@ class TestTextWriters:
             assert run_on(inst, name, ["enumerate"])[1] == reference_enumerate_listing(inst)
 
 
+@given(case=text_cases(), solver=st.sampled_from(sorted(SOLVERS)))
+@settings(max_examples=300, deadline=None)
+def test_reported_coordinates_are_those_of_the_reported_points(case, solver):
+    # The one set the writers and the Fractions read holds each coordinate
+    # of the minimal points and the optimizer, scaled by D, and no other.
+    inst, _, objective = case
+    report = SOLVERS[solver](inst, OBJECTIVES[objective])
+    points = [c.point for c in report.minimal_solutions]
+    if report.optimizer is not None:
+        points.append(report.optimizer.point)
+    assert report._reported == {v * inst._D for point in points for v in point}
+    assert set(report._fractions) == report._reported
+
+
 @st.composite
 def named_instances(draw):
     """Any shape from 1x1 to 12x12, with or without epsilon, and a name
@@ -219,6 +233,7 @@ def test_serialize_instance_equals_the_reference(case):
 LARGE_SHA256 = "d8ba7c1056e33bf5597f2f61dbd2a2a89e1bfa9989348d06fa2c258e652ff260"
 
 
+@pytest.mark.pinned
 def test_large_report_is_pinned(tmp_path, capsys):
     path = tmp_path / "large.json"
     assert main(["generate", "40", "25", "--seed", "9", "--density", "3", "-o", str(path)]) == 0
@@ -237,6 +252,7 @@ def test_large_report_is_pinned(tmp_path, capsys):
 LARGER_SHA256 = "50c272e5ba3764d31b0ffe91818db3112394fd6a2353082a4ac2f0c0503b6d5d"
 
 
+@pytest.mark.pinned
 def test_larger_report_is_pinned(tmp_path, capsys):
     path = tmp_path / "larger.json"
     assert main(["generate", "40", "20", "--seed", "9", "--density", "2", "-o", str(path)]) == 0
@@ -256,6 +272,7 @@ NO_PRUNE_SHA256 = {
 }
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("objective", sorted(NO_PRUNE_SHA256))
 def test_bound_search_report_is_pinned(tmp_path, capsys, objective):
     path = tmp_path / "ladder.json"
@@ -278,6 +295,7 @@ TEXT_SHA256 = {
 ENUMERATE_7X7_SHA256 = "7180b79c1cb6f0353a01257b241771ef85852149ef694318a12ba4e3b11919dc"
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize(
     "case, generate",
     [("solve-40x25", ["40", "25", "--seed", "9", "--density", "3"]),
@@ -292,6 +310,7 @@ def test_text_report_is_pinned(tmp_path, capsys, case, generate):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TEXT_SHA256[case]
 
 
+@pytest.mark.pinned
 def test_enumerate_listing_is_pinned(capsys):
     assert main(["enumerate", str(INSTANCES / "random_7x7_seed4.json")]) == 0
     out = capsys.readouterr().out

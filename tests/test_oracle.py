@@ -218,6 +218,7 @@ def test_verify_catches_a_threshold_mistake_shared_with_the_grid(tmp_path, capsy
     assert minimal == [(Fraction("0.6"),)]
 
 
+@pytest.mark.pinned
 def test_verify_catches_a_row_test_mistake(capsys, monkeypatch):
     # A row test that keys every leaf keeps non-minimal leaves. The oracle
     # takes its minimal points from the grid's order and checks each
@@ -399,6 +400,7 @@ def test_integer_membership_matches_is_member(golden, sevenths):
     assert floats == [tuple(float(c[k]) for c, k in zip(coords, idx)) for idx in expected]
 
 
+@pytest.mark.pinned
 def test_verify_on_a_grid_of_400_thousand_points(capsys):
     assert main(["verify", str(INSTANCES / "random_7x7_seed4.json")]) == 0
     out = capsys.readouterr().out
