@@ -11,10 +11,17 @@ for the row when ``D*a_ij >= need_i``, and then the least such D*x_j is
 
 Any minimal solution's nonzero coordinates take one of those values: below
 it the row constraint that forced the coordinate fails, and a minimal point
-never carries slack. So the finite grid built from them (plus 0 and D per
-column) contains every minimal solution, and exhaustive search over it is
-exact, not approximate. A uniform discretization would miss the exact
-points and report false mismatches.
+never carries slack. So the finite grid built from them, plus 0 per column,
+contains every minimal solution; D is in a column only where it is one of
+them (``D*a_ij == need_i``). Exhaustive search over the grid is exact, not
+approximate. Lower each coordinate of any feasible point to the largest
+value of its column at most that coordinate: a column meets each row from
+that row's value up, so the lowered point meets the same rows, and it is a
+feasible grid point weakly below the first. Hence a point minimal on the
+grid is minimal, a feasible system has a feasible grid point, and under a
+monotone objective the optimum over the grid is the optimum over the
+feasible region. A uniform discretization would miss the exact points and
+report false mismatches.
 
 Minimality uses the grid's order. A feasible point p is minimal on the
 grid (no other feasible grid point lies weakly below it) exactly when
@@ -76,8 +83,9 @@ DEFAULT_LIMIT = 10**6
 class GridTooLargeError(RuntimeError):
     """The coordinate lattice has more points than the caller allowed.
 
-    The oracle refuses to sample; a partial sweep could not certify
-    anything.
+    ``total_points`` counts the grid the oracle searches: per column, 0
+    and the column's thresholds. The oracle refuses to sample; a partial
+    sweep could not certify anything.
     """
 
     def __init__(self, total_points: int, limit: int):
@@ -90,10 +98,11 @@ class GridTooLargeError(RuntimeError):
 
 @dataclass(frozen=True)
 class LatticeGrid:
-    """Per-column sorted coordinate sets whose cartesian product contains
-    every candidate and every minimal solution, as integers over the
-    common denominator D of the instance it was built for (``inst._D``):
-    ``columns[j][k]`` stands for the coordinate ``columns[j][k] / D``.
+    """Per-column sorted coordinate sets, each 0 and the column's
+    thresholds, whose cartesian product contains every candidate and every
+    minimal solution, as integers over the common denominator D of the
+    instance it was built for (``inst._D``): ``columns[j][k]`` stands for
+    the coordinate ``columns[j][k] / D``.
     Only brute_force turns grid points into Fractions, as it hands them
     out.
     """
@@ -114,10 +123,10 @@ def _constraining_rows(inst: Instance) -> list[tuple[tuple[int, ...], int]]:
 
 
 def build_grid(inst: Instance) -> LatticeGrid:
-    """Collect {0, D} plus every admissible ``D + need_i - D*a_ij`` per
-    column."""
+    """Collect {0} plus every admissible ``D + need_i - D*a_ij`` per
+    column; D is among them only where ``D*a_ij == need_i``."""
     d = inst._D
-    values: list[set[int]] = [{0, d} for _ in range(inst.n)]
+    values: list[set[int]] = [{0} for _ in range(inst.n)]
     for row, need in _constraining_rows(inst):
         for j, a in enumerate(row):
             if a >= need:
@@ -251,15 +260,16 @@ def brute_force(
     come sorted by coordinates, for stable comparison against solver
     output. The optimum is ``(optimizer, value)`` over every feasible grid
     point, found without any structural shortcut; for a monotone objective
-    it is the global minimum over the feasible region. Ties break toward
-    the coordinatewise smallest point. It is None when no grid point is
-    feasible, and then the minimal set is empty. The pass answers in
-    integers over D, and each distinct coordinate t of its points becomes
-    one Fraction t / D here.
+    it is the global minimum over the feasible region. Any other objective
+    is valued only on the grid's feasible points, whose coordinates are 0
+    or thresholds. Ties break toward the coordinatewise smallest point. It
+    is None when no grid point is feasible, and then the minimal set is
+    empty. The pass answers in integers over D, and each distinct
+    coordinate t of its points becomes one Fraction t / D here.
 
-    A grid of more than ``limit`` points raises GridTooLargeError before
-    the search; a limit that is not an integer of at least 1 raises
-    ValueError, as solve's cap does.
+    A grid of more than ``limit`` points, counted on that grid, raises
+    GridTooLargeError before the search; a limit that is not an integer of
+    at least 1 raises ValueError, as solve's cap does.
     """
     minimal, optimum = _scaled_brute_force(inst, objective, limit)
     if optimum is None:

@@ -243,11 +243,11 @@ def coordinate_threshold(inst: Instance, i: int, j: int) -> Fraction:
     return Fraction(d + b.numerator * ed * ad - eps.numerator * bd * ad - a.numerator * bd * ed, d)
 
 
-def reference_grid(inst: Instance) -> tuple[tuple[Fraction, ...], ...]:
-    """The oracle's grid columns on Fractions: per column, 0 and 1 plus
-    the threshold coordinate_threshold gives for every constraining row
-    the column is admissible for, sorted."""
-    columns = [{Fraction(0), Fraction(1)} for _ in range(inst.n)]
+def threshold_grid(inst: Instance) -> tuple[tuple[Fraction, ...], ...]:
+    """The oracle's grid columns on Fractions: per column, 0 plus the
+    threshold coordinate_threshold gives for every constraining row the
+    column is admissible for, sorted."""
+    columns = [{Fraction(0)} for _ in range(inst.n)]
     for i, (row, bi) in enumerate(zip(inst.A, inst.b)):
         need = bi - inst.epsilon
         if need > 0:
@@ -255,6 +255,13 @@ def reference_grid(inst: Instance) -> tuple[tuple[Fraction, ...], ...]:
                 if a >= need:
                     columns[j].add(coordinate_threshold(inst, i, j))
     return tuple(tuple(sorted(c)) for c in columns)
+
+
+def reference_grid(inst: Instance) -> tuple[tuple[Fraction, ...], ...]:
+    """The exhaustive reference's grid: threshold_grid with 1 in every
+    column. It holds the oracle's grid, so the reference also searches
+    every point the oracle leaves out."""
+    return tuple(tuple(sorted({*c, Fraction(1)})) for c in threshold_grid(inst))
 
 
 def grid_coords(inst: Instance, grid: LatticeGrid) -> tuple[tuple[Fraction, ...], ...]:

@@ -40,6 +40,7 @@ from conftest import (
     pairwise_minimal,
     random_instances,
     reference_grid,
+    threshold_grid,
 )
 from test_integer_paths import mixed_instances
 
@@ -126,7 +127,7 @@ def test_a_constant_objective_picks_the_coordinatewise_smallest_member(golden, s
         "hand": HAND_2X2,
         "epsilon": Instance(A=(("0.9", "0.6"), ("0.5", "0.8")), b=("0.6", "0.7"), epsilon="0.1"),
     }[source]
-    members = [p for p in itertools.product(*reference_grid(inst)) if is_member(inst, p)]
+    members = [p for p in itertools.product(*threshold_grid(inst)) if is_member(inst, p)]
     seen = []
 
     def constant(x):
@@ -134,8 +135,11 @@ def test_a_constant_objective_picks_the_coordinatewise_smallest_member(golden, s
         return 0.0
 
     _, optimum = brute_force(inst, constant)
-    assert optimum == (members[0], 0.0)
-    # Any other objective receives every feasible point exactly, in coordinate order.
+    # The least member of the grid with 1 in every column is on the oracle's grid.
+    wider = next(p for p in itertools.product(*reference_grid(inst)) if is_member(inst, p))
+    assert optimum == (wider, 0.0)
+    # Any other objective receives every feasible point of the oracle's
+    # grid exactly, in coordinate order.
     assert seen == members
 
 
@@ -340,7 +344,7 @@ def test_minimal_set_matches_the_pairwise_scan(inst):
 @settings(max_examples=150, deadline=None)
 def test_integer_grid_matches_the_threshold_formula(inst):
     grid = build_grid(inst)
-    reference = reference_grid(inst)
+    reference = threshold_grid(inst)
     assert grid_coords(inst, grid) == reference
     values = itertools.chain((inst.epsilon,), inst.b, *inst.A)
     assert inst._D == math.lcm(*(v.denominator for v in values))
@@ -401,9 +405,30 @@ def test_integer_membership_matches_is_member(golden, sevenths):
 
 
 @pytest.mark.pinned
-def test_verify_on_a_grid_of_400_thousand_points(capsys):
+def test_verify_on_a_grid_of_115_thousand_points(capsys):
     assert main(["verify", str(INSTANCES / "random_7x7_seed4.json")]) == 0
     out = capsys.readouterr().out
     assert "oracle: 15 minimal point(s)" in out
     assert "verdict: agree" in out
     assert out == (EXPECTED / "verify_7x7_seed4.txt").read_text(encoding="utf-8")
+
+
+# The 7x7 grid holds 0 and the thresholds per column: 115,200 points. With
+# 1 in every column as well it would hold 396,900.
+@pytest.mark.pinned
+def test_verify_admits_the_7x7_grid_under_a_limit_of_200_thousand(capsys):
+    argv = ["verify", str(INSTANCES / "random_7x7_seed4.json"), "--limit", "200000"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == (EXPECTED / "verify_7x7_seed4.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.pinned
+def test_verify_refuses_the_7x7_grid_over_a_limit_of_100_thousand(capsys):
+    argv = ["verify", str(INSTANCES / "random_7x7_seed4.json"), "--limit", "100000"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "instance: random-7x7-seed4-feasible (m=7, n=7)\n"
+    assert captured.err == (
+        "frisolve: error: lattice grid has 115200 points, exceeding the limit of 100000\n"
+    )
