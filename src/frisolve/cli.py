@@ -5,7 +5,11 @@ resolution), enumerate (list every candidate), verify (cross-check solver
 against the brute-force oracle), generate (seeded random instances).
 
 Exit codes: 0 success, 1 input error, 2 infeasible, 3 work cap or oracle
-grid limit exceeded, 4 solver/oracle disagreement. The work cap (default
+grid limit exceeded, 4 solver/oracle disagreement. A cmd_* function
+returns only its result, 0, 2 or 4; main alone turns a failure into its
+code: 1 for a usage error (argparse's own exit 2, since 2 here means
+infeasible), an unreadable or malformed input or an unwritable output, 2
+for InfeasibleSystemError, 3 for a cap or grid limit. The work cap (default
 10^6) bounds search nodes for solve and solve --no-prune, which take it
 from --cap or FRI_CAP, and for verify, which reads FRI_CAP only; for
 enumerate (--cap or FRI_CAP) it bounds the selector count |E|. verify checks
@@ -60,15 +64,6 @@ from .solver import (
     solve,
     solve_unpruned,
 )
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors, which this tool reserves for
-    infeasible systems; remap to the input-error code."""
-
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _fail(message: str) -> None:
@@ -246,8 +241,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            _fail(f"cannot write {args.output}: {exc.strerror}")
-            return 1
+            raise OSError(f"cannot write {args.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
     return 0
@@ -262,7 +256,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     cap default (FRI_CAP) is read in the cmd_* functions, and usage errors
     print to the sys.stderr of the moment.
     """
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="frisolve",
         description=(
             "Feasibility, minimal solutions, and exact monotone-objective "
@@ -349,7 +343,8 @@ def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse exits 2 on a usage error; 2 is this tool's infeasible.
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except InfeasibleSystemError as exc:

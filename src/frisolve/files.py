@@ -3,12 +3,14 @@ answer.
 
 An instance file is a single JSON document: required members "A" (array of
 m arrays of n numbers) and "b" (array of m numbers), optional "epsilon"
-(number, default 0) and "name" (string). Grades are read exactly, as
-integers: a literal like 0.9463 becomes the pair (9463, 10000), the
-integers of the rational 9463/10000 rather than the nearest binary float,
-so that solver arithmetic reproduces pencil-and-paper results exactly. A
-literal without an exponent is the integer of its digits over a power of
-ten, which is the rational Fraction(literal) finds by its regex; a literal
+(number, default 0) and "name" (string). No object in the document may
+name a member twice: json would keep the last value alone, so the file is
+refused instead. Grades are read exactly, as integers: a literal like
+0.9463 becomes the pair (9463, 10000), the integers of the rational
+9463/10000 rather than the nearest binary float, so that solver
+arithmetic reproduces pencil-and-paper results exactly. A literal
+without an exponent is the integer of its digits over a power of ten,
+which is the rational Fraction(literal) finds by its regex; a literal
 with an exponent becomes the pair of that Fraction, reduced; an integer
 literal stays an int. A numeric literal may carry at most 50 mantissa
 digits and a decimal exponent within +-400, so that parsing stays cheap;
@@ -149,9 +151,22 @@ def _pairs(values: list, label: Callable[[int], str]) -> list[_Pair]:
     raise _number_error(values[k], label(k))
 
 
-# What json.loads(text, parse_float=..., parse_int=...) would build anew on
-# every call.
-_DECODER = json.JSONDecoder(parse_float=_parse_float, parse_int=_parse_int)
+def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object as a dict, when no name in it repeats. json keeps a
+    repeated name's last value, which would silently drop the others."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        name = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise InstanceFormatError(f"duplicate member {name}")
+    return obj
+
+
+# What json.loads(text, parse_float=..., parse_int=..., object_pairs_hook=...)
+# would build anew on every call.
+_DECODER = json.JSONDecoder(
+    parse_float=_parse_float, parse_int=_parse_int, object_pairs_hook=_object
+)
 
 
 def parse_instance_text(text: str) -> tuple[Instance, Optional[str]]:

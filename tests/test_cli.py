@@ -792,9 +792,29 @@ class TestUsage:
         rc = main(argv)
         assert dispatched == (rc, *capsys.readouterr())
 
-    def test_usage_error_exits_1(self, capsys):
+    def test_usage_error_exits_1(self, golden_file, capsys):
+        # argparse exits 2 on a usage error; main alone maps it to 1.
         assert main(["solve"]) == 1
         assert main(["frobnicate"]) == 1
+        for argv in (
+            ["check", golden_file],
+            ["solve", golden_file],
+            ["enumerate", golden_file],
+            ["verify", golden_file],
+            ["generate", "2", "2", "--seed", "1"],
+        ):
+            capsys.readouterr()
+            assert main([*argv, "--bogus"]) == 1, argv
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("usage: frisolve")
+            assert err.endswith("error: unrecognized arguments: --bogus\n")
+            assert main([argv[0], "-h"]) == 0, argv
+            assert capsys.readouterr().out.startswith(f"usage: frisolve {argv[0]}")
+        assert main(["verify", golden_file, "--limit", "x"]) == 1
+        assert capsys.readouterr().err.endswith(
+            "\nfrisolve verify: error: argument --limit: must be an integer, got 'x'\n"
+        )
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

@@ -429,6 +429,26 @@ class TestParseFailures:
             parse_instance_text(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "member, again",
+        [("A", "[[1]]"), ("b", "[0.1]"), ("epsilon", "0.5"), ("name", '"second"')],
+        ids=["A", "b", "epsilon", "name"],
+    )
+    def test_repeated_member(self, tmp_path, capsys, member, again):
+        # json keeps a repeated name's last value: the second b would make
+        # this infeasible system (0.5 < 0.9) read as feasible.
+        text = (
+            '{"A": [[0.5]], "b": [0.9], "epsilon": 0, "name": "first", '
+            f'"{member}": {again}}}'
+        )
+        with pytest.raises(InstanceFormatError) as info:
+            parse_instance_text(text)
+        assert str(info.value) == f"duplicate member {member}"
+        path = tmp_path / "repeated.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"frisolve: error: {path}: duplicate member {member}\n")
+
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_line_ends_give_the_same_json_error(self, tmp_path, end):
         # The reader turns CRLF and CR into LF, as text-mode reading does,

@@ -147,6 +147,21 @@ def test_unpruned_search_solves_a_large_product_under_a_small_cap():
     assert fast.candidates_enumerated < full.candidates_enumerated  # the bound cut
 
 
+@pytest.mark.parametrize(
+    "objective, nodes, leaves", [("lse", 42, 7), ("max", 148, 54), ("sum", 36, 9)]
+)
+def test_unpruned_node_counts_on_the_8x8_rung(objective, nodes, leaves):
+    # The bound search's exact work on the 8x8 s1 d2 ladder rung: a change
+    # to the cut shows here as a count.
+    inst, _ = generate_instance(8, 8, seed=1, density=2.0)
+    with pytest.raises(CapExceededError) as err:
+        solve_unpruned(inst, OBJECTIVES[objective], cap=nodes - 1)
+    assert err.value.count == nodes
+    fast = solve_unpruned(inst, OBJECTIVES[objective], cap=nodes)
+    assert fast.candidates_enumerated == leaves
+    assert fast.optimizer == solve(inst, OBJECTIVES[objective]).optimizer
+
+
 def test_unpruned_bound_cuts_and_reuses_leaf_values(golden):
     calls = []
 
