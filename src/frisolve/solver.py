@@ -116,10 +116,13 @@ def selector_count(idx: IndexSets) -> int:
 # A point as the search holds it: the column picked per constraining row
 # (a selector key) and its scaled coordinates.
 _Keyed = tuple[tuple[int, ...], tuple[int, ...]]
+# A product point as _product yields it: its key and coordinates as lists,
+# which its readers only iterate.
+_Listed = tuple[list[int], list[int]]
 
 
 def _candidates(
-    idx: IndexSets, keyed: Iterable[_Keyed], fractions: dict[int, Fraction]
+    idx: IndexSets, keyed: Iterable[_Keyed | _Listed], fractions: dict[int, Fraction]
 ) -> Iterator[Candidate]:
     """The Candidate of each keyed point: its selector picks key[k] for the
     k-th constraining row of idx and None for every vacuous row, and its
@@ -131,7 +134,7 @@ def _candidates(
         yield Candidate(selector=selector, point=tuple([fractions[t] for t in point]))
 
 
-def _product(inst: Instance, cap: int) -> tuple[IndexSets, set[int], Iterator[_Keyed]]:
+def _product(inst: Instance, cap: int) -> tuple[IndexSets, set[int], Iterator[_Listed]]:
     """The selector product of a feasible system, checked before any point
     is built: its index sets, every scaled coordinate a point can hold
     (``_coordinates``), and the keyed point x(e) of every selector e, in
@@ -148,7 +151,7 @@ def _product(inst: Instance, cap: int) -> tuple[IndexSets, set[int], Iterator[_K
     options = _options(inst, idx)
     n = inst.n
 
-    def keyed() -> Iterator[_Keyed]:
+    def keyed() -> Iterator[_Listed]:
         for choice in itertools.product(*options.values()):
             x = [0] * n
             for j, t in choice:
@@ -213,12 +216,13 @@ def _walk(
     scaled coordinates, so a branch needs no undoing, and a leaf is the
     tuple itself.
 
-    With ``bound``, each node (the root included) is valued once on its
-    partial point, and its subtree is cut iff that value is strictly
-    greater than the incumbent, the least value of a leaf reached so far.
-    A leaf's value is its node's value. The entries then also carry the
-    point's objective values, so a child looks up the one coordinate it
-    raises. Without a bound, every value is None.
+    One path serves both modes. Each entry also carries its point's
+    objective values v, so a child looks up the one coordinate it raises;
+    without a bound v is None, and so is every value. With ``bound``, each
+    node (the root included) is valued once on its partial point, and its
+    subtree is cut iff that value is strictly greater than the incumbent,
+    the least value of a leaf reached so far. A leaf's value is its
+    node's value.
     """
     order = sorted(options.values(), key=len)
     depth = len(order)
@@ -226,18 +230,17 @@ def _walk(
     nodes = -1  # every pop is a node but the root's
     values, rate = bound or (None, None)
     # Entries (k, x, v): walk on from row position k with the point x, whose
-    # objective values are v (None without a bound).
-    stack = [(0, (0,) * n, None if bound is None else (values[0],) * n)]
+    # objective values are v (None without a bound; n >= 1, so a tuple of
+    # values is never empty, hence true).
+    stack = [(0, (0,) * n, bound and (values[0],) * n)]
     while stack:
         k, x, v = stack.pop()
         nodes += 1
         if nodes > cap:
             raise CapExceededError(nodes, cap, f"search reached {nodes} nodes")
-        value = None
-        if v is not None:
-            value = rate(v)
-            if value > incumbent:
-                continue
+        value = v and rate(v)
+        if v and value > incumbent:
+            continue
         # Skip the rows some column already meets (a for/else loop here is
         # measurably faster than any() over a generator).
         while k < depth:
@@ -248,16 +251,12 @@ def _walk(
                 break
             k += 1
         if k == depth:
-            if value is not None and value < incumbent:
+            if v and value < incumbent:
                 incumbent = value
             yield x, value
             continue
-        if v is None:
-            for c, t in reversed(order[k]):
-                stack.append((k + 1, x[:c] + (t,) + x[c + 1:], None))
-        else:
-            for c, t in reversed(order[k]):
-                stack.append((k + 1, x[:c] + (t,) + x[c + 1:], v[:c] + (values[t],) + v[c + 1:]))
+        for c, t in reversed(order[k]):
+            stack.append((k + 1, x[:c] + (t,) + x[c + 1:], v and v[:c] + (values[t],) + v[c + 1:]))
 
 
 def _minimal_key(leaf: tuple[int, ...], options: _Options) -> tuple[int, ...] | None:

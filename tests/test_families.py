@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from frisolve import OBJECTIVES, brute_force, solve, solve_unpruned
+from frisolve import OBJECTIVES, CapExceededError, brute_force, solve, solve_unpruned
 
 from families import dual_matching, matching
 
@@ -44,6 +44,37 @@ def test_solve_matches_the_closed_form(case, seed):
         _assert_optimum(family, name, report.optimizer.point, report.optimal_value)
         unpruned = solve_unpruned(family.inst, objective)
         _assert_optimum(family, name, unpruned.optimizer.point, unpruned.optimal_value)
+
+
+# solve_unpruned's nodes and leaves on DM_6, per seed and objective. The
+# cut is strict, so leaves that tie the incumbent are all reached and
+# row-tested: unweighted, every minimal point ties at 1 under max, and
+# the bound search reaches all 9,786 leaves of solve's walk.
+DM_6_WORK = {
+    (None, "lse"): (222, 6),
+    (None, "max"): (11_742, 9_786),
+    (None, "sum"): (222, 6),
+    (20260, "lse"): (102, 2),
+    (20260, "max"): (582, 280),
+    (20260, "sum"): (102, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBJECTIVES))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_unpruned_tie_cost_on_dm_6(seed, name):
+    # The cost of ties to the bound search, as exact counts: a cut that
+    # also takes tied subtrees shows here as fewer nodes and leaves.
+    nodes, leaves = DM_6_WORK[seed, name]
+    family = dual_matching(6, seed)
+    objective = OBJECTIVES[name]
+    with pytest.raises(CapExceededError) as err:
+        solve_unpruned(family.inst, objective, cap=nodes - 1)
+    assert err.value.count == nodes
+    report = solve_unpruned(family.inst, objective, cap=nodes)
+    assert report.candidates_enumerated == leaves
+    assert report.optimizer == solve(family.inst, objective).optimizer
+    _assert_optimum(family, name, report.optimizer.point, report.optimal_value)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

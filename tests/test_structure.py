@@ -196,6 +196,50 @@ class TestSearch:
         assert values == sorted(values, reverse=True)
 
     @given(inst=with_epsilon(st.one_of(st.just(Fraction(0)), positive_epsilons)))
+    @settings(max_examples=100, deadline=None)
+    def test_bound_and_unbounded_walks_take_one_tree(self, inst):
+        # Both modes run one path: under a bound that never cuts, the walk
+        # yields the unbounded walk's leaves in order and takes as many
+        # nodes; under a built-in, the values carried down to a leaf are
+        # the leaf's own.
+        idx = compute_index_sets(inst)
+        if not idx.feasible:
+            return
+        options = _options(inst, idx)
+
+        def walked(cap, bound=None):
+            # The leaves yielded in order, and the node count at which the
+            # cap stopped the walk (None when it finished).
+            leaves = []
+            try:
+                for leaf, _ in _walk(inst.n, options, cap, bound):
+                    leaves.append(leaf)
+            except CapExceededError as err:
+                return leaves, err.count
+            return leaves, None
+
+        # The least cap the unbounded walk finishes under.
+        lo, hi = 1, DEFAULT_CAP
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if walked(mid)[1] is None else (mid + 1, hi)
+
+        def constant(x):
+            # Not a built-in, so it takes the exact-point path; the cut is
+            # strict, so a constant never cuts.
+            return 0.0
+
+        never_cuts = _scaled_table(constant, inst._D, _coordinates(options))
+        assert walked(lo, never_cuts) == walked(lo)
+        if lo > 1:
+            stopped = walked(lo - 1, never_cuts)
+            assert stopped == walked(lo - 1) and stopped[1] == lo
+        for objective in OBJECTIVES.values():
+            table, rate = _scaled_table(objective, inst._D, _coordinates(options))
+            for leaf, value in _walk(inst.n, options, DEFAULT_CAP, (table, rate)):
+                assert value == rate(tuple([table[t] for t in leaf]))
+
+    @given(inst=with_epsilon(st.one_of(st.just(Fraction(0)), positive_epsilons)))
     @settings(max_examples=150, deadline=None)
     def test_row_test_matches_the_list_based_reference(self, inst):
         # The row scan that stops at a row's second meeting column, and the
